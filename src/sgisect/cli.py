@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = satisfiable / valid / success, 1 = empty / invalid,
-2 = usage or input error.  Results go to stdout, diagnostics to stderr;
-``--json`` switches commands that report results to machine-readable output.
+2 = usage or input error, or a solver that hit its state cap or ran out of
+memory.  Results go to stdout, diagnostics to stderr; ``--json`` switches
+commands that report results to machine-readable output.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .formats import (FormatError, parse_instance, parse_slp_text, parse_table_t
                       serialize_circuit_text, serialize_instance, serialize_slp_text,
                       serialize_table_text)
 from .reductions import parse_dimacs, reduce_nilpotent, reduce_unbounded
-from .slp import power_slp
+from .slp import power_slp, slp_stats
 from .solve import (Instance, PreconditionError, StateCapError, Witness, bounded_solve,
                     brute_force_solve, comli_solve, enum_slp_solve, li_solve,
-                    li_witness_shorten, min_witness_stats, verify_witness)
+                    li_witness_shorten, verify_witness)
 from .varieties import classify, li_degree
 
 
@@ -125,8 +126,6 @@ def _cmd_solve(args) -> int:
         result = _run_strategy(instance, args)
     except PreconditionError as exc:
         raise _CliError(2, f"strategy {args.strategy!r} not applicable: {exc}") from exc
-    except (StateCapError, ValueError) as exc:
-        raise _CliError(2, str(exc)) from exc
 
     if args.json:
         payload = {
@@ -259,13 +258,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _time_solver(fn) -> tuple[str, str]:
+def _time_solver(fn):
+    """(result, seconds as CSV text); (None, "") when the strategy does not apply."""
     t0 = time.perf_counter()
     try:
         result = fn()
     except PreconditionError:
-        return "", ""
-    return result.status, f"{time.perf_counter() - t0:.6f}"
+        return None, ""
+    return result, f"{time.perf_counter() - t0:.6f}"
 
 
 def _cmd_bench(args) -> int:
@@ -276,14 +276,13 @@ def _cmd_bench(args) -> int:
     for path in args.instances:
         instance = _load_instance(path)
         total = sum(c.semigroup.size for c in instance.constraints)
-        min_len, min_slp = min_witness_stats(instance, args.slp_size)
-        _, brute_t = _time_solver(lambda: brute_force_solve(instance))
+        brute, brute_t = _time_solver(lambda: brute_force_solve(instance))
         _, li_t = _time_solver(lambda: li_solve(instance))
         _, comli_t = _time_solver(lambda: comli_solve(instance))
-        _, slp_t = _time_solver(lambda: enum_slp_solve(instance, args.slp_size))
+        enum, slp_t = _time_solver(lambda: enum_slp_solve(instance, args.slp_size))
         writer.writerow([path, total,
-                         "" if min_len is None else min_len,
-                         "" if min_slp is None else min_slp,
+                         len(brute.witness.word) if brute.satisfiable else "",
+                         slp_stats(enum.witness.slp)[0] if enum.satisfiable else "",
                          brute_t, li_t, comli_t, slp_t])
     sys.stdout.write(out.getvalue())
     return 0
@@ -370,8 +369,12 @@ def run_command(argv) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FormatError, ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError, StateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -8,12 +8,22 @@ sequence.  The depth-capped solvers reuse the same engine with caps supplied
 by structure: locally trivial semigroups of degree k never need witnesses
 longer than 2k, and commutative locally trivial semigroups absorb every long
 enough product into their zero, giving a logarithmic cap.
+
+The search never visits a tuple from which no word can finish in every
+accept set: each constraint's live elements (those some product of letter
+images, possibly empty, takes into the accept set) are computed once per
+call, and candidates with a dead component are dropped.  Candidates are
+deduplicated on an exact bit packing of the tuple into uint64 words, sorted
+with a stable lexsort, so each tuple keeps its first discovery.  Neither
+device reorders the live candidates, so the witness is the same shortest,
+lexicographically least word the unpruned search finds.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,109 +142,137 @@ class SolveResult:
         return self.status == SATISFIABLE
 
 
+def _key_layout(sizes) -> tuple[list[int], list[tuple[int, int]]]:
+    """Exact bit packing of tuples whose component i lies in range(sizes[i]).
+
+    Component i takes max(1, ceil(log2 sizes[i])) bits, and consecutive
+    components share a uint64 word while they fit.  Returns each component's
+    shift within its word and the component range of each word.
+    """
+    shifts, ranges = [], []
+    lo = used = 0
+    for i, n in enumerate(sizes):
+        bits = max(1, (n - 1).bit_length())
+        if used + bits > 64:
+            ranges.append((lo, i))
+            lo, used = i, 0
+        shifts.append(used)
+        used += bits
+    ranges.append((lo, len(sizes)))
+    return shifts, ranges
+
+
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
-         provenance: str) -> tuple[SolveResult, bool]:
-    """Shared BFS engine; returns (result, truncated).
+         provenance: str) -> SolveResult:
+    """Shared BFS engine over tuples of per-constraint images.
 
     Candidate successors are generated parent-major and letter-minor with both
     orders ascending, and first discovery wins, so the first accepting state in
     a layer corresponds to the lexicographically least among shortest words.
+
+    Two devices keep the layers small and cheap without changing that word:
+
+    - Liveness pruning.  An element is live when some product of letter
+      images, possibly empty, takes it into its constraint's accept set.  A
+      candidate with a dead component has no accepting extension, so it is
+      never generated, deduplicated or counted.  Dropping rows keeps the
+      relative order of the others, and a live tuple never equals a dead one,
+      so the live part of the search, discovery order included, is that of
+      the unpruned search.  When no letter is live the answer is EMPTY at
+      depth 0; when a layer has no new live tuple the search has closed and
+      EMPTY is conclusive.
+    - Packed keys.  Each candidate is packed exactly (not hashed) into a few
+      uint64 words, see ``_key_layout``.  A stable ``np.lexsort`` over the
+      words puts equal candidates next to each other in candidate order, so
+      keeping the first row of each run keeps each tuple's first discovery.
     """
     t0 = time.perf_counter()
     cons = instance.constraints
-    k = len(cons)
     A = instance.alphabet_size
+    sizes = [c.semigroup.size for c in cons]
 
-    def done(found_word, explored, depth, truncated):
-        witness = None if found_word is None else Witness(provenance, word=tuple(found_word))
+    # Every constraint's elements, plus one row standing for the empty word,
+    # get global ids, so that one gather serves all constraints at once.
+    offsets = np.cumsum([0] + [n + 1 for n in sizes[:-1]])
+    total = int(offsets[-1]) + sizes[-1] + 1
+    step = np.empty((total, A), dtype=np.int32)  # global id times letter image
+    accept = np.zeros(total, dtype=bool)
+    code = np.empty(total, dtype=np.uint64)  # local index, shifted to its place in the key
+    shifts, word_ranges = _key_layout(sizes)
+    tables: dict[int, np.ndarray] = {}
+    for i, c in enumerate(cons):
+        S, o, n = c.semigroup, int(offsets[i]), sizes[i]
+        if id(S) not in tables:
+            tables[id(S)] = np.asarray(S.table, dtype=np.int32)
+        images = np.asarray(c.morphism.images, dtype=np.int32)
+        step[o:o + n] = tables[id(S)][:, images] + o
+        step[o + n] = images + o
+        accept[[o + x for x in c.accept]] = True
+        code[o:o + n + 1] = np.arange(n + 1, dtype=np.uint64) << np.uint64(shifts[i])
+    live = accept
+    while True:  # backward closure of the accept sets, at most max(sizes) rounds
+        grown = live | live[step].any(axis=1)
+        if np.array_equal(grown, live):
+            break
+        live = grown
+    live_letters = np.packbits(live[step], axis=1, bitorder="little")  # (total, ceil(A/8))
+    row_bytes = np.dtype((np.void, 8 * len(word_ranges)))
+
+    visited: set[bytes] = set()
+    trail: list[tuple[np.ndarray, np.ndarray]] = []  # per depth: parent row, letter
+
+    def done(found: int | None, depth: int, complete: bool) -> SolveResult:
+        witness = None
+        if found is not None:
+            word = []
+            for parents, letters in reversed(trail):
+                word.append(int(letters[found]))
+                found = parents[found]
+            witness = Witness(provenance, word=tuple(reversed(word)))
         status = SATISFIABLE if witness is not None else EMPTY
-        stats = SolveStats(explored, depth, time.perf_counter() - t0)
-        return SolveResult(status, witness, not truncated, stats), truncated
+        stats = SolveStats(len(visited), depth, time.perf_counter() - t0)
+        return SolveResult(status, witness, complete, stats)
 
-    if any(not c.accept for c in cons):
-        return done(None, 0, 0, False)
-
-    table_cache: dict[int, np.ndarray] = {}
-    tables = []
-    for c in cons:
-        key = id(c.semigroup)
-        if key not in table_cache:
-            table_cache[key] = np.asarray(c.semigroup.table, dtype=np.int32)
-        tables.append(table_cache[key])
-    imgs = np.asarray([c.morphism.images for c in cons], dtype=np.int32)  # (k, A)
-    accept_masks = []
-    for c in cons:
-        mask = np.zeros(c.semigroup.size, dtype=bool)
-        mask[list(c.accept)] = True
-        accept_masks.append(mask)
-
-    visited: dict[bytes, int] = {}
-    parent_of: list[int] = []
-    letter_of: list[int] = []
-
-    def reconstruct(gid: int) -> list[int]:
-        word = []
-        while gid != -1:
-            word.append(letter_of[gid])
-            gid = parent_of[gid]
-        word.reverse()
-        return word
-
-    layer = None  # np (p, k) rows of the current depth
-    layer_gids: list[int] = []
+    layer = (offsets + sizes)[:, None].astype(np.int32)  # (k, rows): the empty word
     depth = 0
     while True:
         if depth_cap is not None and depth >= depth_cap:
-            truncated = layer is not None and len(layer) > 0
-            return done(None, len(visited), depth, truncated)
-        if depth == 0:
-            cand = np.ascontiguousarray(imgs.T)  # (A, k); candidate c is letter c
-        else:
-            if len(layer) == 0:
-                return done(None, len(visited), depth, False)
-            p = len(layer)
-            cand3 = np.empty((p, A, k), dtype=np.int32)
-            for i in range(k):
-                cand3[:, :, i] = tables[i][layer[:, i]][:, imgs[i]]
-            cand = np.ascontiguousarray(cand3.reshape(p * A, k))
+            return done(None, depth, False)
+        # (row, letter) pairs whose successor is live in every component
+        live_bits = np.bitwise_and.reduce(live_letters[layer], axis=0)
+        live_pairs = np.unpackbits(live_bits, axis=1, count=A, bitorder="little")
+        parents, letters = np.divmod(np.flatnonzero(live_pairs), A)
+        if parents.size == 0:
+            return done(None, depth, True)
+        cand = step[layer[:, parents], letters]  # (k, candidates)
+        keys = np.stack([np.bitwise_or.reduce(code[cand[lo:hi]], axis=0)
+                         for lo, hi in word_ranges])
 
-        _, first_idx = np.unique(cand, axis=0, return_index=True)
-        first_idx.sort()
-        new_rows_idx: list[int] = []
-        for ci in first_idx:
-            key = cand[ci].tobytes()
-            if key in visited:
-                continue
-            gid = len(parent_of)
-            visited[key] = gid
-            parent_of.append(-1 if depth == 0 else layer_gids[ci // A])
-            letter_of.append(int(ci % A))
-            new_rows_idx.append(int(ci))
+        order = np.lexsort(keys)  # stable: equal keys keep candidate order
+        sorted_keys = keys[:, order]
+        head = np.ones(order.size, dtype=bool)
+        np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=head[1:])
+        first = np.sort(order[head])
+        packed = np.ascontiguousarray(keys[:, first].T).view(row_bytes).ravel().tolist()
+        fresh = np.fromiter((key not in visited for key in packed), dtype=bool, count=len(packed))
+        new = first[fresh]
+        if new.size == 0:
+            return done(None, depth, True)
+        visited.update(itertools.compress(packed, fresh))
         if len(visited) > state_cap:
             raise StateCapError(state_cap)
-        if not new_rows_idx:
-            return done(None, len(visited), depth, False)
 
-        new_layer = cand[new_rows_idx]
-        base_gid = len(parent_of) - len(new_rows_idx)
+        trail.append((parents[new], letters[new]))
+        layer = cand[:, new]
         depth += 1
-
-        acc = np.ones(len(new_layer), dtype=bool)
-        for i in range(k):
-            acc &= accept_masks[i][new_layer[:, i]]
-        hits = np.flatnonzero(acc)
+        hits = np.flatnonzero(accept[layer].all(axis=0))
         if hits.size:
-            gid = base_gid + int(hits[0])
-            return done(reconstruct(gid), len(visited), depth, False)
-
-        layer = new_layer
-        layer_gids = list(range(base_gid, len(parent_of)))
+            return done(int(hits[0]), depth, True)
 
 
 def brute_force_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Exact BFS oracle; the cap bounds visited image tuples, not the raw product."""
-    result, _ = _bfs(instance, None, state_cap, "brute")
-    return result
+    return _bfs(instance, None, state_cap, "brute")
 
 
 def bounded_solve(instance: Instance, depth_cap: int,
@@ -246,8 +284,7 @@ def bounded_solve(instance: Instance, depth_cap: int,
     """
     if depth_cap < 1:
         raise ValueError("depth cap must be >= 1")
-    result, _ = _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
-    return result
+    return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
 
 
 def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
@@ -277,15 +314,15 @@ def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
 
 def li_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Complete solver for locally trivial constraints via the 2k witness cap."""
-    degrees = []
+    degrees: dict[int, int | None] = {}  # per distinct semigroup; gadgets share one
     for i, c in enumerate(instance.constraints):
-        d = li_degree(c.semigroup)
-        if d is None:
+        S = c.semigroup
+        if id(S) not in degrees:
+            degrees[id(S)] = li_degree(S)
+        if degrees[id(S)] is None:
             raise PreconditionError("is_li", i)
-        degrees.append(d)
-    cap = 2 * max(degrees)
-    result, _ = _bfs(instance, cap, state_cap, "li")
-    return SolveResult(result.status, result.witness, True, result.stats)
+    cap = 2 * max(degrees.values())
+    return replace(_bfs(instance, cap, state_cap, "li"), complete=True)
 
 
 def comli_length_bound(instance: Instance) -> int:
@@ -297,26 +334,25 @@ def comli_length_bound(instance: Instance) -> int:
     """
     from .core import monogenic_orders
 
-    c = 0
+    orders: dict[int, int] = {}  # per distinct semigroup, checked where it first occurs
     product = 1
     for i, cons in enumerate(instance.constraints):
         S = cons.semigroup
-        if not is_commutative(S):
-            raise PreconditionError("is_commutative", i)
-        if not is_li(S):
-            raise PreconditionError("is_li", i)
-        _, order = monogenic_orders(S)
-        c = max(c, order)
+        if id(S) not in orders:
+            if not is_commutative(S):
+                raise PreconditionError("is_commutative", i)
+            if not is_li(S):
+                raise PreconditionError("is_li", i)
+            orders[id(S)] = monogenic_orders(S)[1]
         product *= S.size
     log_product = (product - 1).bit_length()  # ceil(log2(product))
-    return c * (log_product + 1)
+    return max(orders.values()) * (log_product + 1)
 
 
 def comli_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Complete solver for commutative locally trivial constraints."""
     cap = comli_length_bound(instance)
-    result, _ = _bfs(instance, cap, state_cap, "comli")
-    return SolveResult(result.status, result.witness, True, result.stats)
+    return replace(_bfs(instance, cap, state_cap, "comli"), complete=True)
 
 
 def enum_slp_solve(instance: Instance, size_bound: int,

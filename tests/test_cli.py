@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgisect
+import sgisect.solve as solve
 from sgisect.cli import run_command
 from sgisect.formats import parse_instance, parse_slp_text, serialize_instance
 from sgisect.reductions import CnfFormula, reduce_unbounded
@@ -246,6 +252,55 @@ class TestBench:
         cells = lines[1].split(",")
         assert cells[1] == "9" and cells[2] == "1" and cells[3] == "1"
         assert all(cells[i] for i in (4, 5, 6, 7))  # all four strategies timed
+
+    def test_empty_instance_leaves_witness_cells_blank(self, capsys, tmp_path):
+        path = tmp_path / "empty.sgi"
+        instance = reduce_unbounded(CnfFormula(1, (frozenset({1}), frozenset({-1}))))
+        path.write_text(serialize_instance(instance))
+        code, out, _ = _run(capsys, "bench", str(path))
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2:4] == ["", ""]
+
+    def test_each_solver_runs_once(self, capsys, monkeypatch, sat_gadget):
+        calls = {"bfs": 0, "slp": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solve, "_bfs", counting("bfs", solve._bfs))
+        monkeypatch.setattr(solve, "enumerate_slps", counting("slp", solve.enumerate_slps))
+        code, _, _ = _run(capsys, "bench", sat_gadget)
+        assert code == 0
+        assert calls == {"bfs": 3, "slp": 1}  # brute, li, comli; SLP enumeration
+
+
+class TestSolverFailures:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("error", [solve.StateCapError(5), MemoryError()], ids=["cap", "memory"])
+    def test_exit_2_with_error_line(self, capsys, monkeypatch, sat_gadget, command, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("sgisect.cli.brute_force_solve", fail)
+        code, out, err = _run(capsys, command, sat_gadget)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, tmp_path):
+        table = tmp_path / "mincap3.tbl"
+        assert run_command(["gen", "mincap", "3", "-o", str(table)]) == 0
+        src = str(Path(sgisect.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "sgisect", "classify", "--table", str(table)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "size: 3" in done.stdout
 
 
 class TestUsage:

@@ -85,6 +85,66 @@ class TestBounded:
             bounded_solve(GADGET_SAT, 0)
 
 
+class TestPrunedSearch:
+    """Liveness pruning and packed-key deduplication inside the BFS engine."""
+
+    def test_dead_letter_is_empty_at_depth_zero(self):
+        # 2 is the cap of mincap(3): every product stays at 2, never at 0
+        I = _single(mincap(3), (2,), (0,))
+        for r in (brute_force_solve(I), bounded_solve(I, 5)):
+            assert not r.satisfiable and r.complete
+            assert r.stats.states_explored == 0 and r.stats.max_depth == 0
+
+    def test_unsat_gadget_closes_at_the_word_length(self):
+        k = 3
+        clauses = tuple(frozenset({a, b, c}) for a in (1, -1) for b in (2, -2) for c in (3, -3))
+        I = reduce_unbounded(CnfFormula(k, clauses))  # all 8 sign patterns: UNSAT
+        for r in (li_solve(I), bounded_solve(I, 50)):
+            assert not r.satisfiable and r.complete
+            assert r.stats.max_depth <= k + 1
+
+    def test_keys_spanning_several_words(self):
+        # 22 accept-all constraints pinned at the top element of mincap(8) fill
+        # the first key word with the same bits for every tuple, so tuples
+        # differ only in the trailing constraints, which the second word holds
+        rng = random.Random(2024)
+        top = mincap(8)
+        S = mincap(5)
+        for _ in range(12):
+            A = rng.randint(2, 3)
+            padding = [Constraint(Morphism((7,) * A, top), frozenset(range(8)))] * 22
+            tail = [Constraint(random_morphism(rng, S, A),
+                               frozenset(rng.sample(range(S.size), rng.randint(1, 2))))
+                    for _ in range(rng.randint(1, 3))]
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(padding + tail))
+            assert 3 * len(I.constraints) > 64  # three bits per component
+            r = brute_force_solve(I)
+            # every word of length >= 5 maps to the cap, so length 5 is exhaustive
+            assert (r.witness.word if r.satisfiable else None) == solve_by_word_enumeration(I, 5)
+            assert r.complete
+
+    def test_sparse_accept_sets_match_word_enumeration(self, family_pool):
+        rng = random.Random(4242)
+        for _ in range(40):
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
+            A = rng.randint(1, 3)
+            constraints = tuple(
+                Constraint(random_morphism(rng, S, A), frozenset({rng.randrange(S.size)}))
+                for S in semis)
+            I = Instance(tuple(f"a{i}" for i in range(A)), constraints)
+            oracle = solve_by_word_enumeration(I, 8)
+            capped = bounded_solve(I, 8)
+            assert (capped.witness.word if capped.satisfiable else None) == oracle
+            short = bounded_solve(I, 3)
+            if not short.satisfiable and short.complete:
+                assert oracle is None  # a closed search rules out every length
+            full = brute_force_solve(I)
+            if oracle is not None:
+                assert full.witness.word == oracle
+            else:
+                assert not full.satisfiable or len(full.witness.word) > 8
+
+
 class TestShorten:
     def test_mincap4_prefix_suffix(self):
         h = Morphism((0,), mincap(4))
