@@ -25,9 +25,9 @@ from .formats import (FormatError, parse_instance, parse_slp_text, parse_table_t
 from .reductions import parse_dimacs, reduce_nilpotent, reduce_unbounded
 from .slp import power_slp, slp_stats
 from .solve import (Instance, PreconditionError, StateCapError, Witness, bounded_solve,
-                    brute_force_solve, comli_solve, enum_slp_solve, li_solve,
+                    brute_force_solve, comli_solve, enum_slp_solve, li_degrees, li_solve,
                     li_witness_shorten, verify_witness)
-from .varieties import classify, li_degree
+from .varieties import classify
 
 
 class _CliError(Exception):
@@ -178,9 +178,9 @@ def _cmd_shorten(args) -> int:
     if args.degree is not None:
         k = args.degree
     else:
-        degrees = [li_degree(c.semigroup) for c in instance.constraints]
-        if any(d is None for d in degrees):
-            i = next(i for i, d in enumerate(degrees) if d is None)
+        degrees = li_degrees(c.semigroup for c in instance.constraints)
+        if None in degrees:
+            i = degrees.index(None)
             raise _CliError(2, f"constraint {instance.constraint_name(i)} violates is_li")
         k = max(degrees)
     try:

@@ -199,13 +199,11 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
     accept = np.zeros(total, dtype=bool)
     code = np.empty(total, dtype=np.uint64)  # local index, shifted to its place in the key
     shifts, word_ranges = _key_layout(sizes)
-    tables: dict[int, np.ndarray] = {}
     for i, c in enumerate(cons):
         S, o, n = c.semigroup, int(offsets[i]), sizes[i]
-        if id(S) not in tables:
-            tables[id(S)] = np.asarray(S.table, dtype=np.int32)
         images = np.asarray(c.morphism.images, dtype=np.int32)
-        step[o:o + n] = tables[id(S)][:, images] + o
+        # widen before offsetting: S.array is uint8 for small tables and would wrap
+        np.add(S.array[:, images], o, out=step[o:o + n], dtype=np.int32)
         step[o + n] = images + o
         accept[[o + x for x in c.accept]] = True
         code[o:o + n + 1] = np.arange(n + 1, dtype=np.uint64) << np.uint64(shifts[i])
@@ -287,6 +285,21 @@ def bounded_solve(instance: Instance, depth_cap: int,
     return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
 
 
+def li_degrees(semigroups) -> list[int | None]:
+    """``li_degree`` of each semigroup, in order, computed once per distinct object.
+
+    Reduction gadgets give all their constraints one shared Semigroup, so the
+    degree is computed once per instance rather than once per constraint.
+    """
+    memo: dict[int, int | None] = {}
+    degrees = []
+    for S in semigroups:
+        if id(S) not in memo:
+            memo[id(S)] = li_degree(S)
+        degrees.append(memo[id(S)])
+    return degrees
+
+
 def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
     """Replace a word longer than 2k by its length-k prefix and suffix.
 
@@ -298,8 +311,7 @@ def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
     accepts = [frozenset(a) for a in accepts]
     if len(accepts) != len(morphisms):
         raise ValueError("one accepting set per morphism required")
-    for i, h in enumerate(morphisms):
-        d = li_degree(h.target)
+    for i, d in enumerate(li_degrees(h.target for h in morphisms)):
         if d is None or d > k:
             raise PreconditionError(f"li_degree <= {k}", i)
     word = tuple(word)
@@ -314,14 +326,10 @@ def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
 
 def li_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Complete solver for locally trivial constraints via the 2k witness cap."""
-    degrees: dict[int, int | None] = {}  # per distinct semigroup; gadgets share one
-    for i, c in enumerate(instance.constraints):
-        S = c.semigroup
-        if id(S) not in degrees:
-            degrees[id(S)] = li_degree(S)
-        if degrees[id(S)] is None:
-            raise PreconditionError("is_li", i)
-    cap = 2 * max(degrees.values())
+    degrees = li_degrees(c.semigroup for c in instance.constraints)
+    if None in degrees:
+        raise PreconditionError("is_li", degrees.index(None))
+    cap = 2 * max(degrees)
     return replace(_bfs(instance, cap, state_cap, "li"), complete=True)
 
 

@@ -24,6 +24,15 @@ def fold(S: Semigroup, seq) -> int:
     return acc
 
 
+def first_nonassociative_triple(table):
+    """The lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None."""
+    n = len(table)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return (x, y, z)
+    return None
+
+
 def words_in_order(alphabet_size: int, max_len: int):
     """All non-empty words up to max_len, shortest first, lexicographic within a length."""
     for length in range(1, max_len + 1):

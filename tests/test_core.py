@@ -1,17 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgisect.core import (AssociativityError, Morphism, apply_morphism, check_associative,
-                          direct_product, distinguished_elements, local_monoid,
-                          monogenic_orders, multiply, power, product_morphism,
+from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, apply_morphism,
+                          check_associative, direct_product, distinguished_elements,
+                          local_monoid, monogenic_orders, multiply, power, product_morphism,
                           subsemigroup_closure)
-from sgisect.families import leftzero, mincap, nilinterval, trivial
+from sgisect.families import build_family, leftzero, mincap, nilinterval, trivial
 from sgisect.varieties import is_li, is_nilpotent
 
-from _oracles import fold
+from _oracles import first_nonassociative_triple, fold
 
 
 class TestCheckAssociative:
@@ -41,6 +42,62 @@ class TestCheckAssociative:
     def test_empty(self):
         with pytest.raises(ValueError):
             check_associative([])
+
+    def test_random_small_tables_match_definition(self):
+        rng = random.Random(31)
+        violations = 0
+        for _ in range(3000):
+            n = rng.randint(2, 4)
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            expected = first_nonassociative_triple(table)
+            if expected is None:
+                assert check_associative(table).table == tuple(map(tuple, table))
+                continue
+            violations += 1
+            with pytest.raises(AssociativityError) as exc:
+                check_associative(table)
+            assert exc.value.triple == expected
+        assert violations > 1000
+
+    @pytest.mark.parametrize("spec, past_first_block", [
+        ("leftzero:80", True), ("rightzero:72", True), ("nilinterval:12", True),
+        ("mincap:70", False), ("cyclic:75", False)])
+    def test_one_changed_entry_past_the_first_block(self, spec, past_first_block):
+        S = build_family(spec)
+        n = S.size
+        block_rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
+        assert n >= 70 and block_rows < n
+        rng = random.Random(spec)
+        for _ in range(3):
+            x, y = rng.randrange(block_rows, n), rng.randrange(n)
+            table = [list(row) for row in S.table]
+            table[x][y] = (table[x][y] + 1) % n
+            expected = first_nonassociative_triple(table)
+            with pytest.raises(AssociativityError) as exc:
+                check_associative(table)
+            assert exc.value.triple == expected
+            assert (expected[0] >= block_rows) == past_first_block
+
+
+class TestArray:
+    @pytest.mark.parametrize("spec, dtype", [
+        ("mincap:1", np.uint8), ("mincap:256", np.uint8), ("leftzero:257", np.uint16)])
+    def test_compact_read_only_copy_of_the_table(self, spec, dtype):
+        S = build_family(spec)
+        a = S.array
+        assert a.dtype == np.min_scalar_type(S.size - 1) == dtype
+        assert a.shape == (S.size, S.size) and np.array_equal(a, S.table)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+        assert S.array is a
+
+    def test_cache_does_not_change_equality_or_hash(self):
+        S, fresh = mincap(5), mincap(5)
+        before = hash(S)
+        S.array
+        assert S == fresh and hash(S) == hash(fresh) == before
+        assert {S: 1}[fresh] == 1
 
 
 class TestMultiply:

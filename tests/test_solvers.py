@@ -4,7 +4,8 @@ import pytest
 
 from sgisect.core import Morphism
 from sgisect.families import cyclic, leftzero, mincap, rightzero, trivial
-from sgisect.reductions import CnfFormula, reduce_unbounded
+from sgisect import solve
+from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import slp_eval_word, slp_stats
 from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapError, Witness,
                            bounded_solve, brute_force_solve, comli_length_bound, comli_solve,
@@ -123,6 +124,22 @@ class TestPrunedSearch:
             assert (r.witness.word if r.satisfiable else None) == solve_by_word_enumeration(I, 5)
             assert r.complete
 
+    def test_global_ids_past_the_compact_table_dtype(self):
+        # every table here is uint8, but the global ids of the later
+        # constraints pass 255, so the engine must widen before offsetting
+        rng = random.Random(255)
+        semis = [leftzero(200), mincap(150), rightzero(180)]
+        found = 0
+        for _ in range(15):
+            A = rng.randint(2, 3)
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(
+                Constraint(random_morphism(rng, S, A), frozenset(rng.sample(range(S.size), 60)))
+                for S in semis))
+            r = bounded_solve(I, 5)
+            assert (r.witness.word if r.satisfiable else None) == solve_by_word_enumeration(I, 5)
+            found += r.satisfiable
+        assert 0 < found < 15
+
     def test_sparse_accept_sets_match_word_enumeration(self, family_pool):
         rng = random.Random(4242)
         for _ in range(40):
@@ -180,6 +197,30 @@ class TestShorten:
             word = tuple(rng.randrange(m) for _ in range(length))
             short = li_witness_shorten(hs, [set()] * count, word, k)
             assert short == word[:k] + word[-k:]
+
+    def test_degree_once_per_shared_semigroup(self, monkeypatch):
+        rng = random.Random(8)
+        clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, 9), 3))
+                        for _ in range(34))
+        inst = reduce_nilpotent(CnfFormula(8, clauses))
+        hs = [c.morphism for c in inst.constraints]
+        k = li_degree(hs[0].target)
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return li_degree(S)
+
+        monkeypatch.setattr(solve, "li_degree", counted)
+        word = tuple(rng.randrange(16) for _ in range(2 * k + 5))
+        assert li_witness_shorten(hs, [set()] * len(hs), word, k) == word[:k] + word[-k:]
+        assert len(calls) == 1
+        # a non-li target after the shared ones is still reported by its own index
+        calls.clear()
+        group = Morphism((0,) * 16, cyclic(2))
+        with pytest.raises(PreconditionError) as exc:
+            li_witness_shorten(hs + [group, hs[0]], [set()] * (len(hs) + 2), word, k)
+        assert exc.value.constraint == len(hs) and len(calls) == 2
 
 
 class TestLiSolve:

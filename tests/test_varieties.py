@@ -1,7 +1,9 @@
 import math
 import random
+import time
 
-from sgisect.families import cyclic, leftzero, mincap, nilinterval, trivial
+from sgisect.core import Semigroup, direct_product
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect.varieties import (classify, is_a2n, is_commutative, is_group, is_li, is_monoid,
                                is_nilpotent, li_degree, satisfies_li_k)
 
@@ -67,8 +69,27 @@ class TestDegreeAgainstDefinitionalCheck:
             assert li_degree(S) == li_degree_definitional(S, full_tuples=True)
 
     def test_mincap_closed_form(self):
-        for m in range(2, 13):
+        for m in range(2, 41):
             assert li_degree(mincap(m)) == math.ceil(m / 2)
+
+    def test_violations_in_the_last_block_of_a_level(self):
+        # mincap(m) with its elements listed in reverse: at every failing
+        # level the only violating p is the last element of P_k, which lies
+        # past the first block of the condition check
+        for m in (24, 33, 40):
+            t = mincap(m).table
+            S = Semigroup(tuple(tuple(m - 1 - t[m - 1 - x][m - 1 - y] for y in range(m))
+                                for x in range(m)))
+            assert li_degree(S) == math.ceil(m / 2)
+            for k in range(1, m + 1):
+                assert satisfies_li_k(S, k) == (k >= math.ceil(m / 2))
+
+    def test_family_pool_and_products(self, family_pool):
+        products = [direct_product(fs)[0] for fs in (
+            [mincap(3), mincap(4)], [leftzero(3), mincap(5)], [nilinterval(2), rightzero(2)],
+            [mincap(2), cyclic(2)], [nilinterval(3), mincap(3)])]
+        for S in family_pool + products:
+            assert li_degree(S) == li_degree_definitional(S)
 
     def test_mincap_against_tuple_enumeration(self):
         for m in range(2, 13):
@@ -84,6 +105,13 @@ class TestLocalTrivialityAtDegreeSizePlusOne:
         rng = random.Random(20240)
         for S in sample_size4_subsemigroups(rng, 60):
             assert is_li(S) == satisfies_li_k(S, 5)
+
+    def test_degree_far_past_the_stable_chain_returns_at_once(self):
+        for S, expected in ((mincap(5), True), (cyclic(3), False), (nilinterval(3), True)):
+            t0 = time.perf_counter()
+            assert satisfies_li_k(S, 10 ** 6) is expected
+            assert time.perf_counter() - t0 < 1.0
+            assert satisfies_li_k(S, S.size + 1) is expected
 
     def test_set_product_check_matches_tuple_check(self, small_semigroups):
         from _oracles import li_k_holds_by_full_tuples
