@@ -5,7 +5,7 @@ from .circuits import (BooleanCircuit, circuit_eval, circuit_size_bound, morphis
 from .core import (AssociativityError, DistinguishedElements, Morphism, Semigroup,
                    apply_morphism, check_associative, direct_product, distinguished_elements,
                    local_monoid, monogenic_orders, multiply, power, product_morphism,
-                   subsemigroup_closure)
+                   sub_semigroup, subsemigroup_closure)
 from .reductions import (Assignment, AssignmentUndefinedError, CnfFormula, assignment_to_word,
                          parse_dimacs, reduce_nilpotent, reduce_unbounded, reduction_alphabet,
                          sat_solve_exhaustive, word_to_assignment)

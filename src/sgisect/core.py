@@ -127,7 +127,7 @@ def check_associative(table, labels=None) -> Semigroup:
     ``argmax`` finds in the first block that has one is the lexicographically
     first violating triple.
     """
-    sg = Semigroup(tuple(tuple(row) for row in table), labels)
+    sg = Semigroup(table, labels)
     T = sg.array
     n = sg.size
     rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
@@ -193,6 +193,32 @@ def monogenic_orders(S: Semigroup) -> tuple[tuple[int, ...], int]:
     return tuple(orders), max(orders)
 
 
+def sub_semigroup(S: Semigroup, elements) -> tuple[Semigroup, tuple[int, ...]]:
+    """Reindex a product-closed subset of S as a semigroup of its own.
+
+    Returns (T, elems) with elems the sorted subset and elems[i] the element
+    of S behind index i of T; labels carry over.
+    """
+    elems = sorted(set(elements))
+    if not elems:
+        raise ValueError("need at least one element")
+    if elems[0] < 0 or elems[-1] >= S.size:
+        raise IndexError(f"elements must lie in 0..{S.size - 1}")
+    index = {x: i for i, x in enumerate(elems)}
+    t = S.table
+    rows = []
+    for x in elems:
+        row = []
+        for y in elems:
+            p = t[x][y]
+            if p not in index:
+                raise ValueError(f"set is not closed: {x}*{y} = {p} escapes")
+            row.append(index[p])
+        rows.append(tuple(row))
+    labels = tuple(S.labels[x] for x in elems) if S.labels is not None else None
+    return Semigroup(tuple(rows), labels), tuple(elems)
+
+
 def local_monoid(S: Semigroup, e: int) -> tuple[Semigroup, tuple[int, ...]]:
     """The monoid e*S*e with neutral element e, plus the element mapping.
 
@@ -205,11 +231,7 @@ def local_monoid(S: Semigroup, e: int) -> tuple[Semigroup, tuple[int, ...]]:
         raise IndexError(f"element {e} out of range 0..{n - 1}")
     if t[e][e] != e:
         raise ValueError(f"element {e} is not idempotent")
-    elems = sorted({t[t[e][x]][e] for x in range(n)})
-    index = {x: i for i, x in enumerate(elems)}
-    table = tuple(tuple(index[t[x][y]] for y in elems) for x in elems)
-    labels = tuple(S.labels[x] for x in elems) if S.labels is not None else None
-    return Semigroup(table, labels), tuple(elems)
+    return sub_semigroup(S, {t[t[e][x]][e] for x in range(n)})
 
 
 def subsemigroup_closure(S: Semigroup, gens) -> frozenset[int]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Semigroup, direct_product
+from .core import Semigroup, direct_product, sub_semigroup  # noqa: F401 (re-exported)
 
 
 def mincap(k: int) -> Semigroup:
@@ -69,30 +69,9 @@ def nilinterval(k: int) -> Semigroup:
     return Semigroup(table, labels)
 
 
-def sub_semigroup(S: Semigroup, elements) -> tuple[Semigroup, tuple[int, ...]]:
-    """Reindex a product-closed subset of S as a semigroup of its own.
-
-    Returns (T, elems) with elems[i] the element of S behind index i of T.
-    """
-    elems = sorted(set(elements))
-    if not elems:
-        raise ValueError("need at least one element")
-    index = {x: i for i, x in enumerate(elems)}
-    t = S.table
-    rows = []
-    for x in elems:
-        row = []
-        for y in elems:
-            p = t[x][y]
-            if p not in index:
-                raise ValueError(f"set is not closed: {x}*{y} = {p} escapes")
-            row.append(index[p])
-        rows.append(tuple(row))
-    labels = tuple(S.labels[x] for x in elems) if S.labels is not None else None
-    return Semigroup(tuple(rows), labels), tuple(elems)
-
-
 def _is_associative(rows, n) -> bool:
+    # A plain loop, not core.check_associative: at n <= 3 numpy's per-call cost
+    # dominates, and enumerate_semigroup_tables runs this on n**(n*n) candidates.
     for x in range(n):
         tx = rows[x]
         for y in range(n):

@@ -19,6 +19,10 @@ SGI instance grammar::
     ACCEPT <zero or more indices>
     END
 
+Range checks belong to the value types (``Semigroup`` for table entries,
+``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
+line number to their errors and checks only counts and block structure.
+
 SLP grammar: a header line ``SLP 1``, a line ``START <var>``, then one line
 ``<var> = <sym> <sym> ...`` per variable.  Tokens starting with ``X`` are
 variables; all other tokens are letter names (which therefore must not start
@@ -52,25 +56,44 @@ def default_letter_names(m: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(m))
 
 
+def _ints(tokens, what: str, lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"non-integer {what} in {tokens!r}", lineno) from None
+
+
+def _at_line(lineno: int, build, *args):
+    """``build(*args)`` with its ValueError, except AssociativityError, as FormatError at lineno."""
+    try:
+        return build(*args)
+    except AssociativityError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
+
+
+def _read_table(rows, n: int, lineno: int) -> Semigroup:
+    """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line."""
+    if len(rows) != n:
+        raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
+    table = []
+    for rlineno, tokens in rows:
+        row = _ints(tokens, "table entry", rlineno)
+        if len(row) != n:
+            raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
+        table.append(row)
+    return _at_line(lineno, check_associative, table)
+
+
 # -- raw multiplication tables -------------------------------------------------
 
 def parse_table_text(text: str) -> Semigroup:
-    """Rows of indices; the first row fixes n.  Associativity is checked."""
-    rows = []
-    first_line = None
-    for lineno, tokens in _logical_lines(text):
-        if first_line is None:
-            first_line = lineno
-        try:
-            rows.append([int(t) for t in tokens])
-        except ValueError:
-            raise FormatError(f"non-integer table entry in {tokens!r}", lineno) from None
-    if not rows:
+    """Rows of indices; the first row fixes n.  A non-associative table raises AssociativityError."""
+    lines = list(_logical_lines(text))
+    if not lines:
         raise FormatError("empty table")
-    n = len(rows[0])
-    if len(rows) != n:
-        raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", first_line)
-    return check_associative(rows)
+    return _read_table(lines, len(lines[0][1]), lines[0][0])
 
 
 def serialize_table_text(S: Semigroup) -> str:
@@ -102,10 +125,7 @@ def parse_instance(text: str) -> Instance:
     lineno, tokens = take()
     if len(tokens) != 2 or tokens[0] != "ALPHABET":
         raise FormatError("expected 'ALPHABET <m>'", lineno)
-    try:
-        m = int(tokens[1])
-    except ValueError:
-        raise FormatError(f"bad alphabet size {tokens[1]!r}", lineno) from None
+    m = _ints(tokens[1:], "alphabet size", lineno)[0]
     if m < 1:
         raise FormatError("alphabet must be non-empty", lineno)
 
@@ -127,32 +147,18 @@ def parse_instance(text: str) -> Instance:
             name = tokens[1]
             if name in tables:
                 raise FormatError(f"duplicate table {name!r}", lineno)
-            try:
-                n = int(tokens[2])
-            except ValueError:
-                raise FormatError(f"bad table size {tokens[2]!r}", lineno) from None
+            n = _ints(tokens[2:], "table size", lineno)[0]
             if n < 1:
                 raise FormatError("table size must be >= 1", lineno)
-            rows = []
-            for _ in range(n):
-                rlineno, rtokens = take()
-                try:
-                    row = [int(t) for t in rtokens]
-                except ValueError:
-                    raise FormatError(f"non-integer table entry in row {rtokens!r}", rlineno) from None
-                if len(row) != n:
-                    raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
-                for v in row:
-                    if not 0 <= v < n:
-                        raise FormatError(f"entry {v} out of range 0..{n - 1}", rlineno)
-                rows.append(row)
+            rows = lines[pos:pos + n]
+            pos += len(rows)
+            try:
+                tables[name] = _read_table(rows, n, lineno)
+            except AssociativityError as exc:
+                raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
             elineno, etokens = take()
             if etokens != ["END"]:
                 raise FormatError("expected 'END' closing the TABLE block", elineno)
-            try:
-                tables[name] = check_associative(rows)
-            except AssociativityError as exc:
-                raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
         elif tokens[0] == "CONSTRAINT":
             if len(tokens) != 2:
                 raise FormatError("expected 'CONSTRAINT <tablename>'", lineno)
@@ -161,7 +167,7 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"constraint references undeclared table {tname!r}", lineno)
             S = tables[tname]
             cname = None
-            images = None
+            morphism = None
             accept = None
             while True:
                 blineno, btokens = take()
@@ -172,30 +178,20 @@ def parse_instance(text: str) -> Instance:
                         raise FormatError("expected 'NAME <token>'", blineno)
                     cname = btokens[1]
                 elif btokens[0] == "IMAGES":
-                    try:
-                        images = [int(t) for t in btokens[1:]]
-                    except ValueError:
-                        raise FormatError("non-integer image index", blineno) from None
+                    images = _ints(btokens[1:], "image index", blineno)
                     if len(images) != m:
                         raise FormatError(f"IMAGES needs {m} indices, got {len(images)}", blineno)
-                    for v in images:
-                        if not 0 <= v < S.size:
-                            raise FormatError(f"image {v} out of range 0..{S.size - 1}", blineno)
+                    morphism = _at_line(blineno, Morphism, images, S)
                 elif btokens[0] == "ACCEPT":
-                    try:
-                        accept = [int(t) for t in btokens[1:]]
-                    except ValueError:
-                        raise FormatError("non-integer accept index", blineno) from None
-                    for v in accept:
-                        if not 0 <= v < S.size:
-                            raise FormatError(f"accept index {v} out of range 0..{S.size - 1}", blineno)
+                    accept = _ints(btokens[1:], "accept index", blineno)
+                    accept_line = blineno
                 else:
                     raise FormatError(f"unexpected token {btokens[0]!r} in CONSTRAINT block", blineno)
-            if images is None:
+            if morphism is None:
                 raise FormatError("CONSTRAINT block lacks IMAGES", lineno)
             if accept is None:
                 raise FormatError("CONSTRAINT block lacks ACCEPT", lineno)
-            constraints.append(Constraint(Morphism(tuple(images), S), frozenset(accept), cname))
+            constraints.append(_at_line(accept_line, Constraint, morphism, accept, cname))
         else:
             raise FormatError(f"unexpected token {tokens[0]!r}", lineno)
 

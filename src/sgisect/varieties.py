@@ -41,12 +41,10 @@ def is_monoid(S: Semigroup) -> bool:
 
 
 def is_group(S: Semigroup) -> bool:
-    e = distinguished_elements(S).neutral
-    if e is None:
-        return False
-    t = S.table
-    n = S.size
-    return all(any(t[x][y] == e and t[y][x] == e for y in range(n)) for x in range(n))
+    """True iff a*S == S == S*a for every a: every row and column of the table is a permutation."""
+    T = S.array
+    elems = np.arange(S.size)
+    return bool((np.sort(T, axis=1) == elems).all() and (np.sort(T, axis=0) == elems[:, None]).all())
 
 
 def is_nilpotent(S: Semigroup) -> bool:

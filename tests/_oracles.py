@@ -101,6 +101,16 @@ def li_k_holds_by_ktuples(S: Semigroup, k: int) -> bool:
                for p in values for z in range(n) for q in values)
 
 
+def is_group_definitional(S: Semigroup) -> bool:
+    """A neutral element e, and for every x some y with x*y == e == y*x."""
+    t = S.table
+    n = S.size
+    e = next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+    if e is None:
+        return False
+    return all(any(t[x][y] == e == t[y][x] for y in range(n)) for x in range(n))
+
+
 def li_degree_definitional(S: Semigroup, full_tuples: bool = False):
     """Least degree k <= size+1 passing the definitional check, else None."""
     check = li_k_holds_by_full_tuples if full_tuples else li_k_holds_by_ktuples

@@ -57,6 +57,13 @@ class TestClassify:
         assert code == 1
         assert "INVALID" in out
 
+    def test_ragged_table(self, capsys, tmp_path):
+        table = tmp_path / "ragged.tbl"
+        table.write_text("0 1\n1\n")
+        code, _, err = _run(capsys, "classify", "--table", str(table))
+        assert code == 2
+        assert str(table) in err and "line 2" in err
+
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, "classify", "--table", "/nonexistent.tbl")
         assert code == 2 and "error" in err

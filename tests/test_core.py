@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, apply_morphism,
                           check_associative, direct_product, distinguished_elements,
                           local_monoid, monogenic_orders, multiply, power, product_morphism,
-                          subsemigroup_closure)
+                          sub_semigroup, subsemigroup_closure)
+from sgisect import families
 from sgisect.families import build_family, leftzero, mincap, nilinterval, trivial
 from sgisect.varieties import is_li, is_nilpotent
 
@@ -207,6 +208,28 @@ class TestLocalMonoid:
                 neutral = elems.index(e)
                 d = distinguished_elements(M)
                 assert d.neutral == neutral
+                eSe = {S.table[S.table[e][x]][e] for x in S.elements()}
+                assert (M, elems) == sub_semigroup(S, eSe)
+
+
+class TestSubSemigroup:
+    def test_one_function(self):
+        assert families.sub_semigroup is sub_semigroup
+
+    def test_labels_carry_over(self):
+        T, elems = sub_semigroup(mincap(4), {3, 2})
+        assert elems == (2, 3) and T.labels == ("3", "4")
+        assert T.table == ((1, 1), (1, 1))
+
+    def test_not_closed_rejected(self):
+        with pytest.raises(ValueError, match=r"not closed: 1\*1 = 3 escapes"):
+            sub_semigroup(mincap(4), {1, 2})
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(IndexError):
+            sub_semigroup(mincap(2), {-1, 1})  # t[-1] would alias the last row
+        with pytest.raises(IndexError):
+            sub_semigroup(mincap(2), {2})
 
 
 class TestSubsemigroupClosure:

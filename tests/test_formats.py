@@ -80,6 +80,16 @@ class TestInstanceFormat:
         with pytest.raises(FormatError, match="out of range"):
             parse_instance(bad)
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("TABLE T0 1\n0\n", "TABLE T0 2\n0 1\n1 2\n", 3),  # entry out of range: at TABLE
+        ("TABLE T0 1\n0\n", "TABLE T0 2\n0 1\n1\n", 5),  # ragged row: at the row
+        ("ACCEPT 0", "ACCEPT 0 5", 8),
+    ])
+    def test_value_type_errors_carry_line_number(self, old, new, line):
+        bad = MINIMAL.replace(old, new)
+        with pytest.raises(FormatError, match=rf"^line {line}: "):
+            parse_instance(bad)
+
     def test_random_round_trips(self, family_pool):
         rng = random.Random(2718)
         for _ in range(30):
@@ -149,6 +159,14 @@ class TestTableFormat:
     def test_empty(self):
         with pytest.raises(FormatError, match="empty"):
             parse_table_text("# nothing here\n")
+
+    def test_ragged_row(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_table_text("0 1\n1\n")
+
+    def test_entry_out_of_range(self):
+        with pytest.raises(FormatError, match="out of range"):
+            parse_table_text("0 5\n1 0\n")
 
 
 class TestCircuitFormat:

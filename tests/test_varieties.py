@@ -7,7 +7,7 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, t
 from sgisect.varieties import (classify, is_a2n, is_commutative, is_group, is_li, is_monoid,
                                is_nilpotent, li_degree, satisfies_li_k)
 
-from _oracles import li_degree_definitional, sample_size4_subsemigroups
+from _oracles import is_group_definitional, li_degree_definitional, sample_size4_subsemigroups
 
 
 class TestPredicateExamples:
@@ -61,6 +61,14 @@ class TestPredicateExamples:
     def test_classify_nilinterval3(self):
         r = classify(nilinterval(3))
         assert r.is_a2n and r.is_nilpotent and r.class_order == 2
+
+
+class TestGroupAgainstDefinitionalCheck:
+    def test_small_pool_and_cyclic_products(self, small_semigroups, family_pool):
+        products = [direct_product([cyclic(a), cyclic(b)])[0] for a, b in ((2, 2), (2, 3), (3, 4))]
+        products.append(direct_product([cyclic(2), mincap(2)])[0])
+        for S in small_semigroups + family_pool + products:
+            assert is_group(S) == is_group_definitional(S), S.table
 
 
 class TestDegreeAgainstDefinitionalCheck:
