@@ -43,8 +43,11 @@ class BooleanCircuit:
     bits: int
     gates: tuple[Gate, ...]
     outputs: tuple[WireIn, ...]
-    size: int
     depth: int
+
+    @property
+    def size(self) -> int:
+        return len(self.gates)
 
     @property
     def table_bit_count(self) -> int:
@@ -80,85 +83,66 @@ def morphism_image_bits(h: Morphism) -> list[int]:
     return out
 
 
-class _Builder:
-    def __init__(self):
-        self.gates: list[Gate] = []
-        self.depths: list[int] = []
-
-    def add(self, op: str, inputs: list[WireIn]) -> Wire:
-        d = 0
-        for wire, _ in inputs:
-            if wire[0] == "g":
-                d = max(d, self.depths[wire[1]])
-        self.gates.append(Gate(op, tuple(inputs)))
-        self.depths.append(d + 1)
-        return ("g", len(self.gates) - 1)
-
-    def wire_depth(self, wire: Wire) -> int:
-        return self.depths[wire[1]] if wire[0] == "g" else 0
-
-
 def slp_to_circuit(G: Slp, h: Morphism) -> BooleanCircuit:
-    """Circuit computing the image of G's word under h from table and image bits."""
+    """Circuit computing the image of G's word under h from table and image bits.
+
+    Each gadget is one AND layer then one OR layer, and all bits of a value
+    share one depth, so depth is carried with each value: a lookup's outputs
+    sit at depth 2 and a product's at max(dx, dy) + 2.
+    """
     if G.alphabet_size != h.alphabet_size:
         raise ValueError(f"alphabet mismatch: SLP has {G.alphabet_size} letters, morphism {h.alphabet_size}")
     n = h.target.size
     m = h.alphabet_size
     bits = _bit_width(n)
     if bits == 0:
-        return BooleanCircuit(n, m, 0, (), ((CONST0, False),), 0, 0)
+        return BooleanCircuit(n, m, 0, (), ((CONST0, False),), 0)
 
-    b = _Builder()
+    gates: list[Gate] = []
 
-    def table_in(x: int, y: int, k: int) -> Wire:
-        return ("in", (x * n + y) * bits + k)
-
-    def image_in(a: int, k: int) -> Wire:
-        return ("in", n * n * bits + a * bits + k)
+    def add(op: str, inputs: list[WireIn]) -> Wire:
+        gates.append(Gate(op, tuple(inputs)))
+        return ("g", len(gates) - 1)
 
     def lookup(a: int) -> list[WireIn]:
         # AND layer: keep letter a's image bits, zero everything else by
         # feeding each foreign bit together with its own negation.
         layer: list[list[Wire]] = []
         for letter in range(m):
-            per_bit = []
-            for k in range(bits):
-                src = image_in(letter, k)
-                if letter == a:
-                    gate = b.add("AND", [(src, False)])
-                else:
-                    gate = b.add("AND", [(src, False), (src, True)])
-                per_bit.append(gate)
-            layer.append(per_bit)
-        return [(b.add("OR", [(layer[letter][k], False) for letter in range(m)]), False)
+            srcs = [("in", (n * n + letter) * bits + k) for k in range(bits)]
+            layer.append([add("AND", [(src, False)] if letter == a else [(src, False), (src, True)])
+                          for src in srcs])
+        return [(add("OR", [(layer[letter][k], False) for letter in range(m)]), False)
                 for k in range(bits)]
+
+    def selectors(w: list[WireIn]) -> list[list[WireIn]]:
+        # selectors[p] is true exactly when the bits on w spell element p
+        return [[(wire, neg ^ (bit == 0)) for (wire, neg), bit in zip(w, element_bits(p, bits))]
+                for p in range(n)]
 
     def mult(xw: list[WireIn], yw: list[WireIn]) -> list[WireIn]:
         # one AND per (table entry, output bit), firing only when the operand
         # bits spell that entry's row and column; one OR per output bit.
+        xsel, ysel = selectors(xw), selectors(yw)
         per_bit_sources: list[list[Wire]] = [[] for _ in range(bits)]
         for p in range(n):
-            pbits = element_bits(p, bits)
             for q in range(n):
-                qbits = element_bits(q, bits)
-                selector = [(xw[j][0], xw[j][1] ^ (pbits[j] == 0)) for j in range(bits)]
-                selector += [(yw[j][0], yw[j][1] ^ (qbits[j] == 0)) for j in range(bits)]
+                selector = xsel[p] + ysel[q]
+                base = (p * n + q) * bits
                 for k in range(bits):
-                    gate = b.add("AND", [(table_in(p, q, k), False)] + selector)
-                    per_bit_sources[k].append(gate)
-        return [(b.add("OR", [(g, False) for g in per_bit_sources[k]]), False) for k in range(bits)]
+                    per_bit_sources[k].append(add("AND", [(("in", base + k), False), *selector]))
+        return [(add("OR", [(g, False) for g in per_bit_sources[k]]), False) for k in range(bits)]
 
-    values: dict[int, list[WireIn]] = {}
+    values: dict[int, tuple[list[WireIn], int]] = {}  # variable -> (output bits, depth)
     for v in _topo_reachable(G):
         acc = None
         for sym in G.rhs[v]:
-            wires = values[ref_target(sym)] if is_var_ref(sym) else lookup(sym)
-            acc = wires if acc is None else mult(acc, wires)
+            wires, d = values[ref_target(sym)] if is_var_ref(sym) else (lookup(sym), 2)
+            acc = (wires, d) if acc is None else (mult(acc[0], wires), max(acc[1], d) + 2)
         values[v] = acc
 
-    outputs = tuple(values[G.start])
-    depth = max((b.wire_depth(w) for w, _ in outputs), default=0)
-    return BooleanCircuit(n, m, bits, tuple(b.gates), outputs, len(b.gates), depth)
+    outputs, depth = values[G.start]
+    return BooleanCircuit(n, m, bits, tuple(gates), tuple(outputs), depth)
 
 
 def circuit_size_bound(slp_size: int, n: int, alphabet_size: int) -> int:
@@ -174,28 +158,14 @@ def circuit_eval(C: BooleanCircuit, table_bits, image_bits) -> int:
         raise ValueError(f"expected {C.table_bit_count} table bits, got {len(table_bits)}")
     if len(image_bits) != C.image_bit_count:
         raise ValueError(f"expected {C.image_bit_count} image bits, got {len(image_bits)}")
-    inputs = table_bits + image_bits
-
-    values: list[int] = []
-
-    def read(wire: Wire, neg: bool) -> int:
-        kind, idx = wire[0], wire[1] if len(wire) > 1 else 0
-        if kind == "in":
-            v = inputs[idx]
-        elif kind == "g":
-            v = values[idx]
-        else:
-            v = 0
-        return v ^ 1 if neg else v
-
-    for gate in C.gates:
-        if gate.op == "AND":
-            v = all(read(w, neg) for w, neg in gate.inputs)
-        else:
-            v = any(read(w, neg) for w, neg in gate.inputs)
-        values.append(int(v))
+    # a wire's value is 0 or 1; a negated input reads true when it differs from its flag
+    values: dict[Wire, int] = {("in", i): v for i, v in enumerate(table_bits + image_bits)}
+    values[CONST0] = 0
+    for i, gate in enumerate(C.gates):
+        test = all if gate.op == "AND" else any
+        values[("g", i)] = test(values[w] != neg for w, neg in gate.inputs)
 
     result = 0
     for wire, neg in C.outputs:
-        result = (result << 1) | read(wire, neg)
+        result = (result << 1) | (values[wire] != neg)
     return result

@@ -19,6 +19,9 @@ SGI instance grammar::
     ACCEPT <zero or more indices>
     END
 
+Inside a CONSTRAINT block each of NAME, IMAGES and ACCEPT appears at most
+once, in any order.
+
 Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
 line number to their errors and checks only counts and block structure.
@@ -169,10 +172,14 @@ def parse_instance(text: str) -> Instance:
             cname = None
             morphism = None
             accept = None
+            seen: set[str] = set()
             while True:
                 blineno, btokens = take()
                 if btokens == ["END"]:
                     break
+                if btokens[0] in seen:
+                    raise FormatError(f"repeated {btokens[0]} in CONSTRAINT block", blineno)
+                seen.add(btokens[0])
                 if btokens[0] == "NAME":
                     if len(btokens) != 2:
                         raise FormatError("expected 'NAME <token>'", blineno)

@@ -48,9 +48,15 @@ def is_group(S: Semigroup) -> bool:
 
 
 def is_nilpotent(S: Semigroup) -> bool:
-    """True iff the only idempotent is a zero element."""
-    d = distinguished_elements(S)
-    return d.zero is not None and d.idempotents == frozenset({d.zero})
+    """True iff the only idempotent is a zero element.
+
+    That is one idempotent z with z*x == z for every x.  Column z needs no
+    check: then x*z is idempotent, since (x*z)*(x*z) == x*(z*x)*z == x*z, so
+    x*z == z.
+    """
+    T = S.array
+    idem = np.flatnonzero(T.diagonal() == np.arange(S.size))
+    return idem.size == 1 and bool((T[idem[0]] == idem[0]).all())
 
 
 def is_li(S: Semigroup) -> bool:

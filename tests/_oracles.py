@@ -111,6 +111,22 @@ def is_group_definitional(S: Semigroup) -> bool:
     return all(any(t[x][y] == e == t[y][x] for y in range(n)) for x in range(n))
 
 
+def is_nilpotent_definitional(S: Semigroup) -> bool:
+    """A zero z with x**n == z for every x, n = |S|: every element is nilpotent."""
+    t = S.table
+    n = S.size
+    z = next((z for z in range(n) if all(t[z][x] == z == t[x][z] for x in range(n))), None)
+    return z is not None and all(fold(S, [x] * n) == z for x in range(n))
+
+
+def circuit_depth(C) -> int:
+    """Longest path over C.gates to an output; inputs and CONST0 sit at depth 0."""
+    depths: list[int] = []
+    for gate in C.gates:
+        depths.append(1 + max((depths[w[1]] for w, _ in gate.inputs if w[0] == "g"), default=0))
+    return max((depths[w[1]] for w, _ in C.outputs if w[0] == "g"), default=0)
+
+
 def li_degree_definitional(S: Semigroup, full_tuples: bool = False):
     """Least degree k <= size+1 passing the definitional check, else None."""
     check = li_k_holds_by_full_tuples if full_tuples else li_k_holds_by_ktuples

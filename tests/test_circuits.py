@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,9 +7,10 @@ from sgisect.circuits import (circuit_eval, circuit_size_bound, morphism_image_b
                               semigroup_table_bits, slp_to_circuit)
 from sgisect.core import Morphism
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
-from sgisect.slp import canonical_slp, slp_image, slp_stats
+from sgisect.formats import serialize_circuit_text
+from sgisect.slp import canonical_slp, power_slp, slp_image, slp_stats
 
-from _oracles import random_slp
+from _oracles import circuit_depth, random_slp
 
 
 def _eval_on(G, h):
@@ -47,6 +49,25 @@ class TestExamples:
             circuit_eval(C, semigroup_table_bits(mincap(3)), [0])
 
 
+class TestGoldenNetlists:
+    # sha256 of the serialized netlist; a change to gate order, wiring or
+    # negation flags changes the hash even when the circuit still evaluates right
+    @pytest.mark.parametrize("G, images, S, digest, size, depth", [
+        (canonical_slp((0, 1), 2), (0, 0), mincap(3),
+         "f1467d8276641b59d6aed951d1ca65fd5ed8db02d51a5e280d0ee3e62c2bf67f", 32, 4),
+        (power_slp(canonical_slp((0, 1, 0), 2), 5), (1, 3), cyclic(4),
+         "60ca7c25c6f81c23a3d6103d22092c6b6979b01aac09281f2b1061603d26a9e2", 188, 12),
+        (power_slp(canonical_slp((1, 0), 3), 3), (1, 2, 0), nilinterval(2),
+         "042e824a81b9ffaacaa47e1e5d16b3df0d9c7ae68255598e30edf1b9a5216dee", 118, 8),
+        (canonical_slp((0, 1), 2), (0, 0), trivial(),
+         "b44404012e0a6dbf2c224f361c0f4a1b0767240a57987e85d56f6085ab30176e", 0, 0),
+    ], ids=["mincap3", "cyclic4-power", "nilinterval2-power", "trivial"])
+    def test_netlist_pinned(self, G, images, S, digest, size, depth):
+        C = slp_to_circuit(G, Morphism(images, S))
+        assert hashlib.sha256(serialize_circuit_text(C).encode()).hexdigest() == digest
+        assert (C.size, C.depth) == (size, depth)
+
+
 class TestRandomAgreement:
     def test_eval_matches_image_within_bounds(self):
         rng = random.Random(31415)
@@ -61,6 +82,8 @@ class TestRandomAgreement:
             size = slp_stats(G)[0]
             assert C.size <= circuit_size_bound(size, S.size, m)
             assert C.depth <= 2 * size + 2
+            assert C.depth == circuit_depth(C)
+            assert C.size == len(C.gates)
             got = circuit_eval(C, semigroup_table_bits(S), morphism_image_bits(h))
             assert got == slp_image(G, h)
 

@@ -90,6 +90,17 @@ class TestInstanceFormat:
         with pytest.raises(FormatError, match=rf"^line {line}: "):
             parse_instance(bad)
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("IMAGES 0\n", "IMAGES 0\nIMAGES 0\n", 8),
+        ("ACCEPT 0\n", "ACCEPT 0\nACCEPT 0\n", 9),
+        ("IMAGES 0\n", "NAME c\nNAME d\nIMAGES 0\n", 8),
+    ], ids=["IMAGES", "ACCEPT", "NAME"])
+    def test_repeated_constraint_line(self, old, new, line):
+        bad = MINIMAL.replace(old, new)
+        keyword = new.split()[0]
+        with pytest.raises(FormatError, match=rf"^line {line}: repeated {keyword} "):
+            parse_instance(bad)
+
     def test_random_round_trips(self, family_pool):
         rng = random.Random(2718)
         for _ in range(30):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sgisect.circuits import slp_to_circuit
 from sgisect.core import Morphism, apply_morphism, direct_product, product_morphism
 from sgisect.families import cyclic, leftzero, mincap, nilinterval
 from sgisect.slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enumerate_slps,
@@ -32,6 +33,19 @@ class TestValidate:
         # X0 is fine but X1 loops on itself
         with pytest.raises(SlpCycleError):
             validate_slp(1, [(0,), (var_ref(1),)], 0)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda G: slp_to_circuit(G, Morphism((0,), mincap(3))),
+        lambda G: slp_image(G, Morphism((0,), mincap(3))),
+        slp_stats,
+        slp_eval_word,
+    ], ids=["slp_to_circuit", "slp_image", "slp_stats", "slp_eval_word"])
+    def test_evaluation_detects_cycle_lazily(self, evaluate):
+        # direct construction skips the acyclicity check; X0 -> X1 -> X2 -> X1
+        G = Slp(1, ((0, var_ref(1)), (var_ref(2), 0), (var_ref(1),)), 0)
+        with pytest.raises(SlpCycleError) as exc:
+            evaluate(G)
+        assert exc.value.cycle == (1, 2, 1)
 
     def test_empty_rhs(self):
         with pytest.raises(ValueError, match="empty right-hand side"):

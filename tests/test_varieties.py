@@ -7,7 +7,8 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, t
 from sgisect.varieties import (classify, is_a2n, is_commutative, is_group, is_li, is_monoid,
                                is_nilpotent, li_degree, satisfies_li_k)
 
-from _oracles import is_group_definitional, li_degree_definitional, sample_size4_subsemigroups
+from _oracles import (is_group_definitional, is_nilpotent_definitional, li_degree_definitional,
+                      sample_size4_subsemigroups)
 
 
 class TestPredicateExamples:
@@ -69,6 +70,14 @@ class TestGroupAgainstDefinitionalCheck:
         products.append(direct_product([cyclic(2), mincap(2)])[0])
         for S in small_semigroups + family_pool + products:
             assert is_group(S) == is_group_definitional(S), S.table
+
+
+class TestNilpotentAgainstDefinitionalCheck:
+    def test_small_and_family_pool(self, small_semigroups, family_pool):
+        pool = small_semigroups + family_pool + [mincap(9), nilinterval(4)]
+        assert any(is_nilpotent(S) for S in pool) and not all(is_nilpotent(S) for S in pool)
+        for S in pool:
+            assert is_nilpotent(S) == is_nilpotent_definitional(S), S.table
 
 
 class TestDegreeAgainstDefinitionalCheck:
