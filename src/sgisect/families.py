@@ -6,6 +6,7 @@ these families (and their subsemigroups and direct products) instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .core import Semigroup, direct_product, sub_semigroup  # noqa: F401 (re-exported)
@@ -43,11 +44,13 @@ def cyclic(n: int) -> Semigroup:
     return Semigroup(table, tuple(str(i) for i in range(n)))
 
 
+@functools.lru_cache(maxsize=16)
 def nilinterval(k: int) -> Semigroup:
     """Intervals {(i,j): 1 <= i <= j <= k} plus a zero.
 
     (i,j)*(i',j') = (i,j') when i' == j+1, and zero otherwise; every square is
-    zero, so the semigroup satisfies x*x*y == x*x == y*x*x.
+    zero, so the semigroup satisfies x*x*y == x*x == y*x*x.  Memoised, since
+    every ``reduce_nilpotent`` call builds one and ``Semigroup`` is immutable.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

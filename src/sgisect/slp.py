@@ -4,12 +4,17 @@ A right-hand side is a tuple of symbols.  A symbol >= 0 is a letter index;
 a symbol < 0 references variable j encoded as -(j+1) (mirroring the sign
 convention of DIMACS literals).  Words are never materialized unless asked:
 sizes, produced lengths and homomorphic images are all computed bottom-up.
+The exception is ``first_word_blocks``, which expands the short words of the
+canonical SLPs that ``enum_slp_solve`` searches, once per word.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import Morphism
 
@@ -211,6 +216,19 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _canonical_bodies(alphabet_size: int, size: int):
+    """Right-hand sides of the canonical SLPs with exactly ``size`` symbols, in order."""
+    letters = list(range(alphabet_size))
+    for v in range(1, size + 1):
+        for comp in _compositions(size, v):
+            pools = [letters + [var_ref(j) for j in range(i + 1, v)] for i in range(v)]
+            per_var = [list(itertools.product(pools[i], repeat=comp[i])) for i in range(v)]
+            for bodies in itertools.product(*per_var):
+                used = {ref_target(s) for body in bodies for s in body if is_var_ref(s)}
+                if len(used) == v - 1:
+                    yield bodies
+
+
 def enumerate_slps(alphabet_size: int, max_size: int):
     """All canonical SLPs of size 1..max_size in increasing size.
 
@@ -219,13 +237,108 @@ def enumerate_slps(alphabet_size: int, max_size: int):
     somewhere.  This skips trivially isomorphic variable relabelings while
     still reaching every producible word at each size.
     """
-    letters = list(range(alphabet_size))
     for size in range(1, max_size + 1):
-        for v in range(1, size + 1):
-            for comp in _compositions(size, v):
-                pools = [letters + [var_ref(j) for j in range(i + 1, v)] for i in range(v)]
-                per_var = [list(itertools.product(pools[i], repeat=comp[i])) for i in range(v)]
-                for bodies in itertools.product(*per_var):
-                    used = {ref_target(s) for body in bodies for s in body if is_var_ref(s)}
-                    if len(used) == v - 1:
-                        yield Slp(alphabet_size, bodies, 0)
+        for bodies in _canonical_bodies(alphabet_size, size):
+            yield Slp(alphabet_size, bodies, 0)
+
+
+def _canonical_word(bodies) -> tuple[int, ...]:
+    # canonical bodies reference only higher variables, so build from the last one up
+    words: list[tuple[int, ...]] = [()] * len(bodies)
+    for v in range(len(bodies) - 1, -1, -1):
+        parts: list[int] = []
+        for sym in bodies[v]:
+            if is_var_ref(sym):
+                parts.extend(words[ref_target(sym)])
+            else:
+                parts.append(sym)
+        words[v] = tuple(parts)
+    return words[0]
+
+
+WORD_BLOCK_SLPS = 2048
+
+
+class WordGroup(NamedTuple):
+    """Words of one length, each new at its first canonical SLP (read-only arrays)."""
+
+    letters: np.ndarray  # (length, words): the letter at each position
+    index: np.ndarray  # 0-based canonical index of each word's first SLP, ascending
+    bodies: tuple  # that SLP's right-hand sides
+
+
+class WordBlock(NamedTuple):
+    """A run of consecutive canonical SLPs, all of one size."""
+
+    start: int  # canonical index of the block's first SLP
+    count: int
+    size: int
+    groups: tuple[WordGroup, ...]  # the words no earlier SLP produces, by length
+
+
+class _WordMemo:
+    """The canonical SLPs of one alphabet, cut into blocks as far as drawn so far."""
+
+    def __init__(self, alphabet_size: int):
+        self.alphabet_size = alphabet_size
+        self.blocks: list[WordBlock] = []
+        self.seen: set[tuple[int, ...]] = set()
+        self.size = 0  # size of the bodies ``pending`` yields
+        self.pending = iter(())
+        self.drawn = 0
+
+    def grow(self, max_size: int) -> bool:
+        """Append the next block of size <= max_size; False if there is none."""
+        while True:
+            chunk = list(itertools.islice(self.pending, WORD_BLOCK_SLPS))
+            if chunk:
+                break
+            if self.size >= max_size:
+                return False
+            self.size += 1
+            self.pending = _canonical_bodies(self.alphabet_size, self.size)
+        by_length: dict[int, list] = {}
+        for i, bodies in enumerate(chunk, self.drawn):
+            word = _canonical_word(bodies)
+            if word not in self.seen:
+                self.seen.add(word)
+                by_length.setdefault(len(word), []).append((word, i, bodies))
+        groups = []
+        for length in sorted(by_length):
+            words, index, bodies = zip(*by_length[length])
+            group = WordGroup(np.array(words, dtype=np.intp).T, np.array(index, dtype=np.intp), bodies)
+            group.letters.flags.writeable = group.index.flags.writeable = False
+            groups.append(group)
+        self.blocks.append(WordBlock(self.drawn, len(chunk), self.size, tuple(groups)))
+        self.drawn += len(chunk)
+        return True
+
+
+_WORD_MEMOS: dict[int, _WordMemo] = {}
+
+
+def first_word_blocks(alphabet_size: int, max_size: int):
+    """The blocks of canonical SLPs of size 1..max_size, in canonical order.
+
+    Each distinct word appears once, at the first SLP that produces it.  The
+    blocks are memoised per alphabet size and drawn from the enumeration only
+    when a caller asks for the next block, so a caller that stops early
+    enumerates nothing past the block it stopped at.
+    """
+    memo = _WORD_MEMOS.setdefault(alphabet_size, _WordMemo(alphabet_size))
+    i = 0
+    while i < len(memo.blocks) or _grow(memo, max_size):
+        block = memo.blocks[i]
+        if block.size > max_size:
+            return
+        yield block
+        i += 1
+
+
+def _grow(memo: _WordMemo, max_size: int) -> bool:
+    try:
+        return memo.grow(max_size)
+    except BaseException:
+        # bodies drawn but not recorded would shift every later index
+        _WORD_MEMOS.pop(memo.alphabet_size, None)
+        raise

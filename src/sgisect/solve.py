@@ -17,6 +17,13 @@ deduplicated on an exact bit packing of the tuple into uint64 words, sorted
 with a stable lexsort, so each tuple keeps its first discovery.  Neither
 device reorders the live candidates, so the witness is the same shortest,
 lexicographically least word the unpruned search finds.
+
+``enum_slp_solve`` is separate from the BFS: it returns the first canonical
+SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
+Since an SLP's images depend only on its word, it tests each distinct word
+once, at the first SLP producing it.  Those first-occurrence words are
+memoised per alphabet size and extended lazily, a block of canonical order
+at a time, so no call enumerates past the block holding its witness.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Morphism, apply_morphism
-from .slp import Slp, enumerate_slps, slp_image, slp_stats
+from .slp import Slp, first_word_blocks, slp_image
 from .varieties import is_commutative, is_li, li_degree
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -365,20 +372,46 @@ def comli_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> Solve
 
 def enum_slp_solve(instance: Instance, size_bound: int,
                    size_cap: int = DEFAULT_ENUM_SIZE_CAP) -> SolveResult:
-    """Enumerate canonical SLPs in increasing size, returning the first witness.
+    """The first canonical SLP of size <= size_bound whose word every constraint accepts.
 
     Deliberately doubly exponential; EMPTY only means no SLP within the bound,
     so the result carries complete=False in that case.
+
+    An SLP's images depend only on its word, so each distinct word is tested
+    once, at its first canonical SLP: ``slp.first_word_blocks`` memoises those
+    words per alphabet size, extended lazily in blocks of canonical order.  A
+    block's words are folded through each constraint's table with one numpy
+    gather per letter position, and the hit with the smallest canonical index
+    is the witness.  ``states_explored`` counts the canonical SLPs up to and
+    including the witness, or all those of size <= size_bound on EMPTY.
     """
     if size_bound > size_cap:
         raise ValueError(f"size bound {size_bound} exceeds cap {size_cap}")
     t0 = time.perf_counter()
+    tests = []
+    for c in instance.constraints:
+        accept = np.zeros(c.semigroup.size, dtype=bool)
+        accept[list(c.accept)] = True
+        tests.append((np.asarray(c.morphism.images, dtype=np.intp), c.semigroup.array, accept))
     tried = 0
-    for G in enumerate_slps(instance.alphabet_size, size_bound):
-        tried += 1
-        if all(slp_image(G, c.morphism) in c.accept for c in instance.constraints):
-            stats = SolveStats(tried, size_bound, time.perf_counter() - t0)
-            return SolveResult(SATISFIABLE, Witness("slp-enum", slp=G), True, stats)
+    for block in first_word_blocks(instance.alphabet_size, size_bound):
+        tried = block.start + block.count
+        hit = None
+        for group in block.groups:
+            ok = np.ones(group.index.size, dtype=bool)
+            for images, table, accept in tests:
+                values = images[group.letters]  # (length, words)
+                acc = values[0]
+                for column in values[1:]:
+                    acc = table[acc, column]
+                ok &= accept[acc]
+            found = np.flatnonzero(ok)
+            if found.size and (hit is None or group.index[found[0]] < hit[0]):
+                hit = (int(group.index[found[0]]), group.bodies[found[0]])
+        if hit is not None:
+            witness = Witness("slp-enum", slp=Slp(instance.alphabet_size, hit[1], 0))
+            stats = SolveStats(hit[0] + 1, size_bound, time.perf_counter() - t0)
+            return SolveResult(SATISFIABLE, witness, True, stats)
     stats = SolveStats(tried, size_bound, time.perf_counter() - t0)
     return SolveResult(EMPTY, None, False, stats)
 
@@ -403,13 +436,3 @@ def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
         if img not in c.accept:
             failing.append(i)
     return VerifyResult(not failing, tuple(images), tuple(failing))
-
-
-def min_witness_stats(instance: Instance, slp_size_bound: int = 4,
-                      state_cap: int = DEFAULT_STATE_CAP) -> tuple[int | None, int | None]:
-    """(shortest witness length, smallest SLP witness size within the bound)."""
-    brute = brute_force_solve(instance, state_cap)
-    min_len = len(brute.witness.word) if brute.satisfiable else None
-    enum = enum_slp_solve(instance, slp_size_bound)
-    min_slp = slp_stats(enum.witness.slp)[0] if enum.satisfiable else None
-    return min_len, min_slp

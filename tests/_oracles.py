@@ -127,6 +127,19 @@ def circuit_depth(C) -> int:
     return max((depths[w[1]] for w, _ in C.outputs if w[0] == "g"), default=0)
 
 
+def first_enumerated_slp(instance: Instance, size_bound: int):
+    """(G, i): the first SLP of ``enumerate_slps`` whose image every constraint
+    accepts, and its 1-based index; (None, count of SLPs of size <= size_bound)
+    when there is none.  One ``slp_image`` per SLP per constraint, no memo."""
+    from sgisect.slp import enumerate_slps, slp_image
+
+    i = 0
+    for i, G in enumerate(enumerate_slps(instance.alphabet_size, size_bound), 1):
+        if all(slp_image(G, c.morphism) in c.accept for c in instance.constraints):
+            return G, i
+    return None, i
+
+
 def li_degree_definitional(S: Semigroup, full_tuples: bool = False):
     """Least degree k <= size+1 passing the definitional check, else None."""
     check = li_k_holds_by_full_tuples if full_tuples else li_k_holds_by_ktuples

@@ -278,7 +278,7 @@ class TestBench:
             return wrapped
 
         monkeypatch.setattr(solve, "_bfs", counting("bfs", solve._bfs))
-        monkeypatch.setattr(solve, "enumerate_slps", counting("slp", solve.enumerate_slps))
+        monkeypatch.setattr("sgisect.cli.enum_slp_solve", counting("slp", solve.enum_slp_solve))
         code, _, _ = _run(capsys, "bench", sat_gadget)
         assert code == 0
         assert calls == {"bfs": 3, "slp": 1}  # brute, li, comli; SLP enumeration

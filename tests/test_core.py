@@ -101,6 +101,16 @@ class TestArray:
         assert {S: 1}[fresh] == 1
 
 
+class TestNilintervalMemo:
+    def test_same_object_on_repeat(self):
+        assert nilinterval(5) is nilinterval(5)
+
+    def test_bad_parameter_raises_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                nilinterval(0)
+
+
 class TestMultiply:
     def test_mincap4_examples(self):
         S = mincap(4)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sgisect import slp
 from sgisect.circuits import slp_to_circuit
 from sgisect.core import Morphism, apply_morphism, direct_product, product_morphism
 from sgisect.families import cyclic, leftzero, mincap, nilinterval
@@ -197,6 +198,27 @@ class TestEnumeration:
                         assert -sym - 1 > v
                         used.add(-sym - 1)
             assert used == set(range(1, G.variable_count))
+
+    def test_word_blocks_keep_each_first_occurrence(self, monkeypatch):
+        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)  # several blocks per size
+        expected, seen = [], set()
+        for i, G in enumerate(enumerate_slps(2, 4)):
+            word = slp_eval_word(G)
+            if word not in seen:
+                seen.add(word)
+                expected.append((i, word, G.rhs))
+        got, next_start = [], 0
+        for block in slp.first_word_blocks(2, 4):
+            assert block.start == next_start and 0 < block.count <= 20
+            next_start += block.count
+            for group in block.groups:
+                for column, i, bodies in zip(group.letters.T, group.index, group.bodies):
+                    assert block.start <= i < next_start
+                    assert sum(len(body) for body in bodies) == block.size
+                    got.append((int(i), tuple(int(a) for a in column), bodies))
+        assert next_start == sum(1 for _ in enumerate_slps(2, 4))
+        assert sorted(got) == expected
 
     def test_covers_all_short_words(self):
         words = set()

@@ -4,16 +4,16 @@ import pytest
 
 from sgisect.core import Morphism
 from sgisect.families import cyclic, leftzero, mincap, rightzero, trivial
-from sgisect import solve
+from sgisect import slp, solve
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import slp_eval_word, slp_stats
 from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapError, Witness,
                            bounded_solve, brute_force_solve, comli_length_bound, comli_solve,
-                           enum_slp_solve, li_solve, li_witness_shorten, min_witness_stats,
-                           verify_witness)
+                           enum_slp_solve, li_solve, li_witness_shorten, verify_witness)
 from sgisect.varieties import is_commutative, is_li, li_degree
 
-from _oracles import random_instance, random_morphism, solve_by_word_enumeration
+from _oracles import (first_enumerated_slp, random_instance, random_morphism,
+                      solve_by_word_enumeration)
 
 
 def _single(S, images, accept, names=None) -> Instance:
@@ -341,6 +341,44 @@ class TestEnumSlp:
             if enum.satisfiable:
                 assert verify_witness(I, enum.witness).ok
 
+    def test_matches_per_slp_loop(self, family_pool, monkeypatch):
+        # a fresh memo, grown and re-read by bounds in mixed order
+        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+        rng = random.Random(61)
+        for bound in [5, 2, 5, 3, 0, 4, 1, 6, 2, 4, 3, 5] * 6:
+            alphabet = rng.randint(1, {5: 3, 6: 2}.get(bound, 4))
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
+            I = random_instance(rng, semis, alphabet, allow_empty_accept=True)
+            G, index = first_enumerated_slp(I, bound)
+            r = enum_slp_solve(I, bound)
+            assert r.satisfiable == (G is not None) and r.complete == (G is not None)
+            assert r.stats.states_explored == index
+            if G is not None:
+                assert r.witness.slp == G
+
+    def test_first_in_canonical_order_not_shortest(self):
+        # at size 6, X0 = X1 X1, X1 = aaaa (a^8) comes before X0 = a X1 X1, X1 = aaa (a^7)
+        I = _single(mincap(7), (0,), (6,), names=("a",))
+        r = enum_slp_solve(I, 6)
+        assert r.witness.slp.rhs == ((-2, -2), (0, 0, 0, 0))
+        assert (r.witness.slp, r.stats.states_explored) == first_enumerated_slp(I, 6)
+
+    def test_early_witness_draws_no_larger_slp(self, monkeypatch):
+        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+        drawn = []
+
+        def counting(alphabet_size, size):
+            for bodies in canonical_bodies(alphabet_size, size):
+                drawn.append(size)
+                yield bodies
+
+        canonical_bodies = slp._canonical_bodies
+        monkeypatch.setattr(slp, "_canonical_bodies", counting)
+        I = _single(mincap(3), (0, 0, 0, 0, 1, 0, 0), (1,))  # a4 is the one accepted letter
+        r = enum_slp_solve(I, 6)
+        assert r.witness.slp.rhs == ((4,),) and r.stats.states_explored == 5
+        assert drawn == [1] * 7
+
 
 class TestVerify:
     def test_gadget_witness_images(self):
@@ -372,18 +410,20 @@ class TestVerify:
 
 class TestMinWitnessStats:
     def test_gadget(self):
-        assert min_witness_stats(GADGET_SAT) == (1, 1)
+        assert len(brute_force_solve(GADGET_SAT).witness.word) == 1
+        assert slp_stats(enum_slp_solve(GADGET_SAT, 4).witness.slp)[0] == 1
 
     def test_empty(self):
-        assert min_witness_stats(GADGET_EMPTY) == (None, None)
+        assert not brute_force_solve(GADGET_EMPTY).satisfiable
+        assert not enum_slp_solve(GADGET_EMPTY, 4).satisfiable
 
     def test_degree_two_instances_stay_below_four(self):
         rng = random.Random(41)
         for _ in range(15):
             I = random_instance(rng, [mincap(4)], rng.randint(1, 2))
-            min_len, _ = min_witness_stats(I)
-            if min_len is not None:
-                assert min_len <= 4  # twice the local triviality degree
+            brute = brute_force_solve(I)
+            if brute.satisfiable:
+                assert len(brute.witness.word) <= 4  # twice the local triviality degree
 
 
 class TestInstanceValidation:
