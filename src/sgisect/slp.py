@@ -11,6 +11,7 @@ canonical SLPs that ``enum_slp_solve`` searches, once per word.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -243,7 +244,11 @@ def enumerate_slps(alphabet_size: int, max_size: int):
 
 
 def _canonical_word(bodies) -> tuple[int, ...]:
-    # canonical bodies reference only higher variables, so build from the last one up
+    # slp_eval_word(Slp(...)) gives the same word, but building and walking an Slp
+    # per canonical SLP made growing the memo 10x slower (0.081 s against 0.008 s
+    # for the 2,955 SLPs of 3 letters up to size 5; 1.78 s against 0.16 s for the
+    # 68,184 of 4 letters up to size 6).  Canonical bodies reference only higher
+    # variables, so build from the last one up.
     words: list[tuple[int, ...]] = [()] * len(bodies)
     for v in range(len(bodies) - 1, -1, -1):
         parts: list[int] = []
@@ -314,25 +319,42 @@ class _WordMemo:
         return True
 
 
+WORD_MEMO_ALPHABETS = 4  # memos kept, least recently used dropped first
 _WORD_MEMOS: dict[int, _WordMemo] = {}
+_WORD_LOCK = threading.Lock()  # guards _WORD_MEMOS and every grow
 
 
 def first_word_blocks(alphabet_size: int, max_size: int):
     """The blocks of canonical SLPs of size 1..max_size, in canonical order.
 
     Each distinct word appears once, at the first SLP that produces it.  The
-    blocks are memoised per alphabet size and drawn from the enumeration only
-    when a caller asks for the next block, so a caller that stops early
-    enumerates nothing past the block it stopped at.
+    blocks are memoised for the last ``WORD_MEMO_ALPHABETS`` alphabet sizes
+    and drawn from the enumeration only when a caller asks for the next
+    block, so a caller that stops early enumerates nothing past the block it
+    stopped at.  Blocks are a pure function of the alphabet size and their
+    position, so a caller whose memo was dropped (evicted, or after an error
+    while growing) reads on from a fresh one.  Safe to share across threads.
     """
-    memo = _WORD_MEMOS.setdefault(alphabet_size, _WordMemo(alphabet_size))
     i = 0
-    while i < len(memo.blocks) or _grow(memo, max_size):
-        block = memo.blocks[i]
+    while True:
+        with _WORD_LOCK:
+            memo = _word_memo(alphabet_size)
+            while i >= len(memo.blocks):
+                if not _grow(memo, max_size):
+                    return
+            block = memo.blocks[i]
         if block.size > max_size:
             return
         yield block
         i += 1
+
+
+def _word_memo(alphabet_size: int) -> _WordMemo:
+    memo = _WORD_MEMOS.pop(alphabet_size, None) or _WordMemo(alphabet_size)
+    _WORD_MEMOS[alphabet_size] = memo
+    while len(_WORD_MEMOS) > WORD_MEMO_ALPHABETS:
+        del _WORD_MEMOS[next(iter(_WORD_MEMOS))]
+    return memo
 
 
 def _grow(memo: _WordMemo, max_size: int) -> bool:

@@ -384,6 +384,14 @@ def enum_slp_solve(instance: Instance, size_bound: int,
     gather per letter position, and the hit with the smallest canonical index
     is the witness.  ``states_explored`` counts the canonical SLPs up to and
     including the witness, or all those of size <= size_bound on EMPTY.
+
+    The memo keeps every first-occurrence word of the last
+    ``slp.WORD_MEMO_ALPHABETS`` alphabet sizes, at least a + a^2 + ... + a^n
+    words at a letters and bound n, for the life of the process.  Up to size
+    6 it holds about 1 MB at 3 letters, 2.5 MB at 4, 8.4 MB at 5 and 20.5 MB
+    at 6 (366,288 SLPs, 61,824 words, 8.6 s to fill).  Its reuse across
+    calls with one alphabet size is most of the saving: a first call at 3
+    letters, bound 5, EMPTY takes 0.03 s, a later one under 1 ms.
     """
     if size_bound > size_cap:
         raise ValueError(f"size bound {size_bound} exceeds cap {size_cap}")

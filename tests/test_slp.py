@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,11 @@ from sgisect.slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enume
                          power_slp, slp_eval_word, slp_image, slp_stats, validate_slp, var_ref)
 
 from _oracles import random_slp
+
+
+def _block_summary(blocks):
+    return [(b.start, b.count, b.size, [(g.letters.tolist(), g.index.tolist(), g.bodies) for g in b.groups])
+            for b in blocks]
 
 
 class TestValidate:
@@ -220,13 +226,49 @@ class TestEnumeration:
         assert next_start == sum(1 for _ in enumerate_slps(2, 4))
         assert sorted(got) == expected
 
+    def test_word_blocks_survive_eviction(self, monkeypatch):
+        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)
+        monkeypatch.setattr(slp, "WORD_MEMO_ALPHABETS", 2)
+        expected = _block_summary(slp.first_word_blocks(2, 4))
+        slp._WORD_MEMOS.clear()
+        reader = slp.first_word_blocks(2, 4)
+        got = [next(reader), next(reader)]
+        for alphabet in (1, 3):  # two more alphabets evict the memo of 2 letters
+            list(slp.first_word_blocks(alphabet, 2))
+        assert list(slp._WORD_MEMOS) == [1, 3]
+        got += reader  # read on from a fresh memo
+        assert _block_summary(got) == expected
+
+    def test_error_while_growing_drops_the_memo(self, monkeypatch):
+        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)
+        expected = _block_summary(slp.first_word_blocks(2, 4))
+        slp._WORD_MEMOS.clear()
+        canonical_word, calls = slp._canonical_word, itertools.count()
+
+        def failing(bodies):
+            if next(calls) == 30:  # inside the third block, after its bodies are drawn
+                raise KeyboardInterrupt
+            return canonical_word(bodies)
+
+        reader = slp.first_word_blocks(2, 4)
+        got = [next(reader)]
+        monkeypatch.setattr(slp, "_canonical_word", failing)
+        with pytest.raises(KeyboardInterrupt):
+            list(slp.first_word_blocks(2, 4))
+        assert 2 not in slp._WORD_MEMOS
+        monkeypatch.setattr(slp, "_canonical_word", canonical_word)
+        assert _block_summary(slp.first_word_blocks(2, 4)) == expected
+        got += reader  # a reader of the dropped memo reads on from the fresh one
+        assert _block_summary(got) == expected
+
     def test_covers_all_short_words(self):
         words = set()
         for G in enumerate_slps(2, 4):
             length = slp_stats(G)[1]
             if length <= 12:
                 words.add(slp_eval_word(G))
-        import itertools
         for length in range(1, 5):
             for w in itertools.product(range(2), repeat=length):
                 assert w in words

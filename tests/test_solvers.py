@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -379,6 +382,35 @@ class TestEnumSlp:
         assert r.witness.slp.rhs == ((4,),) and r.stats.states_explored == 5
         assert drawn == [1] * 7
 
+
+    def test_threads_share_one_memo(self, family_pool, monkeypatch):
+        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)  # many grows to race on
+        rng = random.Random(67)
+        cases = []
+        for _ in range(16):
+            bound = rng.choice((3, 4, 5))
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
+            I = random_instance(rng, semis, rng.randint(2, 3), allow_empty_accept=True)
+            cases.append((I, bound, first_enumerated_slp(I, bound)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside grows too
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+                start = threading.Barrier(4)
+
+                def work(k):
+                    start.wait()
+                    return [enum_slp_solve(I, bound) for I, bound, _ in cases[k::4]]
+
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(work, range(4)))
+                got = [None] * len(cases)
+                for k, rs in enumerate(results):
+                    got[k::4] = [(r.witness.slp if r.satisfiable else None, r.stats.states_explored) for r in rs]
+                assert got == [expected for _, _, expected in cases]
+        finally:
+            sys.setswitchinterval(interval)
 
 class TestVerify:
     def test_gadget_witness_images(self):
