@@ -218,16 +218,32 @@ def _compositions(total: int, parts: int):
 
 
 def _canonical_bodies(alphabet_size: int, size: int):
-    """Right-hand sides of the canonical SLPs with exactly ``size`` symbols, in order."""
+    """Right-hand sides of the canonical SLPs with exactly ``size`` symbols, in order.
+
+    The order is that of ``itertools.product`` over the per-variable bodies.
+    Only variables below i reference variable i, so a choice of bodies 0..i-1
+    that leaves variable i unreferenced is dropped before any later body is
+    chosen (at 4 letters and size 6, 68,184 kept of 773,640 products).
+    """
     letters = list(range(alphabet_size))
     for v in range(1, size + 1):
         for comp in _compositions(size, v):
-            pools = [letters + [var_ref(j) for j in range(i + 1, v)] for i in range(v)]
-            per_var = [list(itertools.product(pools[i], repeat=comp[i])) for i in range(v)]
-            for bodies in itertools.product(*per_var):
-                used = {ref_target(s) for body in bodies for s in body if is_var_ref(s)}
-                if len(used) == v - 1:
-                    yield bodies
+            per_var = []
+            for i in range(v):
+                pool = letters + [var_ref(j) for j in range(i + 1, v)]
+                per_var.append([(body, sum({1 << ref_target(s) for s in body if is_var_ref(s)}))
+                                for body in itertools.product(pool, repeat=comp[i])])
+            yield from _referencing_bodies(per_var, (), 0)
+
+
+def _referencing_bodies(per_var, chosen: tuple, referenced: int):
+    # referenced: bit j is set when one of the chosen bodies references X{j}
+    i = len(chosen)
+    if i == len(per_var):
+        yield chosen
+    elif i == 0 or referenced >> i & 1:
+        for body, refs in per_var[i]:
+            yield from _referencing_bodies(per_var, chosen + (body,), referenced | refs)
 
 
 def enumerate_slps(alphabet_size: int, max_size: int):

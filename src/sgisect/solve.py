@@ -389,9 +389,9 @@ def enum_slp_solve(instance: Instance, size_bound: int,
     ``slp.WORD_MEMO_ALPHABETS`` alphabet sizes, at least a + a^2 + ... + a^n
     words at a letters and bound n, for the life of the process.  Up to size
     6 it holds about 1 MB at 3 letters, 2.5 MB at 4, 8.4 MB at 5 and 20.5 MB
-    at 6 (366,288 SLPs, 61,824 words, 8.6 s to fill).  Its reuse across
-    calls with one alphabet size is most of the saving: a first call at 3
-    letters, bound 5, EMPTY takes 0.03 s, a later one under 1 ms.
+    at 6 (366,288 SLPs, 61,824 words, about 1.2 s to fill).  Its reuse
+    across calls with one alphabet size is most of the saving: a first call
+    at 3 letters, bound 5, EMPTY takes about 0.015 s, a later one under 1 ms.
     """
     if size_bound > size_cap:
         raise ValueError(f"size bound {size_bound} exceeds cap {size_cap}")

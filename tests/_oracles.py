@@ -8,6 +8,7 @@ search shortcuts, so the two sides of each test stay independent.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from sgisect.core import Morphism, Semigroup, subsemigroup_closure
 from sgisect.families import (cyclic, leftzero, mincap, nilinterval, rightzero,
@@ -119,12 +120,125 @@ def is_nilpotent_definitional(S: Semigroup) -> bool:
     return z is not None and all(fold(S, [x] * n) == z for x in range(n))
 
 
-def circuit_depth(C) -> int:
-    """Longest path over C.gates to an output; inputs and CONST0 sit at depth 0."""
+def gate_depths(C) -> list[int]:
+    """Longest path over C.gates to each gate; inputs and CONST0 sit at depth 0."""
     depths: list[int] = []
     for gate in C.gates:
         depths.append(1 + max((depths[w[1]] for w, _ in gate.inputs if w[0] == "g"), default=0))
+    return depths
+
+
+def circuit_depth(C) -> int:
+    """Longest path over C.gates to an output; inputs and CONST0 sit at depth 0."""
+    depths = gate_depths(C)
     return max((depths[w[1]] for w, _ in C.outputs if w[0] == "g"), default=0)
+
+
+@dataclass(frozen=True)
+class ReferenceCircuit:
+    """The netlist as ``Gate`` objects only, as ``slp_to_circuit_reference`` builds it."""
+
+    n: int
+    alphabet_size: int
+    bits: int
+    gates: tuple
+    outputs: tuple
+    depth: int
+
+    @property
+    def size(self) -> int:
+        return len(self.gates)
+
+    @property
+    def table_bit_count(self) -> int:
+        return self.n * self.n * self.bits
+
+    @property
+    def image_bit_count(self) -> int:
+        return self.alphabet_size * self.bits
+
+
+def slp_to_circuit_reference(G, h: Morphism) -> ReferenceCircuit:
+    """``slp_to_circuit`` built one ``Gate`` at a time, gadget by gadget."""
+    from sgisect.circuits import CONST0, Gate, element_bits
+    from sgisect.slp import _topo_reachable, is_var_ref, ref_target
+
+    n = h.target.size
+    m = h.alphabet_size
+    bits = (n - 1).bit_length() if n > 1 else 0
+    if bits == 0:
+        return ReferenceCircuit(n, m, 0, (), ((CONST0, False),), 0)
+
+    gates = []
+
+    def add(op, inputs):
+        gates.append(Gate(op, tuple(inputs)))
+        return ("g", len(gates) - 1)
+
+    def lookup(a):
+        layer = []
+        for letter in range(m):
+            srcs = [("in", (n * n + letter) * bits + k) for k in range(bits)]
+            layer.append([add("AND", [(src, False)] if letter == a else [(src, False), (src, True)])
+                          for src in srcs])
+        return [(add("OR", [(layer[letter][k], False) for letter in range(m)]), False)
+                for k in range(bits)]
+
+    def selectors(w):
+        return [[(wire, neg ^ (bit == 0)) for (wire, neg), bit in zip(w, element_bits(p, bits))]
+                for p in range(n)]
+
+    def mult(xw, yw):
+        xsel, ysel = selectors(xw), selectors(yw)
+        per_bit_sources = [[] for _ in range(bits)]
+        for p in range(n):
+            for q in range(n):
+                selector = xsel[p] + ysel[q]
+                base = (p * n + q) * bits
+                for k in range(bits):
+                    per_bit_sources[k].append(add("AND", [(("in", base + k), False), *selector]))
+        return [(add("OR", [(g, False) for g in per_bit_sources[k]]), False) for k in range(bits)]
+
+    values = {}
+    for v in _topo_reachable(G):
+        acc = None
+        for sym in G.rhs[v]:
+            wires, d = values[ref_target(sym)] if is_var_ref(sym) else (lookup(sym), 2)
+            acc = (wires, d) if acc is None else (mult(acc[0], wires), max(acc[1], d) + 2)
+        values[v] = acc
+    outputs, depth = values[G.start]
+    return ReferenceCircuit(n, m, bits, tuple(gates), tuple(outputs), depth)
+
+
+def circuit_eval_reference(C, table_bits, image_bits) -> int:
+    """Evaluate ``C.gates`` one gate at a time over a dict of wire values."""
+    from sgisect.circuits import CONST0
+
+    values = {("in", i): v for i, v in enumerate(list(table_bits) + list(image_bits))}
+    values[CONST0] = 0
+    for i, gate in enumerate(C.gates):
+        test = all if gate.op == "AND" else any
+        values[("g", i)] = test(values[w] != neg for w, neg in gate.inputs)
+    result = 0
+    for wire, neg in C.outputs:
+        result = (result << 1) | (values[wire] != neg)
+    return result
+
+
+def canonical_bodies_by_filter(alphabet_size: int, size: int):
+    """Canonical right-hand sides with ``size`` symbols: every product of
+    per-variable bodies, kept when every variable but X0 is referenced."""
+    from sgisect.slp import _compositions, is_var_ref, ref_target, var_ref
+
+    letters = list(range(alphabet_size))
+    for v in range(1, size + 1):
+        for comp in _compositions(size, v):
+            pools = [letters + [var_ref(j) for j in range(i + 1, v)] for i in range(v)]
+            per_var = [list(itertools.product(pools[i], repeat=comp[i])) for i in range(v)]
+            for bodies in itertools.product(*per_var):
+                used = {ref_target(s) for body in bodies for s in body if is_var_ref(s)}
+                if len(used) == v - 1:
+                    yield bodies
 
 
 def first_enumerated_slp(instance: Instance, size_bound: int):

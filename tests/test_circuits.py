@@ -1,16 +1,22 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sgisect.circuits import (circuit_eval, circuit_size_bound, morphism_image_bits,
+import sgisect
+from sgisect.circuits import (CONST0, circuit_eval, circuit_size_bound, morphism_image_bits,
                               semigroup_table_bits, slp_to_circuit)
 from sgisect.core import Morphism
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect.formats import serialize_circuit_text
 from sgisect.slp import canonical_slp, power_slp, slp_image, slp_stats
 
-from _oracles import circuit_depth, random_slp
+from _oracles import (circuit_depth, circuit_eval_reference, gate_depths, random_slp,
+                      slp_to_circuit_reference)
 
 
 def _eval_on(G, h):
@@ -47,6 +53,52 @@ class TestExamples:
             circuit_eval(C, [0] * 3, morphism_image_bits(h))
         with pytest.raises(ValueError, match="image bits"):
             circuit_eval(C, semigroup_table_bits(mincap(3)), [0])
+
+    @pytest.mark.parametrize("table_value, image_value", [(2, 2), (0, 2), (1, -1), (0, "1"), (0, None)])
+    def test_rejects_bits_other_than_0_1(self, table_value, image_value):
+        h = Morphism((0, 0), mincap(3))
+        C = slp_to_circuit(canonical_slp((0, 1), 2), h)
+        table_bits = [table_value] * C.table_bit_count
+        image_bits = [0] * (C.image_bit_count - 1) + [image_value]
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            circuit_eval(C, table_bits, image_bits)
+
+
+class TestRepresentation:
+    G = power_slp(canonical_slp((0, 1, 0), 2), 5)
+    h = Morphism((1, 3), cyclic(4))
+
+    def test_arrays_read_only(self):
+        C = slp_to_circuit(self.G, self.h)
+        for name in ("op", "level", "indptr", "src", "neg"):
+            array = getattr(C, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_gates_view_built_once(self):
+        C = slp_to_circuit(self.G, self.h)
+        assert C.gates is C.gates
+        assert len(C.gates) == C.size == len(C.level)
+
+    def test_equal_lowerings_compare_and_hash_equal(self):
+        C, D = slp_to_circuit(self.G, self.h), slp_to_circuit(self.G, self.h)
+        assert C == D and hash(C) == hash(D)
+
+    def test_one_element_target(self):
+        C = slp_to_circuit(canonical_slp((0, 1, 1), 2), Morphism((0, 0), trivial()))
+        assert C.gates == () and C.size == 0
+        assert C.outputs == ((CONST0, False),)
+        assert circuit_eval(C, [], []) == 0
+
+    def test_no_pattern_built_at_import(self):
+        code = ("import sgisect, sgisect.circuits as c; "
+                "print(c._lookup_pattern.cache_info().currsize, c._product_pattern.cache_info().currsize)")
+        src = str(Path(sgisect.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestGoldenNetlists:
@@ -99,3 +151,33 @@ class TestRandomAgreement:
                 for b in bits[start:start + width]:
                     value = (value << 1) | b
                 assert value == S.table[x][y]
+
+
+class TestReferenceAgreement:
+    def test_matches_per_gate_lowering_and_evaluation(self):
+        # The random input bits need not encode a semigroup, so an evaluator that
+        # computed the image some other way than through the netlist would differ.
+        rng = random.Random(2718)
+        pool = [mincap(m) for m in (2, 3, 4, 5, 6)]
+        pool += [leftzero(3), rightzero(2), cyclic(4), cyclic(5), nilinterval(2), trivial()]
+        powered = 0
+        for _ in range(300):
+            S = rng.choice(pool)
+            m = rng.randint(1, 3)
+            h = Morphism(tuple(rng.randrange(S.size) for _ in range(m)), S)
+            if rng.random() < 0.3:
+                G = power_slp(random_slp(rng, m, 4), rng.randint(2, 40))
+                powered += 1
+            else:
+                G = random_slp(rng, m, 8)
+            C, R = slp_to_circuit(G, h), slp_to_circuit_reference(G, h)
+            assert serialize_circuit_text(C) == serialize_circuit_text(R)
+            assert (C.size, C.depth, C.outputs) == (R.size, R.depth, R.outputs)
+            assert C.level.tolist() == gate_depths(R)
+            table_bits, image_bits = semigroup_table_bits(S), morphism_image_bits(h)
+            assert circuit_eval(C, table_bits, image_bits) == circuit_eval_reference(R, table_bits, image_bits)
+            for _ in range(2):
+                table_bits = [rng.randint(0, 1) for _ in range(C.table_bit_count)]
+                image_bits = [rng.randint(0, 1) for _ in range(C.image_bit_count)]
+                assert circuit_eval(C, table_bits, image_bits) == circuit_eval_reference(R, table_bits, image_bits)
+        assert 60 <= powered <= 120

@@ -10,7 +10,7 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval
 from sgisect.slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enumerate_slps,
                          power_slp, slp_eval_word, slp_image, slp_stats, validate_slp, var_ref)
 
-from _oracles import random_slp
+from _oracles import canonical_bodies_by_filter, random_slp
 
 
 def _block_summary(blocks):
@@ -204,6 +204,12 @@ class TestEnumeration:
                         assert -sym - 1 > v
                         used.add(-sym - 1)
             assert used == set(range(1, G.variable_count))
+
+    @pytest.mark.parametrize("alphabet_size, max_size", [(1, 6), (2, 5), (3, 5), (4, 4)])
+    def test_bodies_match_filtered_products(self, alphabet_size, max_size):
+        for size in range(1, max_size + 1):
+            assert (list(slp._canonical_bodies(alphabet_size, size))
+                    == list(canonical_bodies_by_filter(alphabet_size, size)))
 
     def test_word_blocks_keep_each_first_occurrence(self, monkeypatch):
         monkeypatch.setattr(slp, "_WORD_MEMOS", {})
