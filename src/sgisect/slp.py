@@ -4,14 +4,14 @@ A right-hand side is a tuple of symbols.  A symbol >= 0 is a letter index;
 a symbol < 0 references variable j encoded as -(j+1) (mirroring the sign
 convention of DIMACS literals).  Words are never materialized unless asked:
 sizes, produced lengths and homomorphic images are all computed bottom-up.
-The exception is ``first_word_blocks``, which expands the short words of the
-canonical SLPs that ``enum_slp_solve`` searches, once per word.
+The exception is ``first_words``, which expands the short words of the
+canonical SLPs that ``enum_slp_solve`` searches, once per word and size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -277,9 +277,6 @@ def _canonical_word(bodies) -> tuple[int, ...]:
     return words[0]
 
 
-WORD_BLOCK_SLPS = 2048
-
-
 class WordGroup(NamedTuple):
     """Words of one length, each new at its first canonical SLP (read-only arrays)."""
 
@@ -288,95 +285,44 @@ class WordGroup(NamedTuple):
     bodies: tuple  # that SLP's right-hand sides
 
 
-class WordBlock(NamedTuple):
-    """A run of consecutive canonical SLPs, all of one size."""
+class SizeWords(NamedTuple):
+    """The canonical SLPs of one size and the words they are first to produce."""
 
-    start: int  # canonical index of the block's first SLP
+    start: int  # canonical index of the size's first SLP
     count: int
-    size: int
     groups: tuple[WordGroup, ...]  # the words no earlier SLP produces, by length
+    seen: frozenset[tuple[int, ...]]  # every word some canonical SLP of this size or smaller produces
 
 
-class _WordMemo:
-    """The canonical SLPs of one alphabet, cut into blocks as far as drawn so far."""
-
-    def __init__(self, alphabet_size: int):
-        self.alphabet_size = alphabet_size
-        self.blocks: list[WordBlock] = []
-        self.seen: set[tuple[int, ...]] = set()
-        self.size = 0  # size of the bodies ``pending`` yields
-        self.pending = iter(())
-        self.drawn = 0
-
-    def grow(self, max_size: int) -> bool:
-        """Append the next block of size <= max_size; False if there is none."""
-        while True:
-            chunk = list(itertools.islice(self.pending, WORD_BLOCK_SLPS))
-            if chunk:
-                break
-            if self.size >= max_size:
-                return False
-            self.size += 1
-            self.pending = _canonical_bodies(self.alphabet_size, self.size)
-        by_length: dict[int, list] = {}
-        for i, bodies in enumerate(chunk, self.drawn):
-            word = _canonical_word(bodies)
-            if word not in self.seen:
-                self.seen.add(word)
-                by_length.setdefault(len(word), []).append((word, i, bodies))
-        groups = []
-        for length in sorted(by_length):
-            words, index, bodies = zip(*by_length[length])
-            group = WordGroup(np.array(words, dtype=np.intp).T, np.array(index, dtype=np.intp), bodies)
-            group.letters.flags.writeable = group.index.flags.writeable = False
-            groups.append(group)
-        self.blocks.append(WordBlock(self.drawn, len(chunk), self.size, tuple(groups)))
-        self.drawn += len(chunk)
-        return True
+_NO_WORDS = SizeWords(0, 0, (), frozenset())
+WORD_MEMO_ENTRIES = 4 * 6  # four alphabet sizes, sizes 1..6 each (enum_slp_solve's cap)
 
 
-WORD_MEMO_ALPHABETS = 4  # memos kept, least recently used dropped first
-_WORD_MEMOS: dict[int, _WordMemo] = {}
-_WORD_LOCK = threading.Lock()  # guards _WORD_MEMOS and every grow
+@functools.lru_cache(maxsize=WORD_MEMO_ENTRIES)
+def first_words(alphabet_size: int, size: int) -> SizeWords:
+    """The canonical SLPs of exactly ``size`` symbols and the words they are first to produce.
 
-
-def first_word_blocks(alphabet_size: int, max_size: int):
-    """The blocks of canonical SLPs of size 1..max_size, in canonical order.
-
-    Each distinct word appears once, at the first SLP that produces it.  The
-    blocks are memoised for the last ``WORD_MEMO_ALPHABETS`` alphabet sizes
-    and drawn from the enumeration only when a caller asks for the next
-    block, so a caller that stops early enumerates nothing past the block it
-    stopped at.  Blocks are a pure function of the alphabet size and their
-    position, so a caller whose memo was dropped (evicted, or after an error
-    while growing) reads on from a fresh one.  Safe to share across threads.
+    Each such word appears once, at the first SLP that produces it.  The
+    previous size, fetched through the same cache, gives the start index and
+    the words already produced.  A pure function of its arguments, so
+    concurrent misses may compute it twice but agree, and an error while
+    filling caches nothing.
     """
-    i = 0
-    while True:
-        with _WORD_LOCK:
-            memo = _word_memo(alphabet_size)
-            while i >= len(memo.blocks):
-                if not _grow(memo, max_size):
-                    return
-            block = memo.blocks[i]
-        if block.size > max_size:
-            return
-        yield block
-        i += 1
-
-
-def _word_memo(alphabet_size: int) -> _WordMemo:
-    memo = _WORD_MEMOS.pop(alphabet_size, None) or _WordMemo(alphabet_size)
-    _WORD_MEMOS[alphabet_size] = memo
-    while len(_WORD_MEMOS) > WORD_MEMO_ALPHABETS:
-        del _WORD_MEMOS[next(iter(_WORD_MEMOS))]
-    return memo
-
-
-def _grow(memo: _WordMemo, max_size: int) -> bool:
-    try:
-        return memo.grow(max_size)
-    except BaseException:
-        # bodies drawn but not recorded would shift every later index
-        _WORD_MEMOS.pop(memo.alphabet_size, None)
-        raise
+    prev = first_words(alphabet_size, size - 1) if size > 1 else _NO_WORDS
+    start = prev.start + prev.count
+    new: set[tuple[int, ...]] = set()
+    by_length: dict[int, list] = {}
+    count = 0
+    for bodies in _canonical_bodies(alphabet_size, size):
+        word = _canonical_word(bodies)
+        if word not in prev.seen and word not in new:
+            new.add(word)
+            by_length.setdefault(len(word), []).append((word, start + count, bodies))
+        count += 1
+    groups = []
+    for length in sorted(by_length):
+        words, index, bodies = zip(*by_length[length])
+        group = WordGroup(np.array(words, dtype=np.intp).T, np.array(index, dtype=np.intp), bodies)
+        group.letters.flags.writeable = group.index.flags.writeable = False
+        groups.append(group)
+    return SizeWords(start, count, tuple(groups), prev.seen | new)

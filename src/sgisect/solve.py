@@ -22,8 +22,8 @@ lexicographically least word the unpruned search finds.
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
 Since an SLP's images depend only on its word, it tests each distinct word
 once, at the first SLP producing it.  Those first-occurrence words are
-memoised per alphabet size and extended lazily, a block of canonical order
-at a time, so no call enumerates past the block holding its witness.
+memoised per alphabet size and SLP size, so no call enumerates past the size
+holding its witness.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Morphism, apply_morphism
-from .slp import Slp, first_word_blocks, slp_image
+from .slp import Slp, first_words, slp_image
 from .varieties import is_commutative, is_li, li_degree
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -370,31 +370,33 @@ def comli_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> Solve
     return replace(_bfs(instance, cap, state_cap, "comli"), complete=True)
 
 
-def enum_slp_solve(instance: Instance, size_bound: int,
-                   size_cap: int = DEFAULT_ENUM_SIZE_CAP) -> SolveResult:
+def enum_slp_solve(instance: Instance, size_bound: int) -> SolveResult:
     """The first canonical SLP of size <= size_bound whose word every constraint accepts.
 
     Deliberately doubly exponential; EMPTY only means no SLP within the bound,
-    so the result carries complete=False in that case.
+    so the result carries complete=False in that case.  The bound must lie in
+    0..DEFAULT_ENUM_SIZE_CAP.
 
     An SLP's images depend only on its word, so each distinct word is tested
-    once, at its first canonical SLP: ``slp.first_word_blocks`` memoises those
-    words per alphabet size, extended lazily in blocks of canonical order.  A
-    block's words are folded through each constraint's table with one numpy
-    gather per letter position, and the hit with the smallest canonical index
-    is the witness.  ``states_explored`` counts the canonical SLPs up to and
-    including the witness, or all those of size <= size_bound on EMPTY.
+    once, at its first canonical SLP: ``slp.first_words`` memoises those words
+    per alphabet size and SLP size.  A size's words are folded through each
+    constraint's table with one numpy gather per letter position, and the hit
+    with the smallest canonical index is the witness.  ``states_explored``
+    counts the canonical SLPs up to and including the witness, or all those
+    of size <= size_bound on EMPTY.
 
-    The memo keeps every first-occurrence word of the last
-    ``slp.WORD_MEMO_ALPHABETS`` alphabet sizes, at least a + a^2 + ... + a^n
-    words at a letters and bound n, for the life of the process.  Up to size
-    6 it holds about 1 MB at 3 letters, 2.5 MB at 4, 8.4 MB at 5 and 20.5 MB
-    at 6 (366,288 SLPs, 61,824 words, about 1.2 s to fill).  Its reuse
-    across calls with one alphabet size is most of the saving: a first call
-    at 3 letters, bound 5, EMPTY takes about 0.015 s, a later one under 1 ms.
+    The memo keeps every first-occurrence word of sizes 1..6 for four
+    alphabet sizes, at least a + a^2 + ... + a^n words at a letters and bound
+    n, for the life of the process.  Up to size 6 it holds about 0.7 MB at 3
+    letters, 2.6 MB at 4, 7.6 MB at 5 and 19.2 MB at 6 (366,288 SLPs, 61,824
+    words, about 1.7 s to fill, 27 MB at the peak).  Its reuse across calls
+    with one alphabet size is most of the saving: a first call at 3 letters,
+    bound 5, EMPTY takes about 0.015 s, a later one under 1 ms.  A size is
+    filled whole, so a first call whose witness comes early in a size still
+    pays for all of that size.
     """
-    if size_bound > size_cap:
-        raise ValueError(f"size bound {size_bound} exceeds cap {size_cap}")
+    if not 0 <= size_bound <= DEFAULT_ENUM_SIZE_CAP:
+        raise ValueError(f"size bound {size_bound} outside 0..{DEFAULT_ENUM_SIZE_CAP}")
     t0 = time.perf_counter()
     tests = []
     for c in instance.constraints:
@@ -402,10 +404,11 @@ def enum_slp_solve(instance: Instance, size_bound: int,
         accept[list(c.accept)] = True
         tests.append((np.asarray(c.morphism.images, dtype=np.intp), c.semigroup.array, accept))
     tried = 0
-    for block in first_word_blocks(instance.alphabet_size, size_bound):
-        tried = block.start + block.count
+    for size in range(1, size_bound + 1):
+        words = first_words(instance.alphabet_size, size)
+        tried = words.start + words.count
         hit = None
-        for group in block.groups:
+        for group in words.groups:
             ok = np.ones(group.index.size, dtype=bool)
             for images, table, accept in tests:
                 values = images[group.letters]  # (length, words)

@@ -1,6 +1,7 @@
 import pytest
 
 from sgisect.core import direct_product
+from sgisect.slp import first_words
 from sgisect.families import (cyclic, enumerate_semigroup_tables, leftzero, mincap,
                               nilinterval, rightzero, trivial)
 
@@ -23,3 +24,11 @@ def family_pool():
     pool.append(direct_product([mincap(2), mincap(3)])[0])
     pool.append(direct_product([leftzero(2), cyclic(2)])[0])
     return pool
+
+
+@pytest.fixture
+def fresh_word_memo():
+    """An empty ``slp.first_words`` memo for the test, emptied again after it."""
+    first_words.cache_clear()
+    yield
+    first_words.cache_clear()

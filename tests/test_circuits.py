@@ -92,13 +92,14 @@ class TestRepresentation:
         assert circuit_eval(C, [], []) == 0
 
     def test_no_pattern_built_at_import(self):
-        code = ("import sgisect, sgisect.circuits as c; "
-                "print(c._lookup_pattern.cache_info().currsize, c._product_pattern.cache_info().currsize)")
+        code = ("import sgisect, sgisect.circuits as c, sgisect.slp as s; "
+                "print(c._lookup_pattern.cache_info().currsize, c._product_pattern.cache_info().currsize, "
+                "s.first_words.cache_info().currsize)")
         src = str(Path(sgisect.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0"]
 
 
 class TestGoldenNetlists:

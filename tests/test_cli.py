@@ -94,6 +94,11 @@ class TestSolve:
         code, out, _ = _run(capsys, "solve", "--strategy", "slp", sat_gadget, "--slp-size", "2")
         assert code == 0 and "witness-slp:" in out and "X0 = x1" in out
 
+    def test_slp_size_out_of_range(self, capsys, sat_gadget):
+        for size in ("-2", "7"):
+            code, out, err = _run(capsys, "solve", "--strategy", "slp", sat_gadget, "--slp-size", size)
+            assert code == 2 and out == "" and "size bound" in err
+
     def test_precondition_violation_names_predicate(self, capsys, tmp_path):
         path = tmp_path / "group.sgi"
         path.write_text("SGI 1\nALPHABET 1\nTABLE T0 2\n0 1\n1 0\nEND\n"

@@ -13,9 +13,9 @@ from sgisect.slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enume
 from _oracles import canonical_bodies_by_filter, random_slp
 
 
-def _block_summary(blocks):
-    return [(b.start, b.count, b.size, [(g.letters.tolist(), g.index.tolist(), g.bodies) for g in b.groups])
-            for b in blocks]
+def _memo_summary(alphabet_size, sizes):
+    return [(w.start, w.count, [(g.letters.tolist(), g.index.tolist(), g.bodies) for g in w.groups], w.seen)
+            for w in (slp.first_words(alphabet_size, size) for size in sizes)]
 
 
 class TestValidate:
@@ -211,9 +211,7 @@ class TestEnumeration:
             assert (list(slp._canonical_bodies(alphabet_size, size))
                     == list(canonical_bodies_by_filter(alphabet_size, size)))
 
-    def test_word_blocks_keep_each_first_occurrence(self, monkeypatch):
-        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
-        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)  # several blocks per size
+    def test_first_words_keep_each_first_occurrence(self, fresh_word_memo):
         expected, seen = [], set()
         for i, G in enumerate(enumerate_slps(2, 4)):
             word = slp_eval_word(G)
@@ -221,53 +219,48 @@ class TestEnumeration:
                 seen.add(word)
                 expected.append((i, word, G.rhs))
         got, next_start = [], 0
-        for block in slp.first_word_blocks(2, 4):
-            assert block.start == next_start and 0 < block.count <= 20
-            next_start += block.count
-            for group in block.groups:
+        for size in range(1, 5):
+            words = slp.first_words(2, size)
+            assert words.start == next_start and words.count > 0
+            next_start += words.count
+            for group in words.groups:
                 for column, i, bodies in zip(group.letters.T, group.index, group.bodies):
-                    assert block.start <= i < next_start
-                    assert sum(len(body) for body in bodies) == block.size
+                    assert words.start <= i < next_start
+                    assert sum(len(body) for body in bodies) == size
                     got.append((int(i), tuple(int(a) for a in column), bodies))
+            assert words.seen == {word for _, word, _ in got}
         assert next_start == sum(1 for _ in enumerate_slps(2, 4))
         assert sorted(got) == expected
 
-    def test_word_blocks_survive_eviction(self, monkeypatch):
-        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
-        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)
-        monkeypatch.setattr(slp, "WORD_MEMO_ALPHABETS", 2)
-        expected = _block_summary(slp.first_word_blocks(2, 4))
-        slp._WORD_MEMOS.clear()
-        reader = slp.first_word_blocks(2, 4)
-        got = [next(reader), next(reader)]
-        for alphabet in (1, 3):  # two more alphabets evict the memo of 2 letters
-            list(slp.first_word_blocks(alphabet, 2))
-        assert list(slp._WORD_MEMOS) == [1, 3]
-        got += reader  # read on from a fresh memo
-        assert _block_summary(got) == expected
+    def test_first_words_survive_eviction(self, fresh_word_memo):
+        expected = _memo_summary(2, range(1, 5))
+        slp.first_words.cache_clear()
+        got = _memo_summary(2, (1, 2))
+        for alphabet in (1, 3, 4, 5, 6, 7, 8, 9):  # 24 more entries evict those of 2 letters
+            _memo_summary(alphabet, (1, 2, 3))
+        misses = slp.first_words.cache_info().misses
+        got += _memo_summary(2, (3, 4))  # refills sizes 1 and 2 on the way
+        assert slp.first_words.cache_info().misses == misses + 4
+        assert got == expected
 
-    def test_error_while_growing_drops_the_memo(self, monkeypatch):
-        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
-        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)
-        expected = _block_summary(slp.first_word_blocks(2, 4))
-        slp._WORD_MEMOS.clear()
+    def test_error_while_filling_caches_nothing(self, fresh_word_memo, monkeypatch):
+        expected = _memo_summary(2, range(1, 5))
+        slp.first_words.cache_clear()
         canonical_word, calls = slp._canonical_word, itertools.count()
 
         def failing(bodies):
-            if next(calls) == 30:  # inside the third block, after its bodies are drawn
+            if next(calls) == 10:  # the fifth body of size 3, after the six of size 2
                 raise KeyboardInterrupt
             return canonical_word(bodies)
 
-        reader = slp.first_word_blocks(2, 4)
-        got = [next(reader)]
+        got = _memo_summary(2, (1,))
         monkeypatch.setattr(slp, "_canonical_word", failing)
         with pytest.raises(KeyboardInterrupt):
-            list(slp.first_word_blocks(2, 4))
-        assert 2 not in slp._WORD_MEMOS
+            slp.first_words(2, 4)
+        assert slp.first_words.cache_info().currsize == 2  # sizes 1 and 2
         monkeypatch.setattr(slp, "_canonical_word", canonical_word)
-        assert _block_summary(slp.first_word_blocks(2, 4)) == expected
-        got += reader  # a reader of the dropped memo reads on from the fresh one
-        assert _block_summary(got) == expected
+        got += _memo_summary(2, (2, 3, 4))
+        assert got == expected
 
     def test_covers_all_short_words(self):
         words = set()

@@ -329,8 +329,9 @@ class TestEnumSlp:
         assert slp_stats(found.witness.slp)[0] == 4
 
     def test_bound_over_cap(self):
-        with pytest.raises(ValueError):
-            enum_slp_solve(GADGET_SAT, 7)
+        for bound in (7, -1):
+            with pytest.raises(ValueError):
+                enum_slp_solve(GADGET_SAT, bound)
 
     def test_found_iff_short_word_exists(self, family_pool):
         rng = random.Random(99)
@@ -344,9 +345,8 @@ class TestEnumSlp:
             if enum.satisfiable:
                 assert verify_witness(I, enum.witness).ok
 
-    def test_matches_per_slp_loop(self, family_pool, monkeypatch):
+    def test_matches_per_slp_loop(self, family_pool, fresh_word_memo):
         # a fresh memo, grown and re-read by bounds in mixed order
-        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
         rng = random.Random(61)
         for bound in [5, 2, 5, 3, 0, 4, 1, 6, 2, 4, 3, 5] * 6:
             alphabet = rng.randint(1, {5: 3, 6: 2}.get(bound, 4))
@@ -366,8 +366,7 @@ class TestEnumSlp:
         assert r.witness.slp.rhs == ((-2, -2), (0, 0, 0, 0))
         assert (r.witness.slp, r.stats.states_explored) == first_enumerated_slp(I, 6)
 
-    def test_early_witness_draws_no_larger_slp(self, monkeypatch):
-        monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+    def test_early_witness_draws_no_larger_slp(self, fresh_word_memo, monkeypatch):
         drawn = []
 
         def counting(alphabet_size, size):
@@ -383,8 +382,7 @@ class TestEnumSlp:
         assert drawn == [1] * 7
 
 
-    def test_threads_share_one_memo(self, family_pool, monkeypatch):
-        monkeypatch.setattr(slp, "WORD_BLOCK_SLPS", 20)  # many grows to race on
+    def test_threads_share_one_memo(self, family_pool, fresh_word_memo):
         rng = random.Random(67)
         cases = []
         for _ in range(16):
@@ -393,10 +391,10 @@ class TestEnumSlp:
             I = random_instance(rng, semis, rng.randint(2, 3), allow_empty_accept=True)
             cases.append((I, bound, first_enumerated_slp(I, bound)))
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside grows too
+        sys.setswitchinterval(1e-6)  # switch threads often, inside fills too
         try:
             for _ in range(3):
-                monkeypatch.setattr(slp, "_WORD_MEMOS", {})
+                slp.first_words.cache_clear()
                 start = threading.Barrier(4)
 
                 def work(k):
