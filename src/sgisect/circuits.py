@@ -15,25 +15,21 @@ firing only when the operand bits match that entry, then one OR per output
 bit).  A size-m SLP over a target of size N with alphabet A therefore costs
 at most m*(N*N + |A| + 2)*ceil(log2 N) gates at depth at most 2m + 2.
 
-A circuit is stored as read-only numpy arrays, one wire id per input bit,
-then ``CONST0``, then one per gate, with each gate's inputs in CSR form.
+A circuit is stored as read-only numpy arrays over integer wire ids: the
+input bits first, then the constant-0 wire at ``input_count``, then one wire
+per gate, with each gate's inputs in CSR form.  The outputs are wire ids too.
 Each gadget is a fixed pattern apart from its operand wires and the id of
 its first gate, so lowering builds each pattern once (lazily, in a bounded
 cache), places a copy per gadget with one offset and one gather, and joins
 all gadgets at the end.  Every gate carries its level, the longest path to
 it, so evaluation takes one numpy step per level and op instead of one
-Python step per gate: at most 2m + 2 steps for an SLP of size m.  In the
-benchmark's traced ``tables-slp`` pass at seed 1 (70 circuits, 152,754
-gates, 2-vCPU VM) lowering took 0.46 s gate by gate and 0.031 s from
-patterns, and evaluation 0.31 s and 0.059 s.  ``BooleanCircuit.gates`` is
-a derived view of the same netlist as ``Gate`` objects, built on first
-access for printing and tests.
+Python step per gate: at most 2m + 2 steps for an SLP of size m.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,20 +37,8 @@ import numpy as np
 from .core import Morphism, Semigroup
 from .slp import Slp, is_var_ref, ref_target, _topo_reachable
 
-# A wire is ("in", i), ("g", i) or ("c", 0); gate inputs carry a negation flag.
-Wire = tuple
-WireIn = tuple[Wire, bool]
-
-CONST0: Wire = ("c", 0)
-
 OPS = ("AND", "OR")  # BooleanCircuit.op holds an index into this
 AND, OR = 0, 1  # a gadget's gates sit at its operands' depth + 1 + op
-
-
-@dataclass(frozen=True)
-class Gate:
-    op: str  # "AND" | "OR"
-    inputs: tuple[WireIn, ...]
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -63,27 +47,39 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanCircuit:
     """A netlist over table and image input bits.
 
-    Wire ids: input bit i is wire i, ``CONST0`` is wire ``input_count`` and
-    gate g is wire ``input_count + 1 + g``.  Gate g applies ``OPS[op[g]]`` to
-    the wires ``src[indptr[g]:indptr[g + 1]]``, each negated where ``neg``
-    is set, and sits at ``level[g]``, its longest path from the inputs.  The
-    arrays are read-only and take no part in ``==`` or ``hash``.
+    Wire ids: input bit i is wire i, the constant-0 wire is ``input_count``
+    and gate g is wire ``input_count + 1 + g``.  Gate g applies
+    ``OPS[op[g]]`` to the wires ``src[indptr[g]:indptr[g + 1]]``, each
+    negated where ``neg`` is set, and sits at ``level[g]``, its longest path
+    from the inputs.  ``outputs`` are wire ids, most significant bit first:
+    unnegated OR gates, or the constant wire for a one-element target.  The
+    arrays are read-only; ``==`` and ``hash`` compare the netlist.
     """
 
     n: int
     alphabet_size: int
     bits: int
-    outputs: tuple[WireIn, ...]
+    outputs: tuple[int, ...]
     depth: int
-    op: np.ndarray = field(compare=False)
-    level: np.ndarray = field(compare=False)
-    indptr: np.ndarray = field(compare=False)
-    src: np.ndarray = field(compare=False)
-    neg: np.ndarray = field(compare=False)
+    op: np.ndarray
+    level: np.ndarray
+    indptr: np.ndarray
+    src: np.ndarray
+    neg: np.ndarray
+
+    def _netlist(self) -> tuple:
+        return (self.n, self.alphabet_size, self.bits, self.outputs,
+                *(a.tobytes() for a in (self.op, self.indptr, self.src, self.neg)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BooleanCircuit) and self._netlist() == other._netlist()
+
+    def __hash__(self) -> int:
+        return hash(self._netlist())
 
     @property
     def size(self) -> int:
@@ -100,15 +96,6 @@ class BooleanCircuit:
     @property
     def input_count(self) -> int:
         return self.table_bit_count + self.image_bit_count
-
-    @functools.cached_property
-    def gates(self) -> tuple[Gate, ...]:
-        """The netlist as ``Gate`` objects, in gate order; built on first access."""
-        wires = [("in", i) for i in range(self.input_count)] + [CONST0]
-        wires += [("g", g) for g in range(self.size)]
-        ins = list(zip(map(wires.__getitem__, self.src.tolist()), self.neg.tolist()))
-        ptr = self.indptr.tolist()
-        return tuple(Gate(OPS[o], tuple(ins[ptr[g]:ptr[g + 1]])) for g, o in enumerate(self.op.tolist()))
 
 
 def _bit_width(n: int) -> int:
@@ -209,7 +196,8 @@ def slp_to_circuit(G: Slp, h: Morphism) -> BooleanCircuit:
     m = h.alphabet_size
     bits = _bit_width(n)
     if bits == 0:
-        return BooleanCircuit(n, m, 0, ((CONST0, False),), 0, op=_frozen((), np.uint8),
+        # no input bits, so the constant wire is wire 0
+        return BooleanCircuit(n, m, 0, (0,), 0, op=_frozen((), np.uint8),
                               level=_frozen((), np.intp), indptr=_frozen((0,), np.intp),
                               src=_frozen((), np.intp), neg=_frozen((), bool))
 
@@ -252,8 +240,7 @@ def slp_to_circuit(G: Slp, h: Morphism) -> BooleanCircuit:
     depths = np.repeat([d for _, d in placed], [len(p.op) for p in patterns])
     lens = np.concatenate([p.lens for p in patterns])
     out_wires, depth = values[G.start]
-    outputs = tuple((("g", w - first_gate), False) for w in out_wires)
-    return BooleanCircuit(n, m, bits, outputs, depth,
+    return BooleanCircuit(n, m, bits, tuple(out_wires), depth,
                           op=_frozen(op, np.uint8),
                           level=_frozen(depths + 1 + op, np.intp),
                           indptr=_frozen(np.concatenate(([0], np.cumsum(lens))), np.intp),
@@ -286,7 +273,7 @@ def circuit_eval(C: BooleanCircuit, table_bits, image_bits) -> int:
     _check_bits("table", table_bits, C.table_bit_count)
     _check_bits("image", image_bits, C.image_bit_count)
     first_gate = C.input_count + 1
-    values = np.zeros(first_gate + C.size, dtype=bool)  # CONST0 stays 0
+    values = np.zeros(first_gate + C.size, dtype=bool)  # the constant wire stays 0
     values[:first_gate - 1] = table_bits + image_bits
 
     # gates in (level, op) order, and their inputs in that order
@@ -303,7 +290,6 @@ def circuit_eval(C: BooleanCircuit, table_bits, image_bits) -> int:
         values[first_gate + order[lo:hi]] = reduce.reduceat(ins, starts[lo:hi] - starts[lo])
 
     result = 0
-    for (kind, i), flag in C.outputs:
-        wire = i if kind == "in" else first_gate + i if kind == "g" else first_gate - 1
-        result = (result << 1) | int(values[wire] != flag)
+    for wire in C.outputs:
+        result = (result << 1) | int(values[wire])
     return result

@@ -184,8 +184,7 @@ def _cmd_shorten(args) -> int:
             raise _CliError(2, f"constraint {instance.constraint_name(i)} violates is_li")
         k = max(degrees)
     try:
-        short = li_witness_shorten([c.morphism for c in instance.constraints],
-                                   [c.accept for c in instance.constraints], word, k)
+        short = li_witness_shorten([c.morphism for c in instance.constraints], word, k)
     except PreconditionError as exc:
         raise _CliError(2, str(exc)) from exc
     print(_word_names(instance, short))

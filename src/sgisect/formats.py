@@ -22,6 +22,9 @@ SGI instance grammar::
 Inside a CONSTRAINT block each of NAME, IMAGES and ACCEPT appears at most
 once, in any order.
 
+Letter names are distinct and do not start with ``X`` (``Instance`` checks
+both), so each name reads back as one letter in a word and in an SLP file.
+
 Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
 line number to their errors and checks only counts and block structure.
@@ -34,7 +37,7 @@ with ``X``).  Definition order is free.
 
 from __future__ import annotations
 
-from .circuits import BooleanCircuit
+from .circuits import OPS, BooleanCircuit
 from .core import AssociativityError, Morphism, Semigroup, check_associative
 from .slp import Slp, is_var_ref, ref_target, validate_slp, var_ref
 from .solve import Constraint, Instance
@@ -132,10 +135,11 @@ def parse_instance(text: str) -> Instance:
     if m < 1:
         raise FormatError("alphabet must be non-empty", lineno)
 
-    names = default_letter_names(m)
+    names, names_line = default_letter_names(m), None
     _, tokens = peek()
     if tokens and tokens[0] == "NAMES":
         lineno, tokens = take()
+        names_line = lineno
         if len(tokens) != m + 1:
             raise FormatError(f"NAMES needs {m} tokens, got {len(tokens) - 1}", lineno)
         names = tuple(tokens[1:])
@@ -204,7 +208,7 @@ def parse_instance(text: str) -> Instance:
 
     if not constraints:
         raise FormatError("instance declares no constraints")
-    return Instance(names, tuple(constraints))
+    return _at_line(names_line, Instance, names, tuple(constraints))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -284,17 +288,13 @@ def parse_slp_text(text: str, letter_names=None) -> tuple[Slp, tuple[str, ...]]:
         raise FormatError(f"start variable {start_tok!r} is never defined")
 
     rhs = []
-    for v in range(len(var_ids)):
-        if v not in bodies:
-            tok = next(t for t, i in var_ids.items() if i == v)
-            raise FormatError(f"variable {tok!r} is referenced but never defined")
-        lineno, body = bodies[v]
+    for lineno, body in bodies.values():  # in id order: a definition creates its id
         symbols = []
         for kind, val in body:
             if kind == "l":
                 symbols.append(val)
             else:
-                if val not in var_ids or var_ids[val] not in bodies:
+                if val not in var_ids:
                     raise FormatError(f"variable {val!r} is referenced but never defined", lineno)
                 symbols.append(var_ref(var_ids[val]))
         rhs.append(tuple(symbols))
@@ -320,19 +320,11 @@ def serialize_slp_text(G: Slp, letter_names=None) -> str:
 
 # -- circuits (emit only) ---------------------------------------------------------
 
-def _wire_token(wire, neg: bool) -> str:
-    kind = wire[0]
-    if kind == "in":
-        tok = f"in{wire[1]}"
-    elif kind == "g":
-        tok = f"g{wire[1]}"
-    else:
-        tok = "const0"
-    return ("!" + tok) if neg else tok
-
-
 def serialize_circuit_text(C: BooleanCircuit) -> str:
     """Netlist dump: inputs are table bits then image bits, MSB first."""
+    names = [f"in{i}" for i in range(C.input_count)] + ["const0"] + [f"g{g}" for g in range(C.size)]
+    ins = [("!" if neg else "") + names[w] for w, neg in zip(C.src.tolist(), C.neg.tolist())]
+    ptr = C.indptr.tolist()
     lines = [
         "CIRCUIT 1",
         f"N {C.n}",
@@ -341,11 +333,8 @@ def serialize_circuit_text(C: BooleanCircuit) -> str:
         f"TABLEBITS {C.table_bit_count}",
         f"IMAGEBITS {C.image_bit_count}",
     ]
-    for i, gate in enumerate(C.gates):
-        wires = " ".join(_wire_token(w, neg) for w, neg in gate.inputs)
-        lines.append(f"GATE g{i} {gate.op} {wires}")
-    for wire, neg in C.outputs:
-        lines.append(f"OUTPUT {_wire_token(wire, neg)}")
+    lines += [f"GATE g{g} {OPS[o]} {' '.join(ins[ptr[g]:ptr[g + 1]])}" for g, o in enumerate(C.op.tolist())]
+    lines += [f"OUTPUT {names[w]}" for w in C.outputs]
     lines.append(f"SIZE {C.size}")
     lines.append(f"DEPTH {C.depth}")
     return "".join(line + "\n" for line in lines)

@@ -88,6 +88,12 @@ class Instance:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.letter_names:
             raise ValueError("alphabet must be non-empty")
+        # a name must read back as one letter in a word and in an SLP file
+        for i, name in enumerate(self.letter_names):
+            if name in self.letter_names[:i]:
+                raise ValueError(f"letter name {name!r} is repeated")
+            if name.startswith("X"):
+                raise ValueError(f"letter name {name!r} starts with 'X', the SLP variable prefix")
         if not self.constraints:
             raise ValueError("an instance has at least one constraint")
         for i, c in enumerate(self.constraints):
@@ -307,7 +313,7 @@ def li_degrees(semigroups) -> list[int | None]:
     return degrees
 
 
-def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
+def li_witness_shorten(morphisms, word, k: int) -> tuple[int, ...]:
     """Replace a word longer than 2k by its length-k prefix and suffix.
 
     Every target must be locally trivial of degree at most k; then the
@@ -315,9 +321,6 @@ def li_witness_shorten(morphisms, accepts, word, k: int) -> tuple[int, ...]:
     of length <= 2k are returned unchanged.
     """
     morphisms = list(morphisms)
-    accepts = [frozenset(a) for a in accepts]
-    if len(accepts) != len(morphisms):
-        raise ValueError("one accepting set per morphism required")
     for i, d in enumerate(li_degrees(h.target for h in morphisms)):
         if d is None or d > k:
             raise PreconditionError(f"li_degree <= {k}", i)

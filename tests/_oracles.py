@@ -120,18 +120,33 @@ def is_nilpotent_definitional(S: Semigroup) -> bool:
     return z is not None and all(fold(S, [x] * n) == z for x in range(n))
 
 
-def gate_depths(C) -> list[int]:
-    """Longest path over C.gates to each gate; inputs and CONST0 sit at depth 0."""
+# The reference netlist: a wire is ("in", i), ("g", i) or CONST0, and each
+# gate input is a (wire, negated) pair.
+CONST0 = ("c", 0)
+
+
+@dataclass(frozen=True)
+class Gate:
+    op: str  # "AND" | "OR"
+    inputs: tuple  # ((wire, negated), ...)
+
+
+def gate_depths(R) -> list[int]:
+    """Longest path over R.gates to each gate; inputs and CONST0 sit at depth 0."""
     depths: list[int] = []
-    for gate in C.gates:
+    for gate in R.gates:
         depths.append(1 + max((depths[w[1]] for w, _ in gate.inputs if w[0] == "g"), default=0))
     return depths
 
 
 def circuit_depth(C) -> int:
-    """Longest path over C.gates to an output; inputs and CONST0 sit at depth 0."""
-    depths = gate_depths(C)
-    return max((depths[w[1]] for w, _ in C.outputs if w[0] == "g"), default=0)
+    """Longest path to an output over a ``BooleanCircuit``'s wire ids, gate by
+    gate; inputs and the constant wire sit at depth 0."""
+    depths = [0] * (C.input_count + 1)
+    src, ptr = C.src.tolist(), C.indptr.tolist()
+    for g in range(C.size):
+        depths.append(1 + max(depths[w] for w in src[ptr[g]:ptr[g + 1]]))
+    return max(depths[w] for w in C.outputs)
 
 
 @dataclass(frozen=True)
@@ -160,7 +175,7 @@ class ReferenceCircuit:
 
 def slp_to_circuit_reference(G, h: Morphism) -> ReferenceCircuit:
     """``slp_to_circuit`` built one ``Gate`` at a time, gadget by gadget."""
-    from sgisect.circuits import CONST0, Gate, element_bits
+    from sgisect.circuits import element_bits
     from sgisect.slp import _topo_reachable, is_var_ref, ref_target
 
     n = h.target.size
@@ -210,19 +225,32 @@ def slp_to_circuit_reference(G, h: Morphism) -> ReferenceCircuit:
     return ReferenceCircuit(n, m, bits, tuple(gates), tuple(outputs), depth)
 
 
-def circuit_eval_reference(C, table_bits, image_bits) -> int:
-    """Evaluate ``C.gates`` one gate at a time over a dict of wire values."""
-    from sgisect.circuits import CONST0
-
+def circuit_eval_reference(R, table_bits, image_bits) -> int:
+    """Evaluate ``R.gates`` one gate at a time over a dict of wire values."""
     values = {("in", i): v for i, v in enumerate(list(table_bits) + list(image_bits))}
     values[CONST0] = 0
-    for i, gate in enumerate(C.gates):
+    for i, gate in enumerate(R.gates):
         test = all if gate.op == "AND" else any
         values[("g", i)] = test(values[w] != neg for w, neg in gate.inputs)
     result = 0
-    for wire, neg in C.outputs:
+    for wire, neg in R.outputs:
         result = (result << 1) | (values[wire] != neg)
     return result
+
+
+def serialize_circuit_reference(R) -> str:
+    """``serialize_circuit_text``'s netlist dump, printed from ``R.gates``."""
+    def token(wire, neg: bool) -> str:
+        tok = {"in": f"in{wire[1]}", "g": f"g{wire[1]}", "c": "const0"}[wire[0]]
+        return ("!" + tok) if neg else tok
+
+    lines = ["CIRCUIT 1", f"N {R.n}", f"ALPHABET {R.alphabet_size}", f"BITS {R.bits}",
+             f"TABLEBITS {R.table_bit_count}", f"IMAGEBITS {R.image_bit_count}"]
+    for i, gate in enumerate(R.gates):
+        lines.append(f"GATE g{i} {gate.op} " + " ".join(token(w, neg) for w, neg in gate.inputs))
+    lines += [f"OUTPUT {token(w, neg)}" for w, neg in R.outputs]
+    lines += [f"SIZE {R.size}", f"DEPTH {R.depth}"]
+    return "".join(line + "\n" for line in lines)
 
 
 def canonical_bodies_by_filter(alphabet_size: int, size: int):

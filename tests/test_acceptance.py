@@ -86,7 +86,7 @@ def test_criterion_2_prefix_suffix_shortening():
             hs = [random_morphism(rng, S, alphabet) for S in semis]
             length = rng.randint(2 * k + 1, 2 * k + 6)
             u = tuple(rng.randrange(alphabet) for _ in range(length))
-            v = li_witness_shorten(hs, [set()] * len(hs), u, k)
+            v = li_witness_shorten(hs, u, k)
             assert v == u[:k] + u[-k:] and len(v) == 2 * k
             for h in hs:
                 from sgisect.core import apply_morphism

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sgisect
-from sgisect.circuits import (CONST0, circuit_eval, circuit_size_bound, morphism_image_bits,
+from sgisect.circuits import (circuit_eval, circuit_size_bound, morphism_image_bits,
                               semigroup_table_bits, slp_to_circuit)
 from sgisect.core import Morphism
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
@@ -16,7 +16,7 @@ from sgisect.formats import serialize_circuit_text
 from sgisect.slp import canonical_slp, power_slp, slp_image, slp_stats
 
 from _oracles import (circuit_depth, circuit_eval_reference, gate_depths, random_slp,
-                      slp_to_circuit_reference)
+                      serialize_circuit_reference, slp_to_circuit_reference)
 
 
 def _eval_on(G, h):
@@ -76,19 +76,22 @@ class TestRepresentation:
             with pytest.raises(ValueError):
                 array[0] = array[0]
 
-    def test_gates_view_built_once(self):
-        C = slp_to_circuit(self.G, self.h)
-        assert C.gates is C.gates
-        assert len(C.gates) == C.size == len(C.level)
-
     def test_equal_lowerings_compare_and_hash_equal(self):
         C, D = slp_to_circuit(self.G, self.h), slp_to_circuit(self.G, self.h)
         assert C == D and hash(C) == hash(D)
 
+    def test_different_netlists_compare_unequal(self):
+        # same sizes, outputs and depth; only the hardwired letters differ
+        h = Morphism((0, 1), mincap(4))
+        C, value_c = _eval_on(canonical_slp((0, 0), 2), h)
+        D, value_d = _eval_on(canonical_slp((1, 1), 2), h)
+        assert (value_c, value_d) == (1, 3)
+        assert C != D and hash(C) != hash(D)
+
     def test_one_element_target(self):
         C = slp_to_circuit(canonical_slp((0, 1, 1), 2), Morphism((0, 0), trivial()))
-        assert C.gates == () and C.size == 0
-        assert C.outputs == ((CONST0, False),)
+        assert C.size == 0
+        assert C.outputs == (C.input_count,)
         assert circuit_eval(C, [], []) == 0
 
     def test_no_pattern_built_at_import(self):
@@ -136,7 +139,7 @@ class TestRandomAgreement:
             assert C.size <= circuit_size_bound(size, S.size, m)
             assert C.depth <= 2 * size + 2
             assert C.depth == circuit_depth(C)
-            assert C.size == len(C.gates)
+            assert C.size == len(C.indptr) - 1 == len(C.level)
             got = circuit_eval(C, semigroup_table_bits(S), morphism_image_bits(h))
             assert got == slp_image(G, h)
 
@@ -172,8 +175,9 @@ class TestReferenceAgreement:
             else:
                 G = random_slp(rng, m, 8)
             C, R = slp_to_circuit(G, h), slp_to_circuit_reference(G, h)
-            assert serialize_circuit_text(C) == serialize_circuit_text(R)
-            assert (C.size, C.depth, C.outputs) == (R.size, R.depth, R.outputs)
+            # the text holds every gate's op, inputs and negations, and the outputs
+            assert serialize_circuit_text(C) == serialize_circuit_reference(R)
+            assert (C.size, C.depth) == (R.size, R.depth)
             assert C.level.tolist() == gate_depths(R)
             table_bits, image_bits = semigroup_table_bits(S), morphism_image_bits(h)
             assert circuit_eval(C, table_bits, image_bits) == circuit_eval_reference(R, table_bits, image_bits)

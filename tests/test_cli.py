@@ -158,6 +158,31 @@ class TestVerify:
         assert code == 2 and "unknown letter" in err
 
 
+class TestRoundTrip:
+    @pytest.mark.parametrize("strategy", ["brute", "li", "comli", "slp"])
+    def test_printed_witness_verifies(self, capsys, sat_gadget, tmp_path, strategy):
+        code, out, _ = _run(capsys, "solve", "--strategy", strategy, sat_gadget)
+        assert code == 0
+        if "witness-slp:" in out:
+            slp = tmp_path / "w.slp"
+            slp.write_text(out.split("witness-slp:\n", 1)[1])
+            code, out, _ = _run(capsys, "verify", sat_gadget, "--slp", str(slp))
+        else:
+            word = next(l for l in out.splitlines() if l.startswith("witness: "))[len("witness: "):]
+            code, out, _ = _run(capsys, "verify", sat_gadget, "--word", word)
+        assert code == 0 and out.strip().endswith("ACCEPTED")
+
+    @pytest.mark.parametrize("names, message", [("a a", "repeated"), ("Xa b", "starts with 'X'")])
+    def test_ambiguous_letter_names_rejected(self, capsys, tmp_path, names, message):
+        path = tmp_path / "names.sgi"
+        path.write_text(f"SGI 1\nALPHABET 2\nNAMES {names}\nTABLE T0 3\n1 2 2\n2 2 2\n2 2 2\nEND\n"
+                        "CONSTRAINT T0\nIMAGES 0 2\nACCEPT 0\nEND\n")
+        for argv in (["solve", str(path)], ["verify", str(path), "--word", names.split()[0]]):
+            code, out, err = _run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "line 3: letter name" in err and message in err
+
+
 class TestReduce:
     def test_unbounded(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -168,23 +168,23 @@ class TestPrunedSearch:
 class TestShorten:
     def test_mincap4_prefix_suffix(self):
         h = Morphism((0,), mincap(4))
-        out = li_witness_shorten([h], [{3}], (0,) * 5, 2)
+        out = li_witness_shorten([h], (0,) * 5, 2)
         assert out == (0,) * 4
         # both the long and the shortened word saturate at value 4
 
     def test_word_at_twice_degree_unchanged(self):
         h = Morphism((0,), mincap(4))
-        assert li_witness_shorten([h], [{3}], (0, 0, 0, 0), 2) == (0, 0, 0, 0)
+        assert li_witness_shorten([h], (0, 0, 0, 0), 2) == (0, 0, 0, 0)
 
     def test_rejects_non_locally_trivial_target(self):
         h = Morphism((0,), cyclic(2))
         with pytest.raises(PreconditionError):
-            li_witness_shorten([h], [{0}], (0,) * 5, 2)
+            li_witness_shorten([h], (0,) * 5, 2)
 
     def test_rejects_degree_above_k(self):
         h = Morphism((0,), mincap(6))  # degree 3
         with pytest.raises(PreconditionError):
-            li_witness_shorten([h], [{5}], (0,) * 7, 2)
+            li_witness_shorten([h], (0,) * 7, 2)
 
     def test_randomized_image_equality(self):
         rng = random.Random(1234)
@@ -198,7 +198,7 @@ class TestShorten:
             hs = [random_morphism(rng, S, m) for S in semis]
             length = rng.randint(2 * k + 1, 2 * k + 6)
             word = tuple(rng.randrange(m) for _ in range(length))
-            short = li_witness_shorten(hs, [set()] * count, word, k)
+            short = li_witness_shorten(hs, word, k)
             assert short == word[:k] + word[-k:]
 
     def test_degree_once_per_shared_semigroup(self, monkeypatch):
@@ -216,13 +216,13 @@ class TestShorten:
 
         monkeypatch.setattr(solve, "li_degree", counted)
         word = tuple(rng.randrange(16) for _ in range(2 * k + 5))
-        assert li_witness_shorten(hs, [set()] * len(hs), word, k) == word[:k] + word[-k:]
+        assert li_witness_shorten(hs, word, k) == word[:k] + word[-k:]
         assert len(calls) == 1
         # a non-li target after the shared ones is still reported by its own index
         calls.clear()
         group = Morphism((0,) * 16, cyclic(2))
         with pytest.raises(PreconditionError) as exc:
-            li_witness_shorten(hs + [group, hs[0]], [set()] * (len(hs) + 2), word, k)
+            li_witness_shorten(hs + [group, hs[0]], word, k)
         assert exc.value.constraint == len(hs) and len(calls) == 2
 
 
