@@ -22,8 +22,10 @@ SGI instance grammar::
 Inside a CONSTRAINT block each of NAME, IMAGES and ACCEPT appears at most
 once, in any order.
 
-Letter names are distinct and do not start with ``X`` (``Instance`` checks
-both), so each name reads back as one letter in a word and in an SLP file.
+Letter names are distinct, non-empty, free of whitespace and ``#``, and do
+not start with ``X`` (``Instance`` checks all of these), so each name reads
+back as one token of the NAMES line and as one letter in a word and in an
+SLP file.
 
 Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
@@ -212,27 +214,31 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical form: tables deduplicated by content, constraints in order."""
+    """Canonical form: tables deduplicated by content, constraints in order.
+
+    Tables are named T0, T1, ... in order of first appearance.  Constraints
+    mostly share Semigroup objects, so each is looked up by identity, and a
+    table is hashed only when its object is first seen.
+    """
     lines = ["SGI 1", f"ALPHABET {instance.alphabet_size}",
              "NAMES " + " ".join(instance.letter_names)]
-    table_names: dict[tuple, str] = {}
-    table_order: list[Semigroup] = []
+    names: dict[int, str] = {}  # table name per Semigroup object
+    by_table: dict[tuple, str] = {}  # equal tables share a name
     for c in instance.constraints:
-        key = c.semigroup.table
-        if key not in table_names:
-            table_names[key] = f"T{len(table_names)}"
-            table_order.append(c.semigroup)
-    for S in table_order:
-        lines.append(f"TABLE {table_names[S.table]} {S.size}")
-        for row in S.table:
-            lines.append(" ".join(str(v) for v in row))
-        lines.append("END")
+        S = c.semigroup
+        if id(S) not in names:
+            fresh = f"T{len(by_table)}"
+            names[id(S)] = by_table.setdefault(S.table, fresh)
+            if names[id(S)] == fresh:
+                lines.append(f"TABLE {fresh} {S.size}")
+                lines.extend(" ".join(map(str, row)) for row in S.table)
+                lines.append("END")
     for c in instance.constraints:
-        lines.append(f"CONSTRAINT {table_names[c.semigroup.table]}")
+        lines.append(f"CONSTRAINT {names[id(c.semigroup)]}")
         if c.name is not None:
             lines.append(f"NAME {c.name}")
-        lines.append("IMAGES " + " ".join(str(v) for v in c.morphism.images))
-        accept = " ".join(str(v) for v in sorted(c.accept))
+        lines.append("IMAGES " + " ".join(map(str, c.morphism.images)))
+        accept = " ".join(map(str, sorted(c.accept)))
         lines.append("ACCEPT" + (" " + accept if accept else ""))
         lines.append("END")
     return "".join(line + "\n" for line in lines)

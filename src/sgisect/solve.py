@@ -90,6 +90,8 @@ class Instance:
             raise ValueError("alphabet must be non-empty")
         # a name must read back as one letter in a word and in an SLP file
         for i, name in enumerate(self.letter_names):
+            if name.split() != [name] or "#" in name:
+                raise ValueError(f"letter name {name!r} is not one token without whitespace or '#'")
             if name in self.letter_names[:i]:
                 raise ValueError(f"letter name {name!r} is repeated")
             if name.startswith("X"):
@@ -198,6 +200,14 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       uint64 words, see ``_key_layout``.  A stable ``np.lexsort`` over the
       words puts equal candidates next to each other in candidate order, so
       keeping the first row of each run keeps each tuple's first discovery.
+
+    The tables are built with one gather per distinct Semigroup object, for
+    all the constraints that share it (reduction gadgets share one among all
+    their constraints), and the liveness rounds run on the transposed table
+    as intp.  In the depth loop ``take`` serves only layer-sized index arrays;
+    the candidate-sized gathers keep ``[]``, since ``take`` first copies an
+    int32 index array to intp, and on the largest layers that copy raised
+    peak memory by about a tenth.
     """
     t0 = time.perf_counter()
     cons = instance.constraints
@@ -206,23 +216,32 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
 
     # Every constraint's elements, plus one row standing for the empty word,
     # get global ids, so that one gather serves all constraints at once.
-    offsets = np.cumsum([0] + [n + 1 for n in sizes[:-1]])
-    total = int(offsets[-1]) + sizes[-1] + 1
+    counts = np.array(sizes) + 1
+    offsets = np.cumsum(counts) - counts
+    total = int(counts.sum())
     step = np.empty((total, A), dtype=np.int32)  # global id times letter image
-    accept = np.zeros(total, dtype=bool)
-    code = np.empty(total, dtype=np.uint64)  # local index, shifted to its place in the key
-    shifts, word_ranges = _key_layout(sizes)
+    groups: dict[int, list[int]] = {}  # constraints by semigroup object
     for i, c in enumerate(cons):
-        S, o, n = c.semigroup, int(offsets[i]), sizes[i]
-        images = np.asarray(c.morphism.images, dtype=np.int32)
-        # widen before offsetting: S.array is uint8 for small tables and would wrap
-        np.add(S.array[:, images], o, out=step[o:o + n], dtype=np.int32)
-        step[o + n] = images + o
-        accept[[o + x for x in c.accept]] = True
-        code[o:o + n + 1] = np.arange(n + 1, dtype=np.uint64) << np.uint64(shifts[i])
+        groups.setdefault(id(c.semigroup), []).append(i)
+    for members in groups.values():
+        S = cons[members[0]].semigroup
+        images = np.array([cons[i].morphism.images for i in members], dtype=np.intp)  # (g, A)
+        o = offsets[members]
+        # (n + 1, g, A): x times each image, then the empty word's row, the
+        # images; concatenating with intp widens S.array (uint8 for small
+        # tables) before the offsets are added, so nothing wraps
+        block = np.concatenate([S.array[:, images], images[None]]) + o[:, None]
+        step[np.arange(S.size + 1)[:, None] + o] = block
+    accept = np.zeros(total, dtype=bool)
+    accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
+    shifts, word_ranges = _key_layout(sizes)
+    local = np.arange(total) - np.repeat(offsets, counts)
+    # local index, shifted to its place in the key
+    code = local.astype(np.uint64) << np.repeat(np.array(shifts, dtype=np.uint64), counts)
+    succ = np.ascontiguousarray(step.T, dtype=np.intp)  # intp: take would convert it every round
     live = accept
     while True:  # backward closure of the accept sets, at most max(sizes) rounds
-        grown = live | live[step].any(axis=1)
+        grown = live | live.take(succ).any(axis=0)
         if np.array_equal(grown, live):
             break
         live = grown
@@ -250,7 +269,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         if depth_cap is not None and depth >= depth_cap:
             return done(None, depth, False)
         # (row, letter) pairs whose successor is live in every component
-        live_bits = np.bitwise_and.reduce(live_letters[layer], axis=0)
+        live_bits = np.bitwise_and.reduce(live_letters.take(layer, axis=0), axis=0)
         live_pairs = np.unpackbits(live_bits, axis=1, count=A, bitorder="little")
         parents, letters = np.divmod(np.flatnonzero(live_pairs), A)
         if parents.size == 0:
@@ -276,7 +295,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         trail.append((parents[new], letters[new]))
         layer = cand[:, new]
         depth += 1
-        hits = np.flatnonzero(accept[layer].all(axis=0))
+        hits = np.flatnonzero(accept.take(layer).all(axis=0))
         if hits.size:
             return done(int(hits[0]), depth, True)
 

@@ -128,6 +128,19 @@ def satisfies_li_k(S: Semigroup, k: int) -> bool:
 def li_degree(S: Semigroup) -> int | None:
     """Least k such that S satisfies the degree-k equation; None when S is not li.
 
+    Computed once per Semigroup object and kept in its ``__dict__`` like
+    ``Semigroup.array``: not a field, so equality and hashing are unchanged,
+    and it lives as long as S.  ``classify`` and ``li_solve`` both ask for it.
+    """
+    cache = vars(S)
+    if "_li_degree" not in cache:
+        cache["_li_degree"] = _least_li_degree(S)
+    return cache["_li_degree"]
+
+
+def _least_li_degree(S: Semigroup) -> int | None:
+    """``li_degree`` without the cache.
+
     The degree-k equation is the condition on P_k, the set of k-fold products,
     and P_1 ⊇ P_2 ⊇ ... (see ``_product_chain``).  An equation that holds on
     P_k holds on the subset P_{k+1}, so degree k implies degree k+1, and a

@@ -182,6 +182,17 @@ class TestRoundTrip:
             assert code == 2 and out == ""
             assert "line 3: letter name" in err and message in err
 
+    @pytest.mark.parametrize("names, got", [("a# b", 1), ("a b c", 3)])
+    def test_names_line_of_a_name_the_format_cannot_hold(self, capsys, tmp_path, names, got):
+        # what a serializer would write for the names ('a#', 'b') and ('a b', 'c'),
+        # which Instance now rejects
+        path = tmp_path / "names.sgi"
+        path.write_text(f"SGI 1\nALPHABET 2\nNAMES {names}\nTABLE T0 3\n1 2 2\n2 2 2\n2 2 2\nEND\n"
+                        "CONSTRAINT T0\nIMAGES 0 2\nACCEPT 0\nEND\n")
+        code, out, err = _run(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert f"line 3: NAMES needs 2 tokens, got {got}" in err
+
 
 class TestReduce:
     def test_unbounded(self, capsys, tmp_path):

@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
-from sgisect.families import mincap
+from sgisect.core import Morphism
+from sgisect.families import cyclic, mincap
 from sgisect.formats import (FormatError, parse_instance, parse_slp_text, parse_table_text,
                              serialize_circuit_text, serialize_instance, serialize_slp_text,
                              serialize_table_text)
-from sgisect.reductions import CnfFormula, reduce_unbounded
+from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import canonical_slp, power_slp, slp_eval_word
-from sgisect.solve import brute_force_solve
+from sgisect.solve import Constraint, Instance, brute_force_solve
 
 from _oracles import random_instance
 
@@ -109,6 +111,67 @@ class TestInstanceFormat:
             text = serialize_instance(I)
             assert parse_instance(text) == I
             assert serialize_instance(parse_instance(text)) == text
+
+    @pytest.mark.parametrize("names", [("a#", "b"), ("a b", "c"), ("", "b"), ("a\tb", "c")])
+    def test_letter_names_the_format_cannot_hold(self, names):
+        # such a name would be written into a NAMES line that no longer holds
+        # one token per letter, so Instance rejects it before it is written
+        h = Morphism((0, 1), mincap(3))
+        with pytest.raises(ValueError, match="letter name .* not one token"):
+            Instance(names, (Constraint(h, {2}),))
+        text = serialize_instance(Instance(("p", "q"), (Constraint(h, {2}),)))
+        written = text.replace("NAMES p q", "NAMES " + " ".join(names))
+        with pytest.raises(FormatError, match="^line 3: NAMES needs 2 tokens"):
+            parse_instance(written)
+
+    def test_unusual_letter_names_round_trip(self):
+        I = Instance(("α", "a-b", "x1'", "b*"),
+                     (Constraint(Morphism((0, 1, 2, 0), mincap(3)), {2}),))
+        text = serialize_instance(I)
+        assert parse_instance(text) == I
+        assert serialize_instance(parse_instance(text)) == text
+
+
+def _mixed_instance() -> Instance:
+    """Tables A, B, an equal copy of A, then B again."""
+    A, B = mincap(4), cyclic(3)
+    return Instance(("a", "b"), (
+        Constraint(Morphism((1, 2), A), {3}),
+        Constraint(Morphism((0, 1), B), {0, 2}),
+        Constraint(Morphism((2, 0), mincap(4)), {1, 3}, "copy"),
+        Constraint(Morphism((2, 2), B), set())))
+
+
+NIL8 = CnfFormula(8, tuple(map(frozenset, [
+    {1, -2, 3}, {-1, 4, 5}, {2, -6, 7}, {-3, -4, 8}, {5, 6, -8}, {-5, -7, 1},
+    {2, 4, -6}, {-2, 3, 7}, {6, -7, -8}, {1, 8}, {-4}])))
+UNB6 = CnfFormula(6, tuple(map(frozenset, [
+    {1, 2, -3}, {-1, 4, 6}, {3, -5, -6}, {-2, 5}, {-4, -6, 2}, {1, -3, 5}])))
+
+
+class TestCanonicalSerialization:
+    """sha256 of serialize_instance output, pinned from the per-constraint
+    table lookup that looked every constraint up by its table's content."""
+
+    @pytest.mark.parametrize("build, tables, digest", [
+        (lambda: reduce_nilpotent(NIL8), 1,
+         "50a58bf5d571a02cebb1bcb828013c3e6d46e07770497f792d0f3b70d9baa897"),
+        (lambda: reduce_unbounded(UNB6), 1,
+         "adfb4583fc2e49a8763e8f02a17c79494a561d1e866ecd190bc89460178ec1c8"),
+        (_mixed_instance, 2,
+         "e36bee55a20b7a5e08c5e2f21929e51e9f2164cc73ef5bf0d12fc7f44147fd1e"),
+    ], ids=["nilpotent-k8", "unbounded-k6", "mixed"])
+    def test_digest_pinned(self, build, tables, digest):
+        text = serialize_instance(build())
+        assert text.count("TABLE ") == tables
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert serialize_instance(parse_instance(text)) == text
+
+    def test_equal_tables_merge_in_order_of_first_appearance(self):
+        text = serialize_instance(_mixed_instance())
+        assert [l for l in text.splitlines() if l.startswith("TABLE ")] == ["TABLE T0 4", "TABLE T1 3"]
+        assert [l for l in text.splitlines() if l.startswith("CONSTRAINT ")] == [
+            "CONSTRAINT T0", "CONSTRAINT T1", "CONSTRAINT T0", "CONSTRAINT T1"]
 
 
 class TestSlpFormat:

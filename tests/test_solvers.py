@@ -5,8 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sgisect.core import Morphism
-from sgisect.families import cyclic, leftzero, mincap, rightzero, trivial
+from sgisect.core import Morphism, Semigroup
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect import slp, solve
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import slp_eval_word, slp_stats
@@ -163,6 +163,79 @@ class TestPrunedSearch:
                 assert full.witness.word == oracle
             else:
                 assert not full.satisfiable or len(full.witness.word) > 8
+
+
+class TestBatchedSetup:
+    """The engine fills its tables with one gather per distinct Semigroup
+    object; grouping, interleaving and sharing must not change the search."""
+
+    @staticmethod
+    def _same_search(I, oracle_len, capped=None):
+        """brute_force_solve against li_solve (or bounded_solve at a cap past
+        the search, for non-LI tables) and the word-enumeration oracle."""
+        brute = brute_force_solve(I)
+        other = bounded_solve(I, capped) if capped else li_solve(I)
+
+        def summary(r):
+            return (r.status, r.witness and r.witness.word, r.stats.states_explored,
+                    r.stats.max_depth, r.complete)
+
+        assert summary(other) == summary(brute)
+        word = brute.witness.word if brute.satisfiable else None
+        expected = solve_by_word_enumeration(I, oracle_len)
+        assert word == expected or (expected is None and len(word) > oracle_len)
+        return summary(brute)
+
+    def test_interleaved_semigroups_of_different_sizes(self):
+        rng = random.Random(31)
+        M = mincap(4)  # one object in the first and third constraint; the last has its size only
+        for semis, capped in (([M, rightzero(3), M, leftzero(4)], None),
+                              ([M, cyclic(3), M, cyclic(4)], 12)):
+            for _ in range(12):
+                A = rng.randint(1, 3)
+                constraints = tuple(
+                    Constraint(random_morphism(rng, S, A),
+                               frozenset(rng.sample(range(S.size), rng.randint(1, 2))))
+                    for S in semis)
+                assert constraints[0].semigroup is constraints[2].semigroup
+                self._same_search(Instance(tuple(f"a{i}" for i in range(A)), constraints), 5, capped)
+
+    def test_shared_semigroup_and_equal_copies(self):
+        rng = random.Random(32)
+        for k in (3, 4):
+            clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, k + 1), 2))
+                            for _ in range(3 * k))
+            for I in (reduce_nilpotent(CnfFormula(k, clauses)), reduce_unbounded(CnfFormula(k, clauses))):
+                assert len({id(c.semigroup) for c in I.constraints}) == 1
+                copies = Instance(I.letter_names, tuple(
+                    Constraint(Morphism(c.morphism.images, Semigroup(c.semigroup.table)), c.accept, c.name)
+                    for c in I.constraints))
+                assert len({id(c.semigroup) for c in copies.constraints}) == len(I.constraints)
+                assert self._same_search(copies, 3) == self._same_search(I, 3)
+
+    def test_empty_accept_set(self):
+        S = mincap(4)
+        for accept in (frozenset(), frozenset({3})):
+            I = Instance(("a", "b"), (Constraint(Morphism((0, 1), S), frozenset({2, 3})),
+                                      Constraint(Morphism((1, 0), S), frozenset()),
+                                      Constraint(Morphism((0, 0), S), accept)))
+            r = brute_force_solve(I)
+            assert not r.satisfiable and r.stats.states_explored == 0 and r.stats.max_depth == 0
+            self._same_search(I, 4)
+
+    @pytest.mark.parametrize("A", [9, 17])
+    def test_alphabets_past_one_byte_of_letters(self, A):
+        # live_letters holds one bit per letter, so 9 and 17 letters span 2 and 3 bytes
+        rng = random.Random(A)
+        pool = [mincap(4), leftzero(2), nilinterval(3), mincap(3)]
+        found = 0
+        for _ in range(8):
+            semis = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(
+                Constraint(random_morphism(rng, S, A), frozenset(rng.sample(range(S.size), 1)))
+                for S in semis))
+            found += self._same_search(I, 3)[0] == solve.SATISFIABLE
+        assert 0 < found < 8
 
 
 class TestShorten:

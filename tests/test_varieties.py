@@ -1,9 +1,16 @@
+import dataclasses
+import gc
 import math
 import random
 import time
+import weakref
 
+from sgisect import varieties
 from sgisect.core import Semigroup, direct_product
+from sgisect.formats import parse_instance, serialize_instance
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
+from sgisect.reductions import CnfFormula, reduce_nilpotent
+from sgisect.solve import li_solve, li_witness_shorten
 from sgisect.varieties import (classify, is_a2n, is_commutative, is_group, is_li, is_monoid,
                                is_nilpotent, li_degree, satisfies_li_k)
 
@@ -111,6 +118,40 @@ class TestDegreeAgainstDefinitionalCheck:
     def test_mincap_against_tuple_enumeration(self):
         for m in range(2, 13):
             assert li_degree_definitional(mincap(m)) == math.ceil(m / 2)
+
+
+class TestLiDegreeOncePerObject:
+    def test_classify_then_li_solve_build_one_product_chain(self, monkeypatch):
+        calls = []
+        chain = varieties._product_chain
+
+        def counted(S, k):
+            calls.append(S)
+            return chain(S, k)
+
+        monkeypatch.setattr(varieties, "_product_chain", counted)
+        clauses = (frozenset({1, -2, 3}), frozenset({-1, 4}), frozenset({2, -3, -4}))
+        I = parse_instance(serialize_instance(reduce_nilpotent(CnfFormula(4, clauses))))
+        S = I.constraints[0].semigroup
+        assert all(c.semigroup is S for c in I.constraints)
+        k = classify(S).li_degree
+        li_solve(I)
+        word = (0, 1, 2, 3) * 3
+        assert li_witness_shorten([c.morphism for c in I.constraints], word, k) == word[:k] + word[-k:]
+        assert len(calls) == 1
+        # an equal table in another object computes its own degree
+        copy = Semigroup(S.table)
+        assert li_degree(copy) == k and len(calls) == 2
+
+    def test_cache_changes_neither_equality_nor_lifetime(self):
+        S, T = Semigroup(mincap(5).table), Semigroup(mincap(5).table)
+        li_degree(S)
+        assert S == T and hash(S) == hash(T)
+        assert [f.name for f in dataclasses.fields(S)] == ["table", "labels"]
+        ref = weakref.ref(S)
+        del S
+        gc.collect()
+        assert ref() is None
 
 
 class TestLocalTrivialityAtDegreeSizePlusOne:
