@@ -13,8 +13,7 @@ from .slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enumerate_sl
                   slp_eval_word, slp_image, slp_stats, validate_slp)
 from .solve import (Constraint, Instance, PreconditionError, SolveResult, SolveStats,
                     StateCapError, VerifyResult, Witness, bounded_solve, brute_force_solve,
-                    comli_length_bound, comli_solve, enum_slp_solve, li_degrees, li_solve,
-                    li_witness_shorten, verify_witness)
+                    comli_solve, enum_slp_solve, li_solve, li_witness_shorten, verify_witness)
 from .varieties import (ClassificationReport, classify, is_a2n, is_commutative, is_group,
                         is_li, is_monoid, is_nilpotent, li_degree, satisfies_li_k)
 

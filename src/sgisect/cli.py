@@ -9,11 +9,8 @@ commands that report results to machine-readable output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
 from pathlib import Path
 
 from .circuits import slp_to_circuit
@@ -23,11 +20,11 @@ from .formats import (FormatError, parse_instance, parse_slp_text, parse_table_t
                       serialize_circuit_text, serialize_instance, serialize_slp_text,
                       serialize_table_text)
 from .reductions import parse_dimacs, reduce_nilpotent, reduce_unbounded
-from .slp import power_slp, slp_stats
+from .slp import power_slp
 from .solve import (Instance, PreconditionError, StateCapError, Witness, bounded_solve,
-                    brute_force_solve, comli_solve, enum_slp_solve, li_degrees, li_solve,
+                    brute_force_solve, comli_solve, enum_slp_solve, li_solve,
                     li_witness_shorten, verify_witness)
-from .varieties import classify
+from .varieties import classify, li_degree
 
 
 class _CliError(Exception):
@@ -121,6 +118,8 @@ def _run_strategy(instance: Instance, args):
 
 
 def _cmd_solve(args) -> int:
+    if args.max_depth is not None and args.strategy != "brute":
+        raise _CliError(2, f"--max-depth applies to --strategy brute only, not {args.strategy!r}")
     instance = _load_instance(args.instance)
     try:
         result = _run_strategy(instance, args)
@@ -178,7 +177,7 @@ def _cmd_shorten(args) -> int:
     if args.degree is not None:
         k = args.degree
     else:
-        degrees = li_degrees(c.semigroup for c in instance.constraints)
+        degrees = [li_degree(c.semigroup) for c in instance.constraints]
         if None in degrees:
             i = degrees.index(None)
             raise _CliError(2, f"constraint {instance.constraint_name(i)} violates is_li")
@@ -257,36 +256,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _time_solver(fn):
-    """(result, seconds as CSV text); (None, "") when the strategy does not apply."""
-    t0 = time.perf_counter()
-    try:
-        result = fn()
-    except PreconditionError:
-        return None, ""
-    return result, f"{time.perf_counter() - t0:.6f}"
-
-
-def _cmd_bench(args) -> int:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["instance", "N", "min_word_length", "min_slp_size",
-                     "brute_seconds", "li_seconds", "comli_seconds", "slp_seconds"])
-    for path in args.instances:
-        instance = _load_instance(path)
-        total = sum(c.semigroup.size for c in instance.constraints)
-        brute, brute_t = _time_solver(lambda: brute_force_solve(instance))
-        _, li_t = _time_solver(lambda: li_solve(instance))
-        _, comli_t = _time_solver(lambda: comli_solve(instance))
-        enum, slp_t = _time_solver(lambda: enum_slp_solve(instance, args.slp_size))
-        writer.writerow([path, total,
-                         len(brute.witness.word) if brute.satisfiable else "",
-                         slp_stats(enum.witness.slp)[0] if enum.satisfiable else "",
-                         brute_t, li_t, comli_t, slp_t])
-    sys.stdout.write(out.getvalue())
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgisect",
                                      description="intersection non-emptiness for "
@@ -303,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["brute", "li", "comli", "slp"], default="brute")
     p.add_argument("--slp-size", type=int, default=4, help="SLP size bound for --strategy slp")
     p.add_argument("--max-depth", type=int, default=None,
-                   help="length cap for --strategy brute (result may be incomplete)")
+                   help="length cap, for --strategy brute only (result may be incomplete)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_solve)
 
@@ -347,11 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="integer parameter, or factor specs like mincap:3 for product")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("bench", help="emit a CSV of witness statistics and solver timings")
-    p.add_argument("instances", nargs="+")
-    p.add_argument("--slp-size", type=int, default=4)
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -4,10 +4,11 @@ An instance is a shared alphabet plus constraints (morphism into a semigroup,
 accepting element set).  The brute-force solver runs a breadth-first search
 over tuples of per-constraint images, never materializing the direct product;
 it returns the shortest witness, ties broken by lexicographically least letter
-sequence.  The depth-capped solvers reuse the same engine with caps supplied
-by structure: locally trivial semigroups of degree k never need witnesses
-longer than 2k, and commutative locally trivial semigroups absorb every long
-enough product into their zero, giving a logarithmic cap.
+sequence.  ``li_solve`` and ``comli_solve`` are class checks in front of that
+same closed search, with no depth cap.  A locally trivial target of degree k
+never needs a witness longer than 2k, so the search closes by depth 2k on its
+own; that bound is checked on every result, not used as a cap.
+``bounded_solve`` is the one caller of the engine's depth cap.
 
 The search never visits a tuple from which no word can finish in every
 accept set: each constraint's live elements (those some product of letter
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Morphism, apply_morphism
 from .slp import Slp, first_words, slp_image
-from .varieties import is_commutative, is_li, li_degree
+from .varieties import is_commutative, li_degree
 
 DEFAULT_STATE_CAP = 1 << 24
 DEFAULT_ENUM_SIZE_CAP = 6
@@ -317,21 +318,6 @@ def bounded_solve(instance: Instance, depth_cap: int,
     return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
 
 
-def li_degrees(semigroups) -> list[int | None]:
-    """``li_degree`` of each semigroup, in order, computed once per distinct object.
-
-    Reduction gadgets give all their constraints one shared Semigroup, so the
-    degree is computed once per instance rather than once per constraint.
-    """
-    memo: dict[int, int | None] = {}
-    degrees = []
-    for S in semigroups:
-        if id(S) not in memo:
-            memo[id(S)] = li_degree(S)
-        degrees.append(memo[id(S)])
-    return degrees
-
-
 def li_witness_shorten(morphisms, word, k: int) -> tuple[int, ...]:
     """Replace a word longer than 2k by its length-k prefix and suffix.
 
@@ -340,7 +326,8 @@ def li_witness_shorten(morphisms, word, k: int) -> tuple[int, ...]:
     of length <= 2k are returned unchanged.
     """
     morphisms = list(morphisms)
-    for i, d in enumerate(li_degrees(h.target for h in morphisms)):
+    for i, h in enumerate(morphisms):
+        d = li_degree(h.target)
         if d is None or d > k:
             raise PreconditionError(f"li_degree <= {k}", i)
     word = tuple(word)
@@ -353,43 +340,43 @@ def li_witness_shorten(morphisms, word, k: int) -> tuple[int, ...]:
     return short
 
 
-def li_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
-    """Complete solver for locally trivial constraints via the 2k witness cap."""
-    degrees = li_degrees(c.semigroup for c in instance.constraints)
+def _li_bfs(instance: Instance, state_cap: int, provenance: str) -> SolveResult:
+    """The closed BFS for locally trivial constraints, checking the 2k bound it never needs.
+
+    Every word longer than 2k has the images of its length-k prefix followed
+    by its length-k suffix, so no search goes deeper than 2k.
+    """
+    degrees = [li_degree(c.semigroup) for c in instance.constraints]
     if None in degrees:
         raise PreconditionError("is_li", degrees.index(None))
-    cap = 2 * max(degrees)
-    return replace(_bfs(instance, cap, state_cap, "li"), complete=True)
+    result = _bfs(instance, None, state_cap, provenance)
+    if result.stats.max_depth > 2 * max(degrees):
+        raise AssertionError(f"search reached depth {result.stats.max_depth}, "
+                             f"past twice the degree {max(degrees)}")
+    return result
 
 
-def comli_length_bound(instance: Instance) -> int:
-    """Witness length cap for commutative locally trivial constraints.
-
-    With c the largest monogenic-subsemigroup cardinality across constraints,
-    every product of at least c*(ceil(log2 prod|S_i|) + 1) elements lands on
-    the zero of every constraint, so longer witnesses are never needed.
-    """
-    from .core import monogenic_orders
-
-    orders: dict[int, int] = {}  # per distinct semigroup, checked where it first occurs
-    product = 1
-    for i, cons in enumerate(instance.constraints):
-        S = cons.semigroup
-        if id(S) not in orders:
-            if not is_commutative(S):
-                raise PreconditionError("is_commutative", i)
-            if not is_li(S):
-                raise PreconditionError("is_li", i)
-            orders[id(S)] = monogenic_orders(S)[1]
-        product *= S.size
-    log_product = (product - 1).bit_length()  # ceil(log2(product))
-    return max(orders.values()) * (log_product + 1)
+def li_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
+    """Complete solver for locally trivial constraints: a class check, then the closed BFS."""
+    return _li_bfs(instance, state_cap, "li")
 
 
 def comli_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
-    """Complete solver for commutative locally trivial constraints."""
-    cap = comli_length_bound(instance)
-    return replace(_bfs(instance, cap, state_cap, "comli"), complete=True)
+    """Complete solver for commutative locally trivial constraints.
+
+    Each distinct semigroup is checked where it first occurs, commutativity
+    before local triviality; then the instance takes the ``li_solve`` path.
+    """
+    seen = set()
+    for i, c in enumerate(instance.constraints):
+        S = c.semigroup
+        if id(S) not in seen:
+            seen.add(id(S))
+            if not is_commutative(S):
+                raise PreconditionError("is_commutative", i)
+            if li_degree(S) is None:
+                raise PreconditionError("is_li", i)
+    return _li_bfs(instance, state_cap, "comli")
 
 
 def enum_slp_solve(instance: Instance, size_bound: int) -> SolveResult:

@@ -31,9 +31,9 @@ class ClassificationReport:
 
 
 def is_commutative(S: Semigroup) -> bool:
-    t = S.table
-    n = S.size
-    return all(t[x][y] == t[y][x] for x in range(n) for y in range(x + 1, n))
+    """True iff x*y == y*x for all x, y: the table equals its transpose."""
+    T = S.array
+    return bool((T == T.T).all())
 
 
 def is_monoid(S: Semigroup) -> bool:
@@ -167,16 +167,10 @@ def _least_li_degree(S: Semigroup) -> int | None:
 
 
 def is_a2n(S: Semigroup) -> bool:
-    """True iff x*x*y == x*x == y*x*x for all x, y."""
-    t = S.table
-    n = S.size
-    for x in range(n):
-        xx = t[x][x]
-        txx = t[xx]
-        for y in range(n):
-            if txx[y] != xx or t[y][xx] != xx:
-                return False
-    return True
+    """True iff x*x*y == x*x == y*x*x for all x, y: the row and column of each square hold only it."""
+    T = S.array
+    sq = T.diagonal()
+    return bool((T[sq] == sq[:, None]).all() and (T[:, sq] == sq).all())
 
 
 def classify(S: Semigroup) -> ClassificationReport:

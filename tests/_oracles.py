@@ -102,6 +102,26 @@ def li_k_holds_by_ktuples(S: Semigroup, k: int) -> bool:
                for p in values for z in range(n) for q in values)
 
 
+def is_commutative_definitional(S: Semigroup) -> bool:
+    """x*y == y*x for every pair x < y."""
+    t = S.table
+    n = S.size
+    return all(t[x][y] == t[y][x] for x in range(n) for y in range(x + 1, n))
+
+
+def is_a2n_definitional(S: Semigroup) -> bool:
+    """x*x*y == x*x == y*x*x for all x, y."""
+    t = S.table
+    n = S.size
+    for x in range(n):
+        xx = t[x][x]
+        txx = t[xx]
+        for y in range(n):
+            if txx[y] != xx or t[y][xx] != xx:
+                return False
+    return True
+
+
 def is_group_definitional(S: Semigroup) -> bool:
     """A neutral element e, and for every x some y with x*y == e == y*x."""
     t = S.table

@@ -115,6 +115,15 @@ class TestSolve:
         code, out, _ = _run(capsys, "solve", str(path), "--max-depth", "3")
         assert code == 0 and "witness: a a a" in out
 
+    @pytest.mark.parametrize("strategy", ["li", "comli", "slp"])
+    def test_max_depth_with_another_strategy_is_an_error(self, capsys, tmp_path, strategy):
+        path = tmp_path / "deep.sgi"
+        path.write_text("SGI 1\nALPHABET 1\nNAMES a\nTABLE T0 4\n1 2 3 3\n2 3 3 3\n3 3 3 3\n3 3 3 3\nEND\n"
+                        "CONSTRAINT T0\nIMAGES 0\nACCEPT 2\nEND\n")
+        code, out, err = _run(capsys, "solve", str(path), "--strategy", strategy, "--max-depth", "2")
+        assert code == 2 and out == ""
+        assert "--max-depth" in err and strategy in err
+
     def test_json(self, capsys, sat_gadget):
         code, out, _ = _run(capsys, "solve", "--json", sat_gadget)
         assert code == 0
@@ -291,42 +300,8 @@ class TestGen:
         assert code == 2
 
 
-class TestBench:
-    def test_csv_output(self, capsys, sat_gadget):
-        code, out, _ = _run(capsys, "bench", sat_gadget)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("instance,N,min_word_length,min_slp_size")
-        cells = lines[1].split(",")
-        assert cells[1] == "9" and cells[2] == "1" and cells[3] == "1"
-        assert all(cells[i] for i in (4, 5, 6, 7))  # all four strategies timed
-
-    def test_empty_instance_leaves_witness_cells_blank(self, capsys, tmp_path):
-        path = tmp_path / "empty.sgi"
-        instance = reduce_unbounded(CnfFormula(1, (frozenset({1}), frozenset({-1}))))
-        path.write_text(serialize_instance(instance))
-        code, out, _ = _run(capsys, "bench", str(path))
-        assert code == 0
-        assert out.splitlines()[1].split(",")[2:4] == ["", ""]
-
-    def test_each_solver_runs_once(self, capsys, monkeypatch, sat_gadget):
-        calls = {"bfs": 0, "slp": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(solve, "_bfs", counting("bfs", solve._bfs))
-        monkeypatch.setattr("sgisect.cli.enum_slp_solve", counting("slp", solve.enum_slp_solve))
-        code, _, _ = _run(capsys, "bench", sat_gadget)
-        assert code == 0
-        assert calls == {"bfs": 3, "slp": 1}  # brute, li, comli; SLP enumeration
-
-
 class TestSolverFailures:
-    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("command", ["solve"])
     @pytest.mark.parametrize("error", [solve.StateCapError(5), MemoryError()], ids=["cap", "memory"])
     def test_exit_2_with_error_line(self, capsys, monkeypatch, sat_gadget, command, error):
         def fail(*args, **kwargs):
@@ -360,3 +335,12 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run_command(["classify"]) == 2
+
+    def test_readme_names_only_real_subcommands(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```")[1::2]
+        subs = {line.split()[1] for block in blocks for line in block.splitlines()
+                if line.startswith("sgisect ")}
+        assert {"solve", "reduce", "verify"} <= subs
+        for sub in sorted(subs):
+            assert run_command([sub, "--help"]) == 0, sub

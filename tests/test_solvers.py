@@ -6,13 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sgisect.core import Morphism, Semigroup
-from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
-from sgisect import slp, solve
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
+from sgisect import slp, solve, varieties
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import slp_eval_word, slp_stats
 from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapError, Witness,
-                           bounded_solve, brute_force_solve, comli_length_bound, comli_solve,
-                           enum_slp_solve, li_solve, li_witness_shorten, verify_witness)
+                           bounded_solve, brute_force_solve, comli_solve, enum_slp_solve,
+                           li_solve, li_witness_shorten, verify_witness)
 from sgisect.varieties import is_commutative, is_li, li_degree
 
 from _oracles import (first_enumerated_slp, random_instance, random_morphism,
@@ -26,6 +26,11 @@ def _single(S, images, accept, names=None) -> Instance:
 
 GADGET_SAT = reduce_unbounded(CnfFormula(1, (frozenset({1}),)))
 GADGET_EMPTY = reduce_unbounded(CnfFormula(1, (frozenset({1}), frozenset({-1}))))
+
+
+def _summary(r):
+    return (r.status, r.witness and r.witness.word, r.stats.states_explored,
+            r.stats.max_depth, r.complete)
 
 
 class TestBruteForce:
@@ -175,16 +180,11 @@ class TestBatchedSetup:
         the search, for non-LI tables) and the word-enumeration oracle."""
         brute = brute_force_solve(I)
         other = bounded_solve(I, capped) if capped else li_solve(I)
-
-        def summary(r):
-            return (r.status, r.witness and r.witness.word, r.stats.states_explored,
-                    r.stats.max_depth, r.complete)
-
-        assert summary(other) == summary(brute)
+        assert _summary(other) == _summary(brute)
         word = brute.witness.word if brute.satisfiable else None
         expected = solve_by_word_enumeration(I, oracle_len)
         assert word == expected or (expected is None and len(word) > oracle_len)
-        return summary(brute)
+        return _summary(brute)
 
     def test_interleaved_semigroups_of_different_sizes(self):
         rng = random.Random(31)
@@ -279,15 +279,18 @@ class TestShorten:
         clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, 9), 3))
                         for _ in range(34))
         inst = reduce_nilpotent(CnfFormula(8, clauses))
-        hs = [c.morphism for c in inst.constraints]
-        k = li_degree(hs[0].target)
+        k = li_degree(inst.constraints[0].semigroup)
+        # one fresh table shared by every constraint, so no degree is cached yet
+        S = Semigroup(inst.constraints[0].semigroup.table)
+        hs = [Morphism(c.morphism.images, S) for c in inst.constraints]
         calls = []
+        chain = varieties._product_chain
 
-        def counted(S):
+        def counted(S, bound):
             calls.append(S)
-            return li_degree(S)
+            return chain(S, bound)
 
-        monkeypatch.setattr(solve, "li_degree", counted)
+        monkeypatch.setattr(varieties, "_product_chain", counted)
         word = tuple(rng.randrange(16) for _ in range(2 * k + 5))
         assert li_witness_shorten(hs, word, k) == word[:k] + word[-k:]
         assert len(calls) == 1
@@ -296,7 +299,7 @@ class TestShorten:
         group = Morphism((0,) * 16, cyclic(2))
         with pytest.raises(PreconditionError) as exc:
             li_witness_shorten(hs + [group, hs[0]], word, k)
-        assert exc.value.constraint == len(hs) and len(calls) == 2
+        assert exc.value.constraint == len(hs) and len(calls) == 1
 
 
 class TestLiSolve:
@@ -327,36 +330,35 @@ class TestLiSolve:
             li_solve(_single(cyclic(2), (1,), (0,)))
         assert exc.value.predicate == "is_li"
 
+    def test_under_reported_degree_trips_the_2k_check(self, monkeypatch):
+        # the witness a a a of mincap(4) has length 3, past twice a degree of 1
+        I = _single(mincap(4), (0,), (2,))
+        assert li_solve(I).witness.word == (0, 0, 0)
+        monkeypatch.setattr(solve, "li_degree", lambda S: 1)
+        with pytest.raises(AssertionError):
+            li_solve(I)
+
     def test_agrees_with_brute(self, family_pool):
         rng = random.Random(77)
         li_pool = [S for S in family_pool if is_li(S)]
         for _ in range(40):
             semis = [rng.choice(li_pool) for _ in range(rng.randint(1, 2))]
             I = random_instance(rng, semis, rng.randint(1, 3), allow_empty_accept=True)
-            assert li_solve(I).status == brute_force_solve(I).status
-            # the per-instance cap never exceeds the size-based fallback 2N+2
+            assert _summary(li_solve(I)) == _summary(brute_force_solve(I))
+            # the 2k bound never exceeds the size-based bound 2N+2
             total = sum(S.size for S in semis)
             assert 2 * max(li_degree(S) for S in semis) <= 2 * total + 2
 
 
 class TestComli:
-    def test_length_bound_examples(self):
-        assert comli_length_bound(_single(mincap(3), (0,), (2,))) == 9
-        assert comli_length_bound(_single(trivial(), (0,), (0,))) == 1
-        I = Instance(("a",), (
-            Constraint(Morphism((0,), mincap(3)), frozenset({2})),
-            Constraint(Morphism((0,), mincap(4)), frozenset({3})),
-        ))
-        assert comli_length_bound(I) == 20  # c = 4, ceil(log2 12) = 4
-
-    def test_bound_rejects_noncommutative(self):
+    def test_rejects_noncommutative(self):
         with pytest.raises(PreconditionError) as exc:
-            comli_length_bound(_single(leftzero(2), (0,), (0,)))
+            comli_solve(_single(leftzero(2), (0,), (0,)))
         assert exc.value.predicate == "is_commutative"
 
-    def test_bound_rejects_groups(self):
+    def test_rejects_groups(self):
         with pytest.raises(PreconditionError) as exc:
-            comli_length_bound(_single(cyclic(3), (0,), (0,)))
+            comli_solve(_single(cyclic(3), (0,), (0,)))
         assert exc.value.predicate == "is_li"
 
     def test_zero_accepting_witness(self):
@@ -375,10 +377,7 @@ class TestComli:
         for _ in range(40):
             semis = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
             I = random_instance(rng, semis, rng.randint(1, 3), allow_empty_accept=True)
-            a, b = brute_force_solve(I), comli_solve(I)
-            assert a.status == b.status and b.complete
-            if a.satisfiable:
-                assert a.witness.word == b.witness.word
+            assert _summary(comli_solve(I)) == _summary(brute_force_solve(I))
 
 
 class TestEnumSlp:

@@ -14,8 +14,8 @@ from sgisect.solve import li_solve, li_witness_shorten
 from sgisect.varieties import (classify, is_a2n, is_commutative, is_group, is_li, is_monoid,
                                is_nilpotent, li_degree, satisfies_li_k)
 
-from _oracles import (is_group_definitional, is_nilpotent_definitional, li_degree_definitional,
-                      sample_size4_subsemigroups)
+from _oracles import (is_a2n_definitional, is_commutative_definitional, is_group_definitional,
+                      is_nilpotent_definitional, li_degree_definitional, sample_size4_subsemigroups)
 
 
 class TestPredicateExamples:
@@ -85,6 +85,22 @@ class TestNilpotentAgainstDefinitionalCheck:
         assert any(is_nilpotent(S) for S in pool) and not all(is_nilpotent(S) for S in pool)
         for S in pool:
             assert is_nilpotent(S) == is_nilpotent_definitional(S), S.table
+
+
+class TestCommutativeAndA2nAgainstDefinitionalChecks:
+    def test_small_and_family_pool(self, small_semigroups, family_pool):
+        pool = small_semigroups + family_pool + [nilinterval(4)]
+        for predicate in (is_commutative, is_a2n):
+            assert any(predicate(S) for S in pool) and not all(predicate(S) for S in pool)
+        for S in pool:
+            assert is_commutative(S) == is_commutative_definitional(S), S.table
+            assert is_a2n(S) == is_a2n_definitional(S), S.table
+
+    def test_size4_subsemigroups(self):
+        rng = random.Random(20241)
+        for S in sample_size4_subsemigroups(rng, 60):
+            assert is_commutative(S) == is_commutative_definitional(S), S.table
+            assert is_a2n(S) == is_a2n_definitional(S), S.table
 
 
 class TestDegreeAgainstDefinitionalCheck:
