@@ -1,9 +1,15 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell over the library.
 
 Exit codes: 0 = satisfiable / valid / success, 1 = empty / invalid,
 2 = usage or input error, or a solver that hit its state cap or ran out of
 memory.  Results go to stdout, diagnostics to stderr; ``--json`` switches
 commands that report results to machine-readable output.
+
+Every input file goes through one loader, so every read or parse error names
+its file (the formats layer adds the line number), and ``run_command`` turns
+every error into one ``error: ...`` line and exit 2.  ``shorten`` defaults to
+the largest ``li_degree`` of the constraints.  ``--max-depth`` is accepted
+only with ``--strategy brute``, and ``--slp-size`` only with ``--strategy slp``.
 """
 
 from __future__ import annotations
@@ -11,33 +17,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .circuits import slp_to_circuit
 from .core import AssociativityError
 from .families import FAMILY_BUILDERS, build_family, build_product
-from .formats import (FormatError, parse_instance, parse_slp_text, parse_table_text,
-                      serialize_circuit_text, serialize_instance, serialize_slp_text,
-                      serialize_table_text)
+from .formats import (parse_instance, parse_slp_text, parse_table_text, serialize_circuit_text,
+                      serialize_instance, serialize_slp_text, serialize_table_text)
 from .reductions import parse_dimacs, reduce_nilpotent, reduce_unbounded
 from .slp import power_slp
 from .solve import (Instance, PreconditionError, StateCapError, Witness, bounded_solve,
                     brute_force_solve, comli_solve, enum_slp_solve, li_solve,
                     li_witness_shorten, verify_witness)
-from .varieties import classify, li_degree
+from .varieties import classify
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _load(path: str, parse, *args):
+    """``parse(text, *args)`` on the file at ``path``; a read or parse error names the path.
 
-
-def _read(path: str) -> str:
+    An ``AssociativityError`` passes through unchanged, for ``classify`` to report.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except AssociativityError:
+        raise
     except OSError as exc:
-        raise _CliError(2, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -47,22 +55,15 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_instance(path: str) -> Instance:
-    try:
-        return parse_instance(_read(path))
-    except FormatError as exc:
-        raise _CliError(2, f"{path}: {exc}") from exc
-
-
 def _parse_word(instance: Instance, text: str) -> tuple[int, ...]:
     index = {name: i for i, name in enumerate(instance.letter_names)}
     letters = []
     for tok in text.split():
         if tok not in index:
-            raise _CliError(2, f"unknown letter {tok!r}; alphabet is {' '.join(instance.letter_names)}")
+            raise ValueError(f"unknown letter {tok!r}; alphabet is {' '.join(instance.letter_names)}")
         letters.append(index[tok])
     if not letters:
-        raise _CliError(2, "the witness word must be non-empty")
+        raise ValueError("the witness word must be non-empty")
     return tuple(letters)
 
 
@@ -72,31 +73,19 @@ def _word_names(instance: Instance, word) -> str:
 
 def _cmd_classify(args) -> int:
     try:
-        S = parse_table_text(_read(args.table))
+        S = _load(args.table, parse_table_text)
     except AssociativityError as exc:
         if args.json:
             print(json.dumps({"valid": False, "violation": list(exc.triple)}))
         else:
             print(f"INVALID: {exc}")
         return 1
-    except FormatError as exc:
-        raise _CliError(2, f"{args.table}: {exc}") from exc
-    report = classify(S)
-    fields = [
-        ("size", S.size),
-        ("commutative", report.is_commutative),
-        ("group", report.is_group),
-        ("monoid", report.is_monoid),
-        ("nilpotent", report.is_nilpotent),
-        ("li", report.is_li),
-        ("li_degree", report.li_degree),
-        ("a2n", report.is_a2n),
-        ("class_order", report.class_order),
-    ]
+    report = {key.removeprefix("is_"): value for key, value in asdict(classify(S)).items()}
+    fields = {"size": S.size, **report}
     if args.json:
-        print(json.dumps({"valid": True, **dict(fields)}))
+        print(json.dumps({"valid": True, **fields}))
     else:
-        for key, value in fields:
+        for key, value in fields.items():
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif value is None:
@@ -114,17 +103,19 @@ def _run_strategy(instance: Instance, args):
         return li_solve(instance)
     if args.strategy == "comli":
         return comli_solve(instance)
-    return enum_slp_solve(instance, args.slp_size)
+    return enum_slp_solve(instance, 4 if args.slp_size is None else args.slp_size)
 
 
 def _cmd_solve(args) -> int:
-    if args.max_depth is not None and args.strategy != "brute":
-        raise _CliError(2, f"--max-depth applies to --strategy brute only, not {args.strategy!r}")
-    instance = _load_instance(args.instance)
+    for flag, value, strategy in (("--max-depth", args.max_depth, "brute"),
+                                  ("--slp-size", args.slp_size, "slp")):
+        if value is not None and args.strategy != strategy:
+            raise ValueError(f"{flag} applies to --strategy {strategy} only, not {args.strategy!r}")
+    instance = _load(args.instance, parse_instance)
     try:
         result = _run_strategy(instance, args)
     except PreconditionError as exc:
-        raise _CliError(2, f"strategy {args.strategy!r} not applicable: {exc}") from exc
+        raise ValueError(f"strategy {args.strategy!r} not applicable: {exc}") from exc
 
     if args.json:
         payload = {
@@ -158,72 +149,48 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        formula = parse_dimacs(_read(args.cnf))
-    except ValueError as exc:
-        raise _CliError(2, f"{args.cnf}: {exc}") from exc
-    try:
-        build = reduce_unbounded if args.gadget == "unbounded" else reduce_nilpotent
-        instance = build(formula)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
-    _write_out(serialize_instance(instance), args.output)
+    formula = _load(args.cnf, parse_dimacs)
+    build = reduce_unbounded if args.gadget == "unbounded" else reduce_nilpotent
+    _write_out(serialize_instance(build(formula)), args.output)
     return 0
 
 
 def _cmd_shorten(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, parse_instance)
     word = _parse_word(instance, args.word)
-    if args.degree is not None:
-        k = args.degree
-    else:
-        degrees = [li_degree(c.semigroup) for c in instance.constraints]
-        if None in degrees:
-            i = degrees.index(None)
-            raise _CliError(2, f"constraint {instance.constraint_name(i)} violates is_li")
-        k = max(degrees)
     try:
-        short = li_witness_shorten([c.morphism for c in instance.constraints], word, k)
+        short = li_witness_shorten([c.morphism for c in instance.constraints], word, args.degree)
     except PreconditionError as exc:
-        raise _CliError(2, str(exc)) from exc
+        raise ValueError(f"constraint {instance.constraint_name(exc.constraint)} "
+                         f"violates {exc.predicate}") from exc
     print(_word_names(instance, short))
     return 0
 
 
 def _cmd_power_slp(args) -> int:
-    try:
-        G, names = parse_slp_text(_read(args.slp))
-    except FormatError as exc:
-        raise _CliError(2, f"{args.slp}: {exc}") from exc
+    G, names = _load(args.slp, parse_slp_text)
     if args.exp < 1:
-        raise _CliError(2, "exponent must be >= 1")
+        raise ValueError("exponent must be >= 1")
     _write_out(serialize_slp_text(power_slp(G, args.exp), names), args.output)
     return 0
 
 
 def _cmd_emit_circuit(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        G, _ = parse_slp_text(_read(args.slp), instance.letter_names)
-    except FormatError as exc:
-        raise _CliError(2, f"{args.slp}: {exc}") from exc
+    instance = _load(args.instance, parse_instance)
+    G, _ = _load(args.slp, parse_slp_text, instance.letter_names)
     if not 0 <= args.constraint < len(instance.constraints):
-        raise _CliError(2, f"constraint index {args.constraint} out of range")
+        raise ValueError(f"constraint index {args.constraint} out of range")
     circuit = slp_to_circuit(G, instance.constraints[args.constraint].morphism)
     _write_out(serialize_circuit_text(circuit), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, parse_instance)
     if args.word is not None:
         witness = Witness.from_word(_parse_word(instance, args.word), "cli")
     else:
-        try:
-            G, _ = parse_slp_text(_read(args.slp), instance.letter_names)
-        except FormatError as exc:
-            raise _CliError(2, f"{args.slp}: {exc}") from exc
-        witness = Witness.from_slp(G, "cli")
+        witness = Witness.from_slp(_load(args.slp, parse_slp_text, instance.letter_names)[0], "cli")
     result = verify_witness(instance, witness)
     names = [instance.constraint_name(i) for i in range(len(instance.constraints))]
     if args.json:
@@ -241,17 +208,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.family == "product":
-            if not args.params:
-                raise _CliError(2, "product needs at least one factor spec like mincap:3")
-            S = build_product(args.params)
-        else:
-            if len(args.params) != 1:
-                raise _CliError(2, f"family {args.family!r} takes exactly one integer parameter")
-            S = build_family(f"{args.family}:{args.params[0]}")
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    if args.family == "product":
+        if not args.params:
+            raise ValueError("product needs at least one factor spec like mincap:3")
+        S = build_product(args.params)
+    else:
+        if len(args.params) != 1:
+            raise ValueError(f"family {args.family!r} takes exactly one integer parameter")
+        S = build_family(f"{args.family}:{args.params[0]}")
     _write_out(serialize_table_text(S), args.output)
     return 0
 
@@ -270,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an SGI instance")
     p.add_argument("instance")
     p.add_argument("--strategy", choices=["brute", "li", "comli", "slp"], default="brute")
-    p.add_argument("--slp-size", type=int, default=4, help="SLP size bound for --strategy slp")
+    p.add_argument("--slp-size", type=int, default=None,
+                   help="SLP size bound, for --strategy slp only (default: 4)")
     p.add_argument("--max-depth", type=int, default=None,
                    help="length cap, for --strategy brute only (result may be incomplete)")
     p.add_argument("--json", action="store_true")
@@ -329,10 +294,7 @@ def run_command(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FormatError, ValueError, OSError, StateCapError) as exc:
+    except (ValueError, OSError, StateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

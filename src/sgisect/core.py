@@ -15,6 +15,7 @@ are equal and read-only, so keeping either is correct.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -256,57 +257,29 @@ def subsemigroup_closure(S: Semigroup, gens) -> frozenset[int]:
     return frozenset(closed)
 
 
-def _mixed_radix(sizes: list[int]) -> list[int]:
-    # stride[i] = product of sizes[i+1:], so tuples map to indices row-major
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return strides
-
-
 def direct_product(factors, cap: int = DEFAULT_PRODUCT_CAP) -> tuple[Semigroup, list[tuple[int, ...]]]:
     """Componentwise product of the factors, plus one projection table per factor.
 
-    Element (x_1, ..., x_k) gets index sum(stride_i * x_i) with the last factor
-    varying fastest; projections[i][idx] recovers component i.
+    Element (x_1, ..., x_k) gets its row-major index over the factor sizes
+    (``np.ravel_multi_index``), the last factor varying fastest;
+    projections[i][idx] recovers component i.  ``cap`` bounds the cells of
+    the product's table, n * n, and is checked before anything is built.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("at least one factor required")
-    sizes = [f.size for f in factors]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > cap:
-            raise ValueError(f"product size exceeds cap {cap}")
-    strides = _mixed_radix(sizes)
-    k = len(factors)
-
-    comps = []
-    for idx in range(total):
-        rem = idx
-        tup = []
-        for i in range(k):
-            tup.append(rem // strides[i])
-            rem %= strides[i]
-        comps.append(tuple(tup))
-
-    tables = [f.table for f in factors]
-    rows = []
-    for xc in comps:
-        row = []
-        for yc in comps:
-            idx = 0
-            for i in range(k):
-                idx += strides[i] * tables[i][xc[i]][yc[i]]
-            row.append(idx)
-        rows.append(tuple(row))
-
+    sizes = tuple(f.size for f in factors)
+    n = math.prod(sizes)
+    if n * n > cap:
+        raise ValueError(f"product table of {n} x {n} cells exceeds cap {cap}")
+    comps = np.unravel_index(np.arange(n), sizes)
+    table = np.ravel_multi_index([f.array[c[:, None], c] for f, c in zip(factors, comps)], sizes)
+    projections = [tuple(c.tolist()) for c in comps]
     labels = None
     if all(f.labels is not None for f in factors):
-        labels = tuple("(" + ",".join(factors[i].labels[c[i]] for i in range(k)) + ")" for c in comps)
-    projections = [tuple(c[i] for c in comps) for i in range(k)]
-    return Semigroup(tuple(rows), labels), projections
+        columns = [[f.labels[x] for x in p] for f, p in zip(factors, projections)]
+        labels = tuple("(" + ",".join(parts) + ")" for parts in zip(*columns))
+    return Semigroup(table.tolist(), labels), projections
 
 
 def apply_morphism(h: Morphism, word) -> int:
@@ -336,6 +309,4 @@ def product_morphism(hs, cap: int = DEFAULT_PRODUCT_CAP) -> Morphism:
         if h.alphabet_size != m:
             raise ValueError(f"alphabet mismatch: morphism {i} has {h.alphabet_size} letters, expected {m}")
     prod, _ = direct_product([h.target for h in hs], cap)
-    strides = _mixed_radix([h.target.size for h in hs])
-    images = tuple(sum(strides[i] * hs[i].images[a] for i in range(len(hs))) for a in range(m))
-    return Morphism(images, prod)
+    return Morphism(np.ravel_multi_index([h.images for h in hs], [h.target.size for h in hs]), prod)

@@ -262,54 +262,38 @@ def parse_slp_text(text: str, letter_names=None) -> tuple[Slp, tuple[str, ...]]:
 
     fixed = letter_names is not None
     letters: dict[str, int] = {name: i for i, name in enumerate(letter_names)} if fixed else {}
-    var_ids: dict[str, int] = {}
-    bodies: dict[int, list] = {}
-
-    def var_id(tok: str, lineno: int) -> int:
-        if not tok.startswith("X"):
-            raise FormatError(f"variable token {tok!r} must start with 'X'", lineno)
-        return var_ids.setdefault(tok, len(var_ids))
-
-    raw_defs = []
+    var_ids: dict[str, int] = {}  # in definition order, which is id order
+    bodies = []
     for lineno, tokens in lines[2:]:
         if len(tokens) < 3 or tokens[1] != "=":
             raise FormatError("expected '<var> = <sym> ...'", lineno)
-        raw_defs.append((lineno, tokens))
-    for lineno, tokens in raw_defs:
-        v = var_id(tokens[0], lineno)
-        if v in bodies:
+        if not tokens[0].startswith("X"):
+            raise FormatError(f"variable token {tokens[0]!r} must start with 'X'", lineno)
+        if tokens[0] in var_ids:
             raise FormatError(f"variable {tokens[0]!r} defined twice", lineno)
-        body = []
+        var_ids[tokens[0]] = len(var_ids)
         for tok in tokens[2:]:
-            if tok.startswith("X"):
-                body.append(("v", tok))
-            else:
-                if tok not in letters:
-                    if fixed:
-                        raise FormatError(f"unknown letter {tok!r}", lineno)
-                    letters[tok] = len(letters)
-                body.append(("l", letters[tok]))
-        bodies[v] = (lineno, body)
+            if not tok.startswith("X") and tok not in letters:
+                if fixed:
+                    raise FormatError(f"unknown letter {tok!r}", lineno)
+                letters[tok] = len(letters)
+        bodies.append((lineno, tokens[2:]))
     if start_tok not in var_ids:
         raise FormatError(f"start variable {start_tok!r} is never defined")
 
-    rhs = []
-    for lineno, body in bodies.values():  # in id order: a definition creates its id
-        symbols = []
-        for kind, val in body:
-            if kind == "l":
-                symbols.append(val)
-            else:
-                if val not in var_ids:
-                    raise FormatError(f"variable {val!r} is referenced but never defined", lineno)
-                symbols.append(var_ref(var_ids[val]))
-        rhs.append(tuple(symbols))
+    def symbol(tok: str, lineno: int) -> int:
+        if not tok.startswith("X"):
+            return letters[tok]
+        if tok not in var_ids:
+            raise FormatError(f"variable {tok!r} is referenced but never defined", lineno)
+        return var_ref(var_ids[tok])
 
+    rhs = tuple(tuple(symbol(tok, lineno) for tok in body) for lineno, body in bodies)
     alphabet = len(letters) if not fixed else len(letter_names)
     if alphabet == 0:
         raise FormatError("SLP uses no letters and no alphabet was supplied")
-    G = validate_slp(alphabet, tuple(rhs), var_ids[start_tok])
-    names = tuple(letter_names) if fixed else tuple(sorted(letters, key=letters.get))
+    G = validate_slp(alphabet, rhs, var_ids[start_tok])
+    names = tuple(letter_names) if fixed else tuple(letters)
     return G, names
 
 

@@ -318,16 +318,22 @@ def bounded_solve(instance: Instance, depth_cap: int,
     return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
 
 
-def li_witness_shorten(morphisms, word, k: int) -> tuple[int, ...]:
+def li_witness_shorten(morphisms, word, k: int | None = None) -> tuple[int, ...]:
     """Replace a word longer than 2k by its length-k prefix and suffix.
 
     Every target must be locally trivial of degree at most k; then the
-    shortened word has the same image under every morphism (checked).  Words
+    shortened word has the same image under every morphism (checked).  With
+    k None it is the largest ``li_degree`` of the targets, and a target that
+    is not locally trivial raises ``PreconditionError("is_li", i)``.  Words
     of length <= 2k are returned unchanged.
     """
     morphisms = list(morphisms)
-    for i, h in enumerate(morphisms):
-        d = li_degree(h.target)
+    degrees = [li_degree(h.target) for h in morphisms]
+    if k is None:
+        if None in degrees:
+            raise PreconditionError("is_li", degrees.index(None))
+        k = max(degrees)
+    for i, d in enumerate(degrees):
         if d is None or d > k:
             raise PreconditionError(f"li_degree <= {k}", i)
     word = tuple(word)

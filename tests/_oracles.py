@@ -34,6 +34,29 @@ def first_nonassociative_triple(table):
     return None
 
 
+def direct_product_definitional(factors) -> tuple[Semigroup, list[tuple[int, ...]]]:
+    """``core.direct_product`` as a plain loop over element tuples, row-major in the factors."""
+    factors = list(factors)
+    sizes = [f.size for f in factors]
+    strides = [1] * len(sizes)  # stride[i] = product of sizes[i+1:]
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    k = len(factors)
+    comps = []
+    for idx in range(strides[0] * sizes[0]):
+        rem, tup = idx, []
+        for i in range(k):
+            tup.append(rem // strides[i])
+            rem %= strides[i]
+        comps.append(tuple(tup))
+    rows = tuple(tuple(sum(strides[i] * factors[i].table[xc[i]][yc[i]] for i in range(k)) for yc in comps)
+                 for xc in comps)
+    labels = None
+    if all(f.labels is not None for f in factors):
+        labels = tuple("(" + ",".join(factors[i].labels[c[i]] for i in range(k)) + ")" for c in comps)
+    return Semigroup(rows, labels), [tuple(c[i] for c in comps) for i in range(k)]
+
+
 def words_in_order(alphabet_size: int, max_len: int):
     """All non-empty words up to max_len, shortest first, lexicographic within a length."""
     for length in range(1, max_len + 1):

@@ -115,14 +115,17 @@ class TestSolve:
         code, out, _ = _run(capsys, "solve", str(path), "--max-depth", "3")
         assert code == 0 and "witness: a a a" in out
 
-    @pytest.mark.parametrize("strategy", ["li", "comli", "slp"])
-    def test_max_depth_with_another_strategy_is_an_error(self, capsys, tmp_path, strategy):
+    @pytest.mark.parametrize("flag, strategy", [
+        ("--max-depth", "li"), ("--max-depth", "comli"), ("--max-depth", "slp"),
+        ("--slp-size", "brute"), ("--slp-size", "li"), ("--slp-size", "comli")],
+        ids=["li", "comli", "slp", "slp-size-brute", "slp-size-li", "slp-size-comli"])
+    def test_max_depth_with_another_strategy_is_an_error(self, capsys, tmp_path, flag, strategy):
         path = tmp_path / "deep.sgi"
         path.write_text("SGI 1\nALPHABET 1\nNAMES a\nTABLE T0 4\n1 2 3 3\n2 3 3 3\n3 3 3 3\n3 3 3 3\nEND\n"
                         "CONSTRAINT T0\nIMAGES 0\nACCEPT 2\nEND\n")
-        code, out, err = _run(capsys, "solve", str(path), "--strategy", strategy, "--max-depth", "2")
+        code, out, err = _run(capsys, "solve", str(path), "--strategy", strategy, flag, "1")
         assert code == 2 and out == ""
-        assert "--max-depth" in err and strategy in err
+        assert flag in err and strategy in err
 
     def test_json(self, capsys, sat_gadget):
         code, out, _ = _run(capsys, "solve", "--json", sat_gadget)
@@ -236,6 +239,8 @@ class TestShorten:
                          "CONSTRAINT T0\nIMAGES 0\nACCEPT 3\nEND\n")
         code, out, _ = _run(capsys, "shorten", str(table), "--word", "a a a a a")
         assert code == 0 and out.strip() == "a a a a"
+        code, out, err = _run(capsys, "shorten", str(table), "--word", "a a a a a", "--degree", "1")
+        assert code == 2 and out == "" and "constraint c0 violates li_degree <= 1" in err
 
     def test_rejects_group_instance(self, capsys, tmp_path):
         path = tmp_path / "group.sgi"
@@ -298,6 +303,49 @@ class TestGen:
     def test_unknown_family(self, capsys):
         code, _, _ = _run(capsys, "gen", "nosuch", "3")
         assert code == 2
+
+    def test_oversize_product_rejected_before_building(self, capsys):
+        # 10**6 elements, 10**12 table cells
+        code, out, err = _run(capsys, "gen", "product", "mincap:100", "mincap:100", "mincap:100")
+        assert code == 2 and out == "" and "cap" in err
+
+
+MALFORMED = {
+    "table": "0 1\n1\n",
+    "sgi": "not an instance\n",
+    "slp": "SLP 1\nSTART X0\nX0 = X1 x1\nX1 = X0\n",  # a variable cycle
+    "cnf": "p cnf 1 1\nx 0\n",
+}
+
+
+class TestLoader:
+    """Every argument that names an input file: a fault names the path and exits 2."""
+
+    @pytest.mark.parametrize("fault", ["missing", "malformed"])
+    @pytest.mark.parametrize("argv, kind", [
+        (["classify", "--table", "{file}"], "table"),
+        (["solve", "{file}"], "sgi"),
+        (["verify", "{file}", "--word", "x1"], "sgi"),
+        (["shorten", "{file}", "--word", "x1"], "sgi"),
+        (["emit-circuit", "{file}", "--slp", "{slp}"], "sgi"),
+        (["verify", "{sgi}", "--slp", "{file}"], "slp"),
+        (["emit-circuit", "{sgi}", "--slp", "{file}"], "slp"),
+        (["power-slp", "{file}", "--exp", "2"], "slp"),
+        (["reduce", "{file}"], "cnf"),
+    ], ids=["classify-table", "solve", "verify", "shorten", "emit-circuit", "verify-slp",
+            "emit-circuit-slp", "power-slp", "reduce"])
+    def test_fault_names_the_file(self, capsys, sat_gadget, tmp_path, argv, kind, fault):
+        slp = tmp_path / "w.slp"
+        slp.write_text("SLP 1\nSTART X0\nX0 = x1\n")
+        path = tmp_path / f"input.{kind}"
+        if fault == "malformed":
+            path.write_text(MALFORMED[kind])
+        argv = [a.format(file=path, sgi=sat_gadget, slp=slp) for a in argv]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        if fault == "missing":
+            assert f"cannot read {path}" in err
 
 
 class TestSolverFailures:

@@ -10,10 +10,11 @@ from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, apply
                           local_monoid, monogenic_orders, multiply, power, product_morphism,
                           sub_semigroup, subsemigroup_closure)
 from sgisect import families
-from sgisect.families import build_family, leftzero, mincap, nilinterval, trivial
+from sgisect.families import (build_family, cyclic, leftzero, mincap, nilinterval, rightzero,
+                              trivial)
 from sgisect.varieties import is_li, is_nilpotent
 
-from _oracles import first_nonassociative_triple, fold
+from _oracles import direct_product_definitional, first_nonassociative_triple, fold
 
 
 class TestCheckAssociative:
@@ -292,8 +293,25 @@ class TestDirectProduct:
                     assert projs[i][z] == F.table[projs[i][x]][projs[i][y]]
 
     def test_cap(self):
+        # the cap bounds the table's cells, n * n, and the factor sizes alone decide
         with pytest.raises(ValueError, match="cap"):
             direct_product([mincap(4)] * 3, cap=60)
+        assert direct_product([mincap(4)] * 2, cap=256)[0].size == 16
+        with pytest.raises(ValueError, match="cap 255"):
+            direct_product([mincap(4)] * 2, cap=255)
+        factors = [mincap(100) for _ in range(3)]  # 10**6 elements, 10**12 cells
+        with pytest.raises(ValueError, match="cap"):
+            direct_product(factors)
+        assert all("array" not in f.__dict__ for f in factors)  # no factor array was built
+
+    def test_matches_definitional_product(self, family_pool):
+        cases = [[a, b] for a in family_pool for b in family_pool]
+        cases += [[mincap(2), mincap(3), mincap(4)], [cyclic(2), leftzero(2), nilinterval(2)],
+                  [rightzero(2), mincap(3), cyclic(3)], [trivial(), cyclic(2), trivial()]]
+        for factors in cases:
+            P, projs = direct_product(factors)
+            Q, qprojs = direct_product_definitional(factors)
+            assert (P.table, P.labels, projs) == (Q.table, Q.labels, qprojs)
 
 
 class TestApplyMorphism:

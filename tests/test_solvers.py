@@ -259,6 +259,17 @@ class TestShorten:
         with pytest.raises(PreconditionError):
             li_witness_shorten([h], (0,) * 7, 2)
 
+    def test_default_degree_is_the_largest(self):
+        hs = [Morphism((0,), mincap(4)), Morphism((0,), mincap(6))]  # degrees 2 and 3
+        assert li_witness_shorten(hs, (0,) * 9) == (0,) * 6
+        assert li_witness_shorten(hs, (0,) * 6) == (0,) * 6
+
+    def test_default_degree_rejects_non_locally_trivial_target(self):
+        hs = [Morphism((0,), mincap(4)), Morphism((0,), cyclic(2))]
+        with pytest.raises(PreconditionError) as exc:
+            li_witness_shorten(hs, (0,) * 9)
+        assert (exc.value.predicate, exc.value.constraint) == ("is_li", 1)
+
     def test_randomized_image_equality(self):
         rng = random.Random(1234)
         pool = [mincap(m) for m in range(2, 11)] + [leftzero(n) for n in (1, 2, 3)] \
