@@ -124,6 +124,7 @@ def _cmd_solve(args) -> int:
             "stats": {
                 "states_explored": result.stats.states_explored,
                 "max_depth": result.stats.max_depth,
+                "candidates": result.stats.candidates,
                 "wall_time": result.stats.wall_time,
             },
         }

@@ -257,6 +257,12 @@ def subsemigroup_closure(S: Semigroup, gens) -> frozenset[int]:
     return frozenset(closed)
 
 
+def check_table_cells(n: int, cap: int = DEFAULT_PRODUCT_CAP) -> None:
+    """Raise ValueError when the table of an n-element semigroup, n * n cells, exceeds cap."""
+    if n * n > cap:
+        raise ValueError(f"table of {n} x {n} cells exceeds cap {cap}")
+
+
 def direct_product(factors, cap: int = DEFAULT_PRODUCT_CAP) -> tuple[Semigroup, list[tuple[int, ...]]]:
     """Componentwise product of the factors, plus one projection table per factor.
 
@@ -270,8 +276,7 @@ def direct_product(factors, cap: int = DEFAULT_PRODUCT_CAP) -> tuple[Semigroup, 
         raise ValueError("at least one factor required")
     sizes = tuple(f.size for f in factors)
     n = math.prod(sizes)
-    if n * n > cap:
-        raise ValueError(f"product table of {n} x {n} cells exceeds cap {cap}")
+    check_table_cells(n, cap)
     comps = np.unravel_index(np.arange(n), sizes)
     table = np.ravel_multi_index([f.array[c[:, None], c] for f, c in zip(factors, comps)], sizes)
     projections = [tuple(c.tolist()) for c in comps]

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
-from .core import Semigroup, direct_product, sub_semigroup  # noqa: F401 (re-exported)
+from .core import Semigroup, check_table_cells, direct_product, sub_semigroup  # noqa: F401 (re-exported)
 
 
 def mincap(k: int) -> Semigroup:
@@ -105,20 +106,39 @@ FAMILY_BUILDERS = {
 }
 
 
-def build_family(spec: str) -> Semigroup:
-    """Build a semigroup from a spec token like ``mincap:4``."""
+def _parse_spec(spec: str) -> tuple[str, int]:
     name, sep, arg = spec.partition(":")
     if not sep or name not in FAMILY_BUILDERS:
         known = ", ".join(sorted(FAMILY_BUILDERS))
         raise ValueError(f"bad family spec {spec!r}; expected one of {known} with :<n>")
     try:
-        k = int(arg)
+        return name, int(arg)
     except ValueError:
         raise ValueError(f"bad family parameter in {spec!r}") from None
+
+
+def _element_count(name: str, k: int) -> int:
+    """The size of ``FAMILY_BUILDERS[name](k)``, without building it."""
+    return k * (k + 1) // 2 + 1 if name == "nilinterval" else k
+
+
+def build_family(spec: str) -> Semigroup:
+    """Build a semigroup from a spec token like ``mincap:4``.
+
+    The table's cell cap is checked from the element count before building.
+    """
+    name, k = _parse_spec(spec)
+    check_table_cells(_element_count(name, k))
     return FAMILY_BUILDERS[name](k)
 
 
 def build_product(specs) -> Semigroup:
-    factors = [build_family(s) for s in specs]
-    prod, _ = direct_product(factors)
+    """The direct product of the spec tokens' semigroups.
+
+    The product's cell cap is checked from the factors' element counts
+    before any factor is built, so an oversize product costs no table.
+    """
+    parsed = [_parse_spec(s) for s in specs]
+    check_table_cells(math.prod(_element_count(name, k) for name, k in parsed))
+    prod, _ = direct_product([FAMILY_BUILDERS[name](k) for name, k in parsed])
     return prod

@@ -15,9 +15,18 @@ accept set: each constraint's live elements (those some product of letter
 images, possibly empty, takes into the accept set) are computed once per
 call, and candidates with a dead component are dropped.  Candidates are
 deduplicated on an exact bit packing of the tuple into uint64 words, sorted
-with a stable lexsort, so each tuple keeps its first discovery.  Neither
-device reorders the live candidates, so the witness is the same shortest,
-lexicographically least word the unpruned search finds.
+with a stable lexsort, so each tuple keeps its first discovery.  Letters a
+and b commute when h(a)h(b) == h(b)h(a) in every constraint, and the search
+never extends a word ending in l by a smaller letter commuting with l: it
+builds only the lexicographic normal forms of trace theory.  The least
+shortest word reaching a tuple is such a normal form, and each of its
+prefixes is the least shortest word reaching its own tuple, so by induction
+every tuple is still found at the same depth through the same word.  None of the three devices changes the witness, the states or the
+depth: the answer is the shortest, lexicographically least word the plain
+search finds.  On the counting gadget, where all letters commute, the rule
+made ``li_solve`` on random 3-CNF about 3x faster: k=8 went from 0.7-1.1 s
+and 267 MB to 0.26-0.42 s and 120 MB, k=9 from 6.4-9.9 s and 1.5 GB to
+2.1-3.2 s and 547 MB (2-vCPU VM whose speed drifts between runs).
 
 ``enum_slp_solve`` is separate from the BFS: it returns the first canonical
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
@@ -144,6 +153,7 @@ class SolveStats:
     states_explored: int
     max_depth: int
     wall_time: float
+    candidates: int = 0  # BFS (row, letter) pairs generated over all depths; 0 for SLP enumeration
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
     orders ascending, and first discovery wins, so the first accepting state in
     a layer corresponds to the lexicographically least among shortest words.
 
-    Two devices keep the layers small and cheap without changing that word:
+    Three devices keep the layers small and cheap without changing that word:
 
     - Liveness pruning.  An element is live when some product of letter
       images, possibly empty, takes it into its constraint's accept set.  A
@@ -201,6 +211,21 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       uint64 words, see ``_key_layout``.  A stable ``np.lexsort`` over the
       words puts equal candidates next to each other in candidate order, so
       keeping the first row of each run keeps each tuple's first discovery.
+    - Trace normal forms.  Letters a and b commute when h_i(a)h_i(b) ==
+      h_i(b)h_i(a) in every constraint; swapping adjacent commuting letters
+      changes no image.  A row whose word ends in l never continues with a
+      letter b < l that commutes with l (the empty word continues with any
+      letter), so only lexicographic normal forms are built (Anisimov and
+      Knuth 1979).  The state is still the image tuple alone.  The least
+      shortest word z reaching a tuple is a normal form, since a swap would
+      give a smaller word with the same images.  Each prefix of z is the
+      least shortest word reaching its own tuple, so by induction first
+      discovery keeps that prefix, and its last letter allows the next
+      letter of z.  So every tuple is found at the same depth, through the
+      same word, as without the rule: the states, depths and witness are
+      unchanged, and only ``candidates`` counts fewer pairs.  On the
+      counting gadget, where every two letters commute, about three
+      quarters of the candidates go.
 
     The tables are built with one gather per distinct Semigroup object, for
     all the constraints that share it (reduction gadgets share one among all
@@ -247,6 +272,18 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
             break
         live = grown
     live_letters = np.packbits(live[step], axis=1, bitorder="little")  # (total, ceil(A/8))
+    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i; the
+    # gather runs over chunks of constraints so that no (chunk, A, A) block is
+    # larger than step
+    image_ids = step[offsets + sizes]  # (k, A): the empty word's row holds each h_i(a)
+    forbidden = np.tri(A, k=-1, dtype=bool)
+    chunk = max(1, step.size // (A * A))
+    for lo in range(0, len(cons), chunk):
+        ab = step.take(image_ids[lo:lo + chunk], axis=0)  # (chunk, A, A): h_i(a)h_i(b)
+        forbidden &= (ab == ab.transpose(0, 2, 1)).all(axis=0)
+    # row l: the letters allowed after a word ending in l; row A: after the empty word
+    allowed_after = np.packbits(~np.vstack([forbidden, np.zeros(A, dtype=bool)]),
+                                axis=1, bitorder="little")
     row_bytes = np.dtype((np.void, 8 * len(word_ranges)))
 
     visited: set[bytes] = set()
@@ -261,20 +298,24 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
                 found = parents[found]
             witness = Witness(provenance, word=tuple(reversed(word)))
         status = SATISFIABLE if witness is not None else EMPTY
-        stats = SolveStats(len(visited), depth, time.perf_counter() - t0)
+        stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates)
         return SolveResult(status, witness, complete, stats)
 
     layer = (offsets + sizes)[:, None].astype(np.int32)  # (k, rows): the empty word
-    depth = 0
+    last = np.array([A])  # each row's last letter, A for the empty word
+    depth = candidates = 0
     while True:
         if depth_cap is not None and depth >= depth_cap:
             return done(None, depth, False)
-        # (row, letter) pairs whose successor is live in every component
+        # (row, letter) pairs whose successor is live in every component and
+        # whose word stays a normal form
         live_bits = np.bitwise_and.reduce(live_letters.take(layer, axis=0), axis=0)
+        live_bits &= allowed_after.take(last, axis=0)
         live_pairs = np.unpackbits(live_bits, axis=1, count=A, bitorder="little")
         parents, letters = np.divmod(np.flatnonzero(live_pairs), A)
         if parents.size == 0:
             return done(None, depth, True)
+        candidates += parents.size
         cand = step[layer[:, parents], letters]  # (k, candidates)
         keys = np.stack([np.bitwise_or.reduce(code[cand[lo:hi]], axis=0)
                          for lo, hi in word_ranges])
@@ -295,6 +336,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
 
         trail.append((parents[new], letters[new]))
         layer = cand[:, new]
+        last = letters[new]
         depth += 1
         hits = np.flatnonzero(accept.take(layer).all(axis=0))
         if hits.size:

@@ -14,7 +14,7 @@ from sgisect.core import Morphism, Semigroup, subsemigroup_closure
 from sgisect.families import (cyclic, leftzero, mincap, nilinterval, rightzero,
                               sub_semigroup)
 from sgisect.core import direct_product
-from sgisect.solve import Constraint, Instance
+from sgisect.solve import EMPTY, SATISFIABLE, Constraint, Instance
 
 
 def fold(S: Semigroup, seq) -> int:
@@ -80,6 +80,65 @@ def solve_by_word_enumeration(instance: Instance, max_len: int):
         if ok:
             return word
     return None
+
+
+def bfs_reference(instance: Instance, depth_cap: int | None = None):
+    """The engine's search as a plain tuple BFS, with no commutation rule.
+
+    Liveness pruning and first discovery as in ``solve._bfs``, every live
+    (tuple, letter) pair generated in parent-major, letter-minor order, and
+    nothing else.  Returns (status, word, states, depth, complete,
+    candidates) with the meanings of ``SolveResult`` and ``SolveStats``;
+    ``candidates`` counts every live pair, so it is the engine's count with
+    no pair dropped by the commutation rule.
+    """
+    A = instance.alphabet_size
+    tables = [c.semigroup.table for c in instance.constraints]
+    images = [c.morphism.images for c in instance.constraints]
+    lives = []
+    for t, imgs, c in zip(tables, images, instance.constraints):
+        live = set(c.accept)  # x is live when x times some product of images, or x, is accepted
+        grown = True
+        while grown:
+            more = {x for x in range(len(t)) if any(t[x][imgs[a]] in live for a in range(A))}
+            grown = not more <= live
+            live |= more
+        lives.append(live)
+
+    def succ_of(tup, a):
+        if tup is None:
+            return tuple(imgs[a] for imgs in images)
+        return tuple(t[x][imgs[a]] for t, imgs, x in zip(tables, images, tup))
+
+    visited = set()
+    layer = [(None, ())]  # (tuple, word); None is the empty word
+    depth = candidates = 0
+    while depth_cap is None or depth < depth_cap:
+        nxt = []
+        for tup, word in layer:
+            for a in range(A):
+                succ = succ_of(tup, a)
+                if all(s in live for s, live in zip(succ, lives)):
+                    candidates += 1
+                    if succ not in visited:
+                        visited.add(succ)
+                        nxt.append((succ, word + (a,)))
+        if not nxt:
+            return (EMPTY, None, len(visited), depth, True, candidates)
+        layer = nxt
+        depth += 1
+        for tup, word in layer:
+            if all(x in c.accept for x, c in zip(tup, instance.constraints)):
+                return (SATISFIABLE, word, len(visited), depth, True, candidates)
+    return (EMPTY, None, len(visited), depth, False, candidates)
+
+
+def commuting_letter_pairs(instance: Instance) -> set[tuple[int, int]]:
+    """Letter pairs a < b with h(a)h(b) == h(b)h(a) under every morphism."""
+    return {(a, b) for a, b in itertools.combinations(range(instance.alphabet_size), 2)
+            if all(c.semigroup.table[c.morphism.images[a]][c.morphism.images[b]]
+                   == c.semigroup.table[c.morphism.images[b]][c.morphism.images[a]]
+                   for c in instance.constraints)}
 
 
 def li_k_holds_by_full_tuples(S: Semigroup, k: int) -> bool:

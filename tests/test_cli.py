@@ -8,6 +8,7 @@ import pytest
 
 import sgisect
 import sgisect.solve as solve
+from sgisect import families
 from sgisect.cli import run_command
 from sgisect.formats import parse_instance, parse_slp_text, serialize_instance
 from sgisect.reductions import CnfFormula, reduce_unbounded
@@ -134,6 +135,7 @@ class TestSolve:
         assert data["status"] == "satisfiable"
         assert data["witness"]["word"] == ["x1"]
         assert data["complete"] is True
+        assert data["stats"]["states_explored"] == data["stats"]["candidates"] == 2  # x1 and nx1
 
     def test_bad_instance_file(self, capsys, tmp_path):
         path = tmp_path / "bad.sgi"
@@ -304,10 +306,35 @@ class TestGen:
         code, _, _ = _run(capsys, "gen", "nosuch", "3")
         assert code == 2
 
-    def test_oversize_product_rejected_before_building(self, capsys):
-        # 10**6 elements, 10**12 table cells
-        code, out, err = _run(capsys, "gen", "product", "mincap:100", "mincap:100", "mincap:100")
-        assert code == 2 and out == "" and "cap" in err
+    @staticmethod
+    def _builder_calls(monkeypatch) -> list:
+        calls = []
+        for name, build in list(families.FAMILY_BUILDERS.items()):
+            monkeypatch.setitem(families.FAMILY_BUILDERS, name,
+                                lambda k, build=build: calls.append(k) or build(k))
+        return calls
+
+    def test_oversize_product_rejected_before_building(self, capsys, monkeypatch):
+        calls = self._builder_calls(monkeypatch)
+        # 10**6 elements; 1500**2; nilinterval(90) has 4096 elements, so 4096 * 4
+        for specs in (["mincap:100"] * 3, ["mincap:1500", "mincap:1500"],
+                      ["nilinterval:90", "cyclic:4"]):
+            code, out, err = _run(capsys, "gen", "product", *specs)
+            assert code == 2 and out == "" and "cap" in err
+        assert calls == []
+
+    def test_oversize_family_rejected_before_building(self, capsys, monkeypatch):
+        calls = self._builder_calls(monkeypatch)
+        # the cap is 2**24 cells: 4096 elements, and nilinterval(90) has 4096
+        for family, arg in (("mincap", "4097"), ("rightzero", "100000"), ("nilinterval", "91")):
+            code, out, err = _run(capsys, "gen", family, arg)
+            assert code == 2 and out == "" and "cap" in err
+        assert calls == []
+
+    def test_product_cap_reads_the_family_element_counts(self):
+        for name, build in families.FAMILY_BUILDERS.items():
+            for k in range(1, 6):
+                assert families._element_count(name, k) == build(k).size
 
 
 MALFORMED = {

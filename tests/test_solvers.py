@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sgisect.core import Morphism, Semigroup
+from sgisect.core import Morphism, Semigroup, direct_product
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
 from sgisect import slp, solve, varieties
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
@@ -15,8 +15,8 @@ from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapErro
                            li_solve, li_witness_shorten, verify_witness)
 from sgisect.varieties import is_commutative, is_li, li_degree
 
-from _oracles import (first_enumerated_slp, random_instance, random_morphism,
-                      solve_by_word_enumeration)
+from _oracles import (bfs_reference, commuting_letter_pairs, first_enumerated_slp, random_instance,
+                      random_morphism, solve_by_word_enumeration)
 
 
 def _single(S, images, accept, names=None) -> Instance:
@@ -236,6 +236,98 @@ class TestBatchedSetup:
                 for S in semis))
             found += self._same_search(I, 3)[0] == solve.SATISFIABLE
         assert 0 < found < 8
+
+
+class TestTraceNormalForm:
+    """The engine extends no word ending in l by a smaller letter commuting
+    with l.  ``bfs_reference``, the same search without that rule, must give
+    the same status, witness, states, depth and completeness, and the same
+    candidate count wherever no two letters commute."""
+
+    @staticmethod
+    def _agree(I, depth_cap=None):
+        ref = bfs_reference(I, depth_cap)
+        r = brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
+        assert _summary(r) == ref[:5]
+        if commuting_letter_pairs(I):
+            assert r.stats.candidates <= ref[5]
+        else:
+            assert r.stats.candidates == ref[5]
+        return r, ref
+
+    def test_counting_gadget_generates_each_state_once(self):
+        rng = random.Random(13)
+        for k in (3, 4, 5):
+            for _ in range(3):
+                clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, k + 1), 3))
+                                for _ in range(round(4.2 * k)))
+                I = reduce_unbounded(CnfFormula(k, clauses))
+                A = I.alphabet_size
+                assert len(commuting_letter_pairs(I)) == A * (A - 1) // 2
+                r, ref = self._agree(I)
+                assert _summary(li_solve(I)) == _summary(r)
+                assert r.stats.candidates == r.stats.states_explored < ref[5]
+
+    def test_family_pool(self, family_pool):
+        rng = random.Random(1313)
+        for _ in range(300):
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
+            I = random_instance(rng, semis, rng.randint(1, 4))
+            self._agree(I)
+            self._agree(I, rng.randint(1, 4))
+
+    def test_no_two_letters_commute(self):
+        # letters with distinct images into a left or right zero semigroup
+        # never commute, whatever the other constraints do
+        rng = random.Random(1314)
+        others = [mincap(4), cyclic(3), nilinterval(2), leftzero(2)]
+        for _ in range(40):
+            S = rng.choice([leftzero(3), rightzero(3), leftzero(4), rightzero(4)])
+            A = rng.randint(2, S.size)
+            constraints = [Constraint(Morphism(tuple(rng.sample(range(S.size), A)), S),
+                                      frozenset(rng.sample(range(S.size), rng.randint(1, 2))))]
+            for T in rng.sample(others, rng.randint(1, 2)):
+                constraints.append(Constraint(random_morphism(rng, T, A),
+                                              frozenset(rng.sample(range(T.size), rng.randint(1, 2)))))
+            rng.shuffle(constraints)
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(constraints))
+            assert not commuting_letter_pairs(I)
+            self._agree(I)
+            self._agree(I, rng.randint(1, 3))
+
+    def test_partly_commuting_products(self):
+        # letters commute in these products exactly when their images'
+        # non-commutative components are equal
+        rng = random.Random(1315)
+        products = [direct_product([mincap(3), leftzero(2)])[0], direct_product([cyclic(3), rightzero(2)])[0],
+                    direct_product([leftzero(2), mincap(2)])[0]]
+        partial = 0
+        for _ in range(100):
+            semis = [rng.choice(products)] + [rng.choice([mincap(3), cyclic(2), rightzero(2)])
+                                              for _ in range(rng.randint(0, 2))]
+            I = random_instance(rng, semis, rng.randint(2, 4))
+            A = I.alphabet_size
+            partial += 0 < len(commuting_letter_pairs(I)) < A * (A - 1) // 2
+            self._agree(I)
+        assert partial >= 25
+
+    def test_more_letters_than_global_rows(self):
+        # with more letters than the constraints have elements plus empty-word
+        # rows, each constraint is its own chunk of the commutation gather
+        rng = random.Random(1316)
+        semis = [mincap(2), leftzero(2), cyclic(2), rightzero(2)]
+        for _ in range(30):
+            chosen = rng.sample(semis, rng.randint(2, 3))
+            A = rng.randint(3 * len(chosen) + 1, 11)
+            I = random_instance(rng, chosen, A)
+            assert A > sum(S.size + 1 for S in chosen)
+            self._agree(I)
+        # every letter commutes in the first chunk, only equal images in the
+        # second; the word must start with a7 and have length 2
+        I = Instance(tuple(f"a{i}" for i in range(8)), (
+            Constraint(Morphism((0,) * 8, mincap(2)), frozenset({1})),
+            Constraint(Morphism((0,) * 7 + (1,), leftzero(3)), frozenset({1}))))
+        assert self._agree(I)[0].witness.word == (7, 0)
 
 
 class TestShorten:
