@@ -13,20 +13,21 @@ own; that bound is checked on every result, not used as a cap.
 The search never visits a tuple from which no word can finish in every
 accept set: each constraint's live elements (those some product of letter
 images, possibly empty, takes into the accept set) are computed once per
-call, and candidates with a dead component are dropped.  Candidates are
-deduplicated on an exact bit packing of the tuple into uint64 words, sorted
-with a stable lexsort, so each tuple keeps its first discovery.  Letters a
-and b commute when h(a)h(b) == h(b)h(a) in every constraint, and the search
-never extends a word ending in l by a smaller letter commuting with l: it
-builds only the lexicographic normal forms of trace theory.  The least
-shortest word reaching a tuple is such a normal form, and each of its
-prefixes is the least shortest word reaching its own tuple, so by induction
-every tuple is still found at the same depth through the same word.  None of the three devices changes the witness, the states or the
-depth: the answer is the shortest, lexicographically least word the plain
-search finds.  On the counting gadget, where all letters commute, the rule
-made ``li_solve`` on random 3-CNF about 3x faster: k=8 went from 0.7-1.1 s
-and 267 MB to 0.26-0.42 s and 120 MB, k=9 from 6.4-9.9 s and 1.5 GB to
-2.1-3.2 s and 547 MB (2-vCPU VM whose speed drifts between runs).
+call, and candidates with a dead component are dropped.  Each candidate is
+packed exactly into a few uint64 words, and one walk over a layer's keys in
+candidate order stores each key not yet seen, so each tuple keeps its first
+discovery.  Letters a and b commute when h(a)h(b) == h(b)h(a) in every
+constraint, and the search never extends a word ending in l by a smaller
+letter commuting with l: it builds only the lexicographic normal forms of
+trace theory.  The least shortest word reaching a tuple is such a normal
+form, and each of its prefixes is the least shortest word reaching its own
+tuple, so by induction every tuple is still found at the same depth through
+the same word.  None of the three devices changes the witness, the states or
+the depth: the answer is the shortest, lexicographically least word the
+plain search finds.  On the counting gadget, where all letters commute, the
+rule made ``li_solve`` on random 3-CNF about 3x faster: k=8 went from
+0.7-1.1 s and 267 MB to 0.26-0.42 s and 120 MB, k=9 from 6.4-9.9 s and
+1.5 GB to 2.1-3.2 s and 547 MB (2-vCPU VM whose speed drifts between runs).
 
 ``enum_slp_solve`` is separate from the BFS: it returns the first canonical
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
@@ -38,7 +39,6 @@ holding its witness.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -65,9 +65,14 @@ class PreconditionError(ValueError):
 
 
 class StateCapError(RuntimeError):
-    def __init__(self, cap: int):
-        super().__init__(f"search exceeded the state cap of {cap}")
-        self.cap = cap
+    """More than ``cap`` states stored; the cap is checked after each whole
+    layer, so ``depth`` is the layer that passed it and ``states`` the count
+    stored through that layer."""
+
+    def __init__(self, cap: int, depth: int | None = None, states: int | None = None):
+        where = "" if depth is None else f" at depth {depth}, with {states} states stored"
+        super().__init__(f"search exceeded the state cap of {cap}{where}")
+        self.cap, self.depth, self.states = cap, depth, states
 
 
 @dataclass(frozen=True)
@@ -168,24 +173,23 @@ class SolveResult:
         return self.status == SATISFIABLE
 
 
-def _key_layout(sizes) -> tuple[list[int], list[tuple[int, int]]]:
+def _key_layout(sizes) -> tuple[list[int], list[int]]:
     """Exact bit packing of tuples whose component i lies in range(sizes[i]).
 
     Component i takes max(1, ceil(log2 sizes[i])) bits, and consecutive
     components share a uint64 word while they fit.  Returns each component's
-    shift within its word and the component range of each word.
+    shift within its word and the first component of each word.
     """
-    shifts, ranges = [], []
-    lo = used = 0
+    shifts, starts = [], [0]
+    used = 0
     for i, n in enumerate(sizes):
         bits = max(1, (n - 1).bit_length())
         if used + bits > 64:
-            ranges.append((lo, i))
-            lo, used = i, 0
+            starts.append(i)
+            used = 0
         shifts.append(used)
         used += bits
-    ranges.append((lo, len(sizes)))
-    return shifts, ranges
+    return shifts, starts
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
@@ -208,9 +212,10 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       depth 0; when a layer has no new live tuple the search has closed and
       EMPTY is conclusive.
     - Packed keys.  Each candidate is packed exactly (not hashed) into a few
-      uint64 words, see ``_key_layout``.  A stable ``np.lexsort`` over the
-      words puts equal candidates next to each other in candidate order, so
-      keeping the first row of each run keeps each tuple's first discovery.
+      uint64 words, see ``_key_layout``.  One walk over a layer's keys in
+      candidate order keeps each key not yet in ``visited`` and adds it on
+      the spot, so each tuple keeps its first discovery, whether its repeat
+      comes later in the same layer or in a later one.
     - Trace normal forms.  Letters a and b commute when h_i(a)h_i(b) ==
       h_i(b)h_i(a) in every constraint; swapping adjacent commuting letters
       changes no image.  A row whose word ends in l never continues with a
@@ -230,10 +235,10 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
     The tables are built with one gather per distinct Semigroup object, for
     all the constraints that share it (reduction gadgets share one among all
     their constraints), and the liveness rounds run on the transposed table
-    as intp.  In the depth loop ``take`` serves only layer-sized index arrays;
-    the candidate-sized gathers keep ``[]``, since ``take`` first copies an
-    int32 index array to intp, and on the largest layers that copy raised
-    peak memory by about a tenth.
+    as intp.  In the depth loop the candidates are one gather from the
+    flattened table by row times |A| plus letter, and their keys one
+    ``bitwise_or.reduceat`` over the constraints of each key word.  When
+    every candidate is new, they are the next layer as they stand.
     """
     t0 = time.perf_counter()
     cons = instance.constraints
@@ -260,7 +265,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         step[np.arange(S.size + 1)[:, None] + o] = block
     accept = np.zeros(total, dtype=bool)
     accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
-    shifts, word_ranges = _key_layout(sizes)
+    shifts, word_starts = _key_layout(sizes)
     local = np.arange(total) - np.repeat(offsets, counts)
     # local index, shifted to its place in the key
     code = local.astype(np.uint64) << np.repeat(np.array(shifts, dtype=np.uint64), counts)
@@ -284,7 +289,7 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
     # row l: the letters allowed after a word ending in l; row A: after the empty word
     allowed_after = np.packbits(~np.vstack([forbidden, np.zeros(A, dtype=bool)]),
                                 axis=1, bitorder="little")
-    row_bytes = np.dtype((np.void, 8 * len(word_ranges)))
+    row_bytes = np.dtype((np.void, 8 * len(word_starts)))
 
     visited: set[bytes] = set()
     trail: list[tuple[np.ndarray, np.ndarray]] = []  # per depth: parent row, letter
@@ -316,28 +321,21 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         if parents.size == 0:
             return done(None, depth, True)
         candidates += parents.size
-        cand = step[layer[:, parents], letters]  # (k, candidates)
-        keys = np.stack([np.bitwise_or.reduce(code[cand[lo:hi]], axis=0)
-                         for lo, hi in word_ranges])
-
-        order = np.lexsort(keys)  # stable: equal keys keep candidate order
-        sorted_keys = keys[:, order]
-        head = np.ones(order.size, dtype=bool)
-        np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=head[1:])
-        first = np.sort(order[head])
-        packed = np.ascontiguousarray(keys[:, first].T).view(row_bytes).ravel().tolist()
-        fresh = np.fromiter((key not in visited for key in packed), dtype=bool, count=len(packed))
-        new = first[fresh]
-        if new.size == 0:
+        cand = step.ravel()[layer[:, parents] * A + letters]  # (k, candidates)
+        keys = np.bitwise_or.reduceat(code[cand], word_starts, axis=0)
+        packed = np.ascontiguousarray(keys.T).view(row_bytes).ravel().tolist()
+        # one walk in candidate order: a key not yet visited is added on the
+        # spot, so each tuple keeps its first discovery
+        new = [i for i, key in enumerate(packed) if not (key in visited or visited.add(key))]
+        if not new:
             return done(None, depth, True)
-        visited.update(itertools.compress(packed, fresh))
-        if len(visited) > state_cap:
-            raise StateCapError(state_cap)
-
-        trail.append((parents[new], letters[new]))
-        layer = cand[:, new]
-        last = letters[new]
         depth += 1
+        if len(visited) > state_cap:
+            raise StateCapError(state_cap, depth, len(visited))
+        if len(new) < len(packed):
+            parents, letters, cand = parents[new], letters[new], cand[:, new]
+        trail.append((parents, letters))
+        layer, last = cand, letters
         hits = np.flatnonzero(accept.take(layer).all(axis=0))
         if hits.size:
             return done(int(hits[0]), depth, True)

@@ -387,6 +387,15 @@ class TestSolverFailures:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    def test_cap_error_says_how_far_the_search_got(self, capsys, monkeypatch, sat_gadget):
+        def fail(*args, **kwargs):
+            raise solve.StateCapError(5, 3, 6)
+
+        monkeypatch.setattr("sgisect.cli.brute_force_solve", fail)
+        code, out, err = _run(capsys, "solve", sat_gadget)
+        assert code == 2 and out == ""
+        assert err == "error: search exceeded the state cap of 5 at depth 3, with 6 states stored\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):

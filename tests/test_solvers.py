@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -5,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sgisect.core import Morphism, Semigroup, direct_product
+from sgisect.core import Morphism, Semigroup, apply_morphism, direct_product
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
 from sgisect import slp, solve, varieties
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
@@ -33,6 +34,19 @@ def _summary(r):
             r.stats.max_depth, r.complete)
 
 
+def _agree_with_reference(I, depth_cap=None):
+    """The engine against ``bfs_reference``: equal answers, and equal
+    candidates unless the commutation rule can drop some."""
+    ref = bfs_reference(I, depth_cap)
+    r = brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
+    assert _summary(r) == ref[:5]
+    if commuting_letter_pairs(I):
+        assert r.stats.candidates <= ref[5]
+    else:
+        assert r.stats.candidates == ref[5]
+    return r, ref
+
+
 class TestBruteForce:
     def test_satisfiable_gadget(self):
         r = brute_force_solve(GADGET_SAT)
@@ -53,6 +67,37 @@ class TestBruteForce:
         I = _single(mincap(8), (0,), (7,))
         with pytest.raises(StateCapError):
             brute_force_solve(I, state_cap=3)
+
+    @pytest.mark.parametrize("formula", [
+        CnfFormula(1, (frozenset({1}),)),
+        CnfFormula(1, (frozenset({1}), frozenset({-1}))),
+        CnfFormula(4, (frozenset({1, -2, 3}), frozenset({-1, 2, 4}), frozenset({-3, -4, 2}))),
+        CnfFormula(3, tuple(frozenset(s * v for s, v in zip(signs, (1, 2, 3)))
+                            for signs in itertools.product((1, -1), repeat=3)))],
+        ids=["sat", "contradiction", "sat-k4", "unsat-k3"])
+    def test_state_cap_is_checked_after_each_whole_layer(self, formula):
+        # the cap is compared with the states stored once a layer is inserted
+        # in full: a cap equal to the final count passes, one below it stops
+        # in the last layer that stored anything, and the error says so
+        I = reduce_unbounded(formula)
+        r = brute_force_solve(I)
+        s = r.stats.states_explored
+        assert _summary(brute_force_solve(I, state_cap=s)) == _summary(r)
+        with pytest.raises(StateCapError) as err:
+            brute_force_solve(I, state_cap=s - 1)
+        assert (err.value.cap, err.value.depth, err.value.states) == (s - 1, r.stats.max_depth, s)
+        assert f"depth {r.stats.max_depth}" in str(err.value) and f"{s} states" in str(err.value)
+        # a cap reached inside the last layer still reports the whole layer
+        before = bounded_solve(I, r.stats.max_depth - 1).stats.states_explored if r.stats.max_depth > 1 else 0
+        assert s - before >= 2
+        with pytest.raises(StateCapError) as err:
+            brute_force_solve(I, state_cap=before)
+        assert (err.value.depth, err.value.states) == (r.stats.max_depth, s)
+
+    def test_state_cap_error_without_progress(self):
+        err = StateCapError(5)
+        assert (err.cap, err.depth, err.states) == (5, None, None)
+        assert str(err) == "search exceeded the state cap of 5"
 
     def test_agrees_with_word_enumeration(self, family_pool):
         rng = random.Random(9001)
@@ -244,17 +289,6 @@ class TestTraceNormalForm:
     the same status, witness, states, depth and completeness, and the same
     candidate count wherever no two letters commute."""
 
-    @staticmethod
-    def _agree(I, depth_cap=None):
-        ref = bfs_reference(I, depth_cap)
-        r = brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
-        assert _summary(r) == ref[:5]
-        if commuting_letter_pairs(I):
-            assert r.stats.candidates <= ref[5]
-        else:
-            assert r.stats.candidates == ref[5]
-        return r, ref
-
     def test_counting_gadget_generates_each_state_once(self):
         rng = random.Random(13)
         for k in (3, 4, 5):
@@ -264,7 +298,7 @@ class TestTraceNormalForm:
                 I = reduce_unbounded(CnfFormula(k, clauses))
                 A = I.alphabet_size
                 assert len(commuting_letter_pairs(I)) == A * (A - 1) // 2
-                r, ref = self._agree(I)
+                r, ref = _agree_with_reference(I)
                 assert _summary(li_solve(I)) == _summary(r)
                 assert r.stats.candidates == r.stats.states_explored < ref[5]
 
@@ -273,8 +307,8 @@ class TestTraceNormalForm:
         for _ in range(300):
             semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
             I = random_instance(rng, semis, rng.randint(1, 4))
-            self._agree(I)
-            self._agree(I, rng.randint(1, 4))
+            _agree_with_reference(I)
+            _agree_with_reference(I, rng.randint(1, 4))
 
     def test_no_two_letters_commute(self):
         # letters with distinct images into a left or right zero semigroup
@@ -292,8 +326,8 @@ class TestTraceNormalForm:
             rng.shuffle(constraints)
             I = Instance(tuple(f"a{i}" for i in range(A)), tuple(constraints))
             assert not commuting_letter_pairs(I)
-            self._agree(I)
-            self._agree(I, rng.randint(1, 3))
+            _agree_with_reference(I)
+            _agree_with_reference(I, rng.randint(1, 3))
 
     def test_partly_commuting_products(self):
         # letters commute in these products exactly when their images'
@@ -308,7 +342,7 @@ class TestTraceNormalForm:
             I = random_instance(rng, semis, rng.randint(2, 4))
             A = I.alphabet_size
             partial += 0 < len(commuting_letter_pairs(I)) < A * (A - 1) // 2
-            self._agree(I)
+            _agree_with_reference(I)
         assert partial >= 25
 
     def test_more_letters_than_global_rows(self):
@@ -321,13 +355,45 @@ class TestTraceNormalForm:
             A = rng.randint(3 * len(chosen) + 1, 11)
             I = random_instance(rng, chosen, A)
             assert A > sum(S.size + 1 for S in chosen)
-            self._agree(I)
+            _agree_with_reference(I)
         # every letter commutes in the first chunk, only equal images in the
         # second; the word must start with a7 and have length 2
         I = Instance(tuple(f"a{i}" for i in range(8)), (
             Constraint(Morphism((0,) * 8, mincap(2)), frozenset({1})),
             Constraint(Morphism((0,) * 7 + (1,), leftzero(3)), frozenset({1}))))
-        assert self._agree(I)[0].witness.word == (7, 0)
+        assert _agree_with_reference(I)[0].witness.word == (7, 0)
+
+
+class TestFirstDiscovery:
+    """Each tuple keeps the word of its first discovery in candidate order
+    (parent-major, letter-minor) and is stored once, as in ``bfs_reference``."""
+
+    def test_later_candidate_of_one_layer_loses(self):
+        # in Z_5 with letter images 1, 2, 3, the depth-2 candidates a0 a2
+        # (parent a0) and a1 a1 (parent a1) both reach 4, the accepting
+        # element; keeping the later one would answer a1 a1
+        I = _single(cyclic(5), (1, 2, 3), (4,))
+        h = I.constraints[0].morphism
+        assert apply_morphism(h, (0, 2)) == apply_morphism(h, (1, 1)) == 4
+        r, _ = _agree_with_reference(I)
+        assert r.witness.word == (0, 2)
+        assert r.stats.states_explored == 5  # 1, 2, 3, then 4 and 0
+
+    def test_tuple_of_an_earlier_depth_is_not_counted_again(self):
+        # (last letter, #a0 mod 3): a1 a0 and a1 a1 repeat the depth-1 tuples
+        # of a0 and a1.  No two letters commute, so every live pair is a
+        # candidate, and a repeat kept as a row would add two at depth 3.
+        I = Instance(("a0", "a1"), (
+            Constraint(Morphism((0, 1), rightzero(2)), frozenset({1})),
+            Constraint(Morphism((1, 0), cyclic(3)), frozenset({2}))))
+        last, count = (c.morphism for c in I.constraints)
+        for earlier, later in (((0,), (1, 0)), ((1,), (1, 1))):
+            assert all(apply_morphism(h, earlier) == apply_morphism(h, later) for h in (last, count))
+        assert not commuting_letter_pairs(I)
+        r, _ = _agree_with_reference(I)
+        assert r.witness.word == (0, 0, 1)
+        assert r.stats.states_explored == 6  # 2 at depth 1, then 2 and 2 new
+        assert r.stats.candidates == 2 + 4 + 4
 
 
 class TestShorten:
