@@ -13,10 +13,12 @@ own; that bound is checked on every result, not used as a cap.
 The search never visits a tuple from which no word can finish in every
 accept set: each constraint's live elements (those some product of letter
 images, possibly empty, takes into the accept set) are computed once per
-call, and candidates with a dead component are dropped.  Each candidate is
-packed exactly into a few uint64 words, and one walk over a layer's keys in
-candidate order stores each key not yet seen, so each tuple keeps its first
-discovery.  Letters a and b commute when h(a)h(b) == h(b)h(a) in every
+call, and candidates with a dead component are dropped.  A tuple is stored
+as a row of cells, each cell one byte for consecutive constraints whose
+element tuples number fewer than 256, and the row's bytes are its exact key;
+one walk over a layer's keys in candidate order stores each key not yet
+seen, so each tuple keeps its first discovery.  Letters a and b commute when
+h(a)h(b) == h(b)h(a) in every
 constraint, and the search never extends a word ending in l by a smaller
 letter commuting with l: it builds only the lexicographic normal forms of
 trace theory.  The least shortest word reaching a tuple is such a normal
@@ -24,10 +26,11 @@ form, and each of its prefixes is the least shortest word reaching its own
 tuple, so by induction every tuple is still found at the same depth through
 the same word.  None of the three devices changes the witness, the states or
 the depth: the answer is the shortest, lexicographically least word the
-plain search finds.  On the counting gadget, where all letters commute, the
-rule made ``li_solve`` on random 3-CNF about 3x faster: k=8 went from
-0.7-1.1 s and 267 MB to 0.26-0.42 s and 120 MB, k=9 from 6.4-9.9 s and
-1.5 GB to 2.1-3.2 s and 547 MB (2-vCPU VM whose speed drifts between runs).
+plain search finds.  On the counting gadget of random 3-CNF at 4.2 clauses
+per variable, ``li_solve`` takes 0.12-0.13 s and 66 MB at k=8, 0.87-0.94 s
+and 245 MB at k=9, and 5.3-6.0 s and 1.3 GB at k=10 (4,697,873 states),
+against 0.31 s and 93 MB, 2.3-2.6 s and 418 MB, and 18 s and 2.3 GB with
+int32 rows and uint64 keys (2-vCPU VM whose speed drifts between runs).
 
 ``enum_slp_solve`` is separate from the BFS: it returns the first canonical
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
@@ -159,6 +162,10 @@ class SolveStats:
     max_depth: int
     wall_time: float
     candidates: int = 0  # BFS (row, letter) pairs generated over all depths; 0 for SLP enumeration
+    # BFS: (candidates, new states, seconds) for each depth, plus a last
+    # round that found no new state, if the search closed on one; the
+    # seconds leave out set-up.  Empty for SLP enumeration.
+    layers: tuple[tuple[int, int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -173,23 +180,52 @@ class SolveResult:
         return self.status == SATISFIABLE
 
 
-def _key_layout(sizes) -> tuple[list[int], list[int]]:
-    """Exact bit packing of tuples whose component i lies in range(sizes[i]).
+def _cells(sizes) -> list[int]:
+    """The first constraint of each cell of ``_bfs``'s rows.
 
-    Component i takes max(1, ceil(log2 sizes[i])) bits, and consecutive
-    components share a uint64 word while they fit.  Returns each component's
-    shift within its word and the first component of each word.
+    Consecutive constraints share a cell while the product of their sizes,
+    plus one value for the empty word, stays <= 256, so that the cell's
+    values fit one byte; a constraint with more than 255 elements is a cell
+    of its own.
     """
-    shifts, starts = [], [0]
-    used = 0
+    starts, values = [], 256
     for i, n in enumerate(sizes):
-        bits = max(1, (n - 1).bit_length())
-        if used + bits > 64:
+        values *= n
+        if values >= 256:
             starts.append(i)
-            used = 0
-        shifts.append(used)
-        used += bits
-    return shifts, starts
+            values = n
+    return starts
+
+
+def _merge_cells(step, masks, sizes, starts):
+    """The successor and mask rows of ``_bfs``'s cells, from those of their constraints.
+
+    ``step`` and ``masks`` stack each constraint's rows: its elements, then
+    its empty-word row.  A cell's values number its constraints' element
+    tuples in mixed radix, the first constraint most significant, and its
+    empty value comes last.  Horner's rule builds both tables one constraint
+    at a time: a longer tuple's successor is its prefix's successor times
+    the constraint's size plus the constraint's own successor, and its mask
+    is the AND of theirs.  A cell of several constraints has fewer than 256
+    values, so the sums stay in step's dtype.
+    """
+    A, W = step.shape[1], masks.shape[1]
+    sizes = sizes.tolist()
+    offsets = np.cumsum([0] + [n + 1 for n in sizes]).tolist()
+    succ_parts, mask_parts = [], []
+    for lo, hi in zip(starts, starts[1:] + [len(sizes)]):
+        o, n = offsets[lo], sizes[lo]
+        succ, mask = step[o:o + n], masks[o:o + n]
+        empty_succ, empty_mask = step[o + n], masks[o + n:o + n + 1]
+        for i in range(lo + 1, hi):
+            o, n = offsets[i], sizes[i]
+            succ = (succ[:, None] * n + step[o:o + n]).reshape(-1, A)
+            mask = (mask[:, None] & masks[o:o + n]).reshape(-1, W)
+            empty_succ = empty_succ * n + step[o + n]
+            empty_mask = empty_mask & masks[o + n]
+        succ_parts += [succ, empty_succ[None]]
+        mask_parts += [mask, empty_mask]
+    return np.concatenate(succ_parts), np.concatenate(mask_parts)
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
@@ -211,11 +247,14 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       the unpruned search.  When no letter is live the answer is EMPTY at
       depth 0; when a layer has no new live tuple the search has closed and
       EMPTY is conclusive.
-    - Packed keys.  Each candidate is packed exactly (not hashed) into a few
-      uint64 words, see ``_key_layout``.  One walk over a layer's keys in
-      candidate order keeps each key not yet in ``visited`` and adds it on
-      the spot, so each tuple keeps its first discovery, whether its repeat
-      comes later in the same layer or in a later one.
+    - Rows are their own keys.  Consecutive constraints are grouped into
+      cells (see ``_cells``); a cell value is the mixed-radix number of its
+      constraints' elements, and one more value stands for the empty word.
+      A row is one value per cell in the narrowest unsigned dtype, and its
+      bytes are the key, exact and not a hash.  One walk over a layer's keys
+      in candidate order keeps each key not yet in ``visited`` and adds it
+      on the spot, so each tuple keeps its first discovery, whether its
+      repeat comes later in the same layer or in a later one.
     - Trace normal forms.  Letters a and b commute when h_i(a)h_i(b) ==
       h_i(b)h_i(a) in every constraint; swapping adjacent commuting letters
       changes no image.  A row whose word ends in l never continues with a
@@ -232,67 +271,88 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       counting gadget, where every two letters commute, about three
       quarters of the candidates go.
 
-    The tables are built with one gather per distinct Semigroup object, for
-    all the constraints that share it (reduction gadgets share one among all
-    their constraints), and the liveness rounds run on the transposed table
-    as intp.  In the depth loop the candidates are one gather from the
-    flattened table by row times |A| plus letter, and their keys one
-    ``bitwise_or.reduceat`` over the constraints of each key word.  When
-    every candidate is new, they are the next layer as they stand.
+    Set-up fills each constraint's element-times-letter table with one
+    gather per distinct Semigroup object, for all the constraints that share
+    it (reduction gadgets share one among all their constraints), and runs
+    the liveness rounds on the transposed table as intp.  From these it
+    builds, for every cell value, its successor by each letter and one mask
+    word: a bit per letter whose successor is live in every component, and
+    one bit for "every component accepts".  When each cell holds one
+    constraint, the tables are the per-constraint ones as they stand.  In
+    the depth loop, one AND-reduce over a layer's cells gives each row's
+    live letters and its accept bit, and the candidates are one gather from
+    the flattened successor table.
     """
     t0 = time.perf_counter()
     cons = instance.constraints
     A = instance.alphabet_size
-    sizes = [c.semigroup.size for c in cons]
+    sizes = np.array([c.semigroup.size for c in cons], dtype=np.intp)
 
-    # Every constraint's elements, plus one row standing for the empty word,
-    # get global ids, so that one gather serves all constraints at once.
-    counts = np.array(sizes) + 1
+    # Every constraint's elements, plus one row for the empty word, stacked:
+    # row x of constraint i holds x times each letter image, its empty-word
+    # row the images themselves, all as the constraint's own element ids.
+    counts = sizes + 1
     offsets = np.cumsum(counts) - counts
     total = int(counts.sum())
-    step = np.empty((total, A), dtype=np.int32)  # global id times letter image
+    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max() - 1))
+    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
+    forbidden = np.tri(A, k=-1, dtype=bool)
     groups: dict[int, list[int]] = {}  # constraints by semigroup object
     for i, c in enumerate(cons):
         groups.setdefault(id(c.semigroup), []).append(i)
     for members in groups.values():
         S = cons[members[0]].semigroup
         images = np.array([cons[i].morphism.images for i in members], dtype=np.intp)  # (g, A)
-        o = offsets[members]
-        # (n + 1, g, A): x times each image, then the empty word's row, the
-        # images; concatenating with intp widens S.array (uint8 for small
-        # tables) before the offsets are added, so nothing wraps
-        block = np.concatenate([S.array[:, images], images[None]]) + o[:, None]
-        step[np.arange(S.size + 1)[:, None] + o] = block
+        # (n + 1, g, A): x times each image, then the empty word's row
+        block = np.concatenate([S.array[:, images], images[None].astype(S.array.dtype)])
+        step[np.arange(S.size + 1)[:, None] + offsets[members]] = block
+        # chunks of constraints, so that no (chunk, A, A) block is larger than step
+        chunk = max(1, step.size // (A * A))
+        for lo in range(0, len(members), chunk):
+            part = images[lo:lo + chunk]
+            ab = S.array[part[:, :, None], part[:, None, :]]  # (chunk, A, A): h_i(a)h_i(b)
+            forbidden &= (ab == ab.transpose(0, 2, 1)).all(axis=0)
     accept = np.zeros(total, dtype=bool)
     accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
-    shifts, word_starts = _key_layout(sizes)
-    local = np.arange(total) - np.repeat(offsets, counts)
-    # local index, shifted to its place in the key
-    code = local.astype(np.uint64) << np.repeat(np.array(shifts, dtype=np.uint64), counts)
-    succ = np.ascontiguousarray(step.T, dtype=np.intp)  # intp: take would convert it every round
+    # the table's successors as row numbers; intp, since take would convert it every round
+    succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
     live = accept
     while True:  # backward closure of the accept sets, at most max(sizes) rounds
         grown = live | live.take(succ).any(axis=0)
         if np.array_equal(grown, live):
             break
         live = grown
-    live_letters = np.packbits(live[step], axis=1, bitorder="little")  # (total, ceil(A/8))
-    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i; the
-    # gather runs over chunks of constraints so that no (chunk, A, A) block is
-    # larger than step
-    image_ids = step[offsets + sizes]  # (k, A): the empty word's row holds each h_i(a)
-    forbidden = np.tri(A, k=-1, dtype=bool)
-    chunk = max(1, step.size // (A * A))
-    for lo in range(0, len(cons), chunk):
-        ab = step.take(image_ids[lo:lo + chunk], axis=0)  # (chunk, A, A): h_i(a)h_i(b)
-        forbidden &= (ab == ab.transpose(0, 2, 1)).all(axis=0)
+
+    # Mask words: bit a says letter a's successor is live, bit A that the row
+    # accepts (the empty-word rows never do).
+    nbytes = A // 8 + 1
+    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
+    nbits = 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)
+    flags = np.zeros((total, nbits), dtype=bool)
+    flags[:, :A] = live.take(succ).T
+    flags[:, A] = accept
+    masks = np.packbits(flags, axis=1, bitorder="little").view(mask_dtype)  # (total, words)
+    accept_word, bit = divmod(A, 8 * mask_dtype.itemsize)
+    accept_bit = mask_dtype.type(1 << bit)
     # row l: the letters allowed after a word ending in l; row A: after the empty word
-    allowed_after = np.packbits(~np.vstack([forbidden, np.zeros(A, dtype=bool)]),
-                                axis=1, bitorder="little")
-    row_bytes = np.dtype((np.void, 8 * len(word_starts)))
+    allowed = np.zeros((A + 1, nbits), dtype=bool)
+    allowed[:, :A] = ~np.vstack([forbidden, np.zeros(A, dtype=bool)])
+    allowed_after = np.packbits(allowed, axis=1, bitorder="little").view(mask_dtype)
+
+    starts = _cells(sizes.tolist())
+    values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
+    if len(starts) < len(cons):  # else each cell is one constraint, whose rows step and masks hold
+        step, masks = _merge_cells(step, masks, sizes, starts)
+    counts = values + 1
+    base = np.cumsum(counts) - counts  # each cell's first row
+    G = int(counts.sum())
+    dtype = np.min_scalar_type(values.max())
+    table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times G plus row
+    row_bytes = np.dtype((np.void, len(starts) * dtype.itemsize))
 
     visited: set[bytes] = set()
     trail: list[tuple[np.ndarray, np.ndarray]] = []  # per depth: parent row, letter
+    layers: list[tuple[int, int, float]] = []
 
     def done(found: int | None, depth: int, complete: bool) -> SolveResult:
         witness = None
@@ -303,42 +363,50 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
                 found = parents[found]
             witness = Witness(provenance, word=tuple(reversed(word)))
         status = SATISFIABLE if witness is not None else EMPTY
-        stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates)
+        stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates, tuple(layers))
         return SolveResult(status, witness, complete, stats)
 
-    layer = (offsets + sizes)[:, None].astype(np.int32)  # (k, rows): the empty word
+    layer = values[None].astype(dtype)  # (rows, cells): the empty word
     last = np.array([A])  # each row's last letter, A for the empty word
     depth = candidates = 0
+    tick = time.perf_counter()
     while True:
+        rows = layer + base  # intp row numbers
+        bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
+        hits = np.flatnonzero(bits[:, accept_word] & accept_bit)
+        if hits.size:
+            return done(int(hits[0]), depth, True)
         if depth_cap is not None and depth >= depth_cap:
             return done(None, depth, False)
         # (row, letter) pairs whose successor is live in every component and
         # whose word stays a normal form
-        live_bits = np.bitwise_and.reduce(live_letters.take(layer, axis=0), axis=0)
-        live_bits &= allowed_after.take(last, axis=0)
-        live_pairs = np.unpackbits(live_bits, axis=1, count=A, bitorder="little")
+        bits &= allowed_after.take(last, axis=0)
+        live_pairs = np.unpackbits(bits.view(np.uint8), axis=1, count=A, bitorder="little")
         parents, letters = np.divmod(np.flatnonzero(live_pairs), A)
         if parents.size == 0:
             return done(None, depth, True)
         candidates += parents.size
-        cand = step.ravel()[layer[:, parents] * A + letters]  # (k, candidates)
-        keys = np.bitwise_or.reduceat(code[cand], word_starts, axis=0)
-        packed = np.ascontiguousarray(keys.T).view(row_bytes).ravel().tolist()
+        index = rows.take(parents, axis=0)
+        index += (letters * G)[:, None]
+        cand = table.take(index)  # (candidates, cells)
+        del rows, index  # a round's largest arrays, dropped before visited grows
+        packed = cand.view(row_bytes).ravel().tolist()
         # one walk in candidate order: a key not yet visited is added on the
         # spot, so each tuple keeps its first discovery
         new = [i for i, key in enumerate(packed) if not (key in visited or visited.add(key))]
+        now = time.perf_counter()
+        layers.append((parents.size, len(new), now - tick))
+        tick = now
         if not new:
             return done(None, depth, True)
         depth += 1
         if len(visited) > state_cap:
             raise StateCapError(state_cap, depth, len(visited))
-        if len(new) < len(packed):
-            parents, letters, cand = parents[new], letters[new], cand[:, new]
+        if len(new) < parents.size:
+            parents, letters, cand = parents[new], letters[new], cand[new]
+        del packed, new
         trail.append((parents, letters))
         layer, last = cand, letters
-        hits = np.flatnonzero(accept.take(layer).all(axis=0))
-        if hits.size:
-            return done(int(hits[0]), depth, True)
 
 
 def brute_force_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:

@@ -88,9 +88,9 @@ def bfs_reference(instance: Instance, depth_cap: int | None = None):
     Liveness pruning and first discovery as in ``solve._bfs``, every live
     (tuple, letter) pair generated in parent-major, letter-minor order, and
     nothing else.  Returns (status, word, states, depth, complete,
-    candidates) with the meanings of ``SolveResult`` and ``SolveStats``;
-    ``candidates`` counts every live pair, so it is the engine's count with
-    no pair dropped by the commutation rule.
+    candidates, new states per depth) with the meanings of ``SolveResult``
+    and ``SolveStats``; ``candidates`` counts every live pair, so it is the
+    engine's count with no pair dropped by the commutation rule.
     """
     A = instance.alphabet_size
     tables = [c.semigroup.table for c in instance.constraints]
@@ -113,6 +113,7 @@ def bfs_reference(instance: Instance, depth_cap: int | None = None):
     visited = set()
     layer = [(None, ())]  # (tuple, word); None is the empty word
     depth = candidates = 0
+    news = []
     while depth_cap is None or depth < depth_cap:
         nxt = []
         for tup, word in layer:
@@ -124,13 +125,14 @@ def bfs_reference(instance: Instance, depth_cap: int | None = None):
                         visited.add(succ)
                         nxt.append((succ, word + (a,)))
         if not nxt:
-            return (EMPTY, None, len(visited), depth, True, candidates)
+            return (EMPTY, None, len(visited), depth, True, candidates, news)
+        news.append(len(nxt))
         layer = nxt
         depth += 1
         for tup, word in layer:
             if all(x in c.accept for x, c in zip(tup, instance.constraints)):
-                return (SATISFIABLE, word, len(visited), depth, True, candidates)
-    return (EMPTY, None, len(visited), depth, False, candidates)
+                return (SATISFIABLE, word, len(visited), depth, True, candidates, news)
+    return (EMPTY, None, len(visited), depth, False, candidates, news)
 
 
 def commuting_letter_pairs(instance: Instance) -> set[tuple[int, int]]:

@@ -136,6 +136,13 @@ class TestSolve:
         assert data["witness"]["word"] == ["x1"]
         assert data["complete"] is True
         assert data["stats"]["states_explored"] == data["stats"]["candidates"] == 2  # x1 and nx1
+        [layer] = data["stats"]["layers"]  # x1 accepts, so the search stops at depth 1
+        assert (layer["candidates"], layer["new_states"]) == (2, 2) and layer["seconds"] >= 0
+
+    def test_json_slp_has_no_layers(self, capsys, sat_gadget):
+        code, out, _ = _run(capsys, "solve", "--json", "--strategy", "slp", sat_gadget)
+        assert code == 0
+        assert json.loads(out)["stats"]["layers"] == []
 
     def test_bad_instance_file(self, capsys, tmp_path):
         path = tmp_path / "bad.sgi"

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sgisect.core import Morphism, Semigroup, apply_morphism, direct_product
-from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect import slp, solve, varieties
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import slp_eval_word, slp_stats
@@ -35,8 +35,9 @@ def _summary(r):
 
 
 def _agree_with_reference(I, depth_cap=None):
-    """The engine against ``bfs_reference``: equal answers, and equal
-    candidates unless the commutation rule can drop some."""
+    """The engine against ``bfs_reference``: equal answers, equal new states
+    at every depth, and equal candidates unless the commutation rule can
+    drop some."""
     ref = bfs_reference(I, depth_cap)
     r = brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
     assert _summary(r) == ref[:5]
@@ -44,7 +45,21 @@ def _agree_with_reference(I, depth_cap=None):
         assert r.stats.candidates <= ref[5]
     else:
         assert r.stats.candidates == ref[5]
+    _check_layers(r)
+    assert [new for _, new, _ in r.stats.layers[:r.stats.max_depth]] == ref[6]
     return r, ref
+
+
+def _check_layers(r):
+    """``stats.layers`` holds one (candidates, new states, seconds) per round
+    that generated candidates: one per depth, plus, when a closed search ends
+    on a round that found no new tuple, that round."""
+    layers, depth = r.stats.layers, r.stats.max_depth
+    assert sum(new for _, new, _ in layers) == r.stats.states_explored
+    assert sum(cand for cand, _, _ in layers) == r.stats.candidates
+    assert all(new > 0 and seconds >= 0 for _, new, seconds in layers[:depth])
+    assert len(layers) == depth or (
+        len(layers) == depth + 1 and layers[-1][1] == 0 and r.complete and not r.satisfiable)
 
 
 class TestBruteForce:
@@ -281,6 +296,86 @@ class TestBatchedSetup:
                 for S in semis))
             found += self._same_search(I, 3)[0] == solve.SATISFIABLE
         assert 0 < found < 8
+
+
+class TestCells:
+    """``_bfs`` packs consecutive constraints into cells of at most 256
+    values, one of them for the empty word, and gives a constraint of more
+    than 255 elements a cell of its own; a row is one value per cell.  Every
+    layout must search exactly as ``bfs_reference`` does."""
+
+    @staticmethod
+    def _agree_on(seed, semis, cells, count, caps=(), share=1.0):
+        """``count`` random instances over ``semis``, laid out as ``cells``,
+        each accept set at most ``share`` of its semigroup; returns how many
+        were satisfiable."""
+        assert solve._cells([S.size for S in semis]) == cells
+        rng = random.Random(seed)
+        found = 0
+        for _ in range(count):
+            A = rng.choice((2, 3))
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(
+                Constraint(random_morphism(rng, S, A),
+                           frozenset(rng.sample(range(S.size), rng.randint(1, max(1, round(share * S.size))))))
+                for S in semis))
+            found += _agree_with_reference(I)[0].satisfiable
+            for cap in caps:
+                _agree_with_reference(I, cap)
+        return found
+
+    def test_many_one_element_constraints_share_a_cell(self):
+        one = trivial()
+        semis = [one] * 12 + [mincap(4)] + [one] * 12 + [cyclic(3)] + [one] * 6
+        assert 0 < self._agree_on(1, semis, [0], 12, (2,), 0.5) < 12
+
+    def test_product_255_fits_one_cell_and_256_does_not(self):
+        assert solve._cells([15, 17, 1]) == [0] and solve._cells([16, 16]) == [0, 1]
+        assert solve._cells([17, 15, 2]) == [0, 2] and solve._cells([2, 127, 2]) == [0, 2]
+        for semis, cells in (([mincap(15), mincap(17)], [0]), ([cyclic(15), mincap(17)], [0]),
+                             ([mincap(16), cyclic(16)], [0, 1])):
+            assert 0 < self._agree_on(15 * 17, semis, cells, 10, (3,), 0.5) < 10
+
+    def test_mixed_sizes_split_a_cell_mid_run(self):
+        # 3 * 5 * 7 * 2 = 210 values fit, times 4 would not: the second cell
+        # starts at the fifth constraint and holds 4 * 6 * 2 = 48 values
+        semis = [mincap(3), cyclic(5), mincap(7), leftzero(2), cyclic(4), mincap(6), rightzero(2)]
+        assert 0 < self._agree_on(210, semis, [0, 4], 10, (4,)) < 10
+
+    def test_constraints_over_one_semigroup_that_are_not_consecutive(self):
+        M = mincap(5)
+        semis = [M, cyclic(3), M, leftzero(2), M, M]
+        assert 0 < self._agree_on(5, semis, [0, 4], 12, (3,)) < 12
+
+    def test_wide_constraint_between_small_ones(self):
+        # cyclic(300) takes a 16-bit cell of its own, and so every cell of the
+        # row is 16 bits wide
+        semis = [mincap(4), cyclic(300), mincap(3), leftzero(2)]
+        assert 0 < self._agree_on(300, semis, [0, 1, 2], 8, (2,)) < 8
+
+    @pytest.mark.parametrize("A", [7, 8, 15, 16, 31, 32, 63, 64])
+    def test_accept_bit_past_the_letter_bits(self, A):
+        # each row's mask holds a bit per letter, then the accept bit, in one
+        # to eight bytes; at 8, 16, 32 and 64 letters the accept bit starts a
+        # new byte or word
+        rng = random.Random(A)
+        for semis in ([mincap(5), cyclic(4)], [leftzero(3), mincap(4), cyclic(3)]):
+            I = Instance(tuple(f"a{i}" for i in range(A)), tuple(
+                Constraint(random_morphism(rng, S, A), frozenset(rng.sample(range(S.size), 2)))
+                for S in semis))
+            _agree_with_reference(I)
+            _agree_with_reference(I, 2)
+
+    def test_row_numbers_times_letters_pass_16_bits(self):
+        # 220 letters into cyclic(300), a 16-bit cell: a value of 298 or
+        # more (300 is the empty word) times |A|, and a letter of 218 or more
+        # times the 301 rows, pass 65,535, so an index computed in the cell
+        # dtype would wrap
+        rng = random.Random(220)
+        S = cyclic(300)
+        for accept in ({299}, {0, 150}, {7}):
+            images = tuple(rng.randrange(1, 300) for _ in range(220))
+            _agree_with_reference(_single(S, images, accept))
+            _agree_with_reference(_single(S, images[::-1], accept), 1)
 
 
 class TestTraceNormalForm:
