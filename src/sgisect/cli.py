@@ -126,6 +126,7 @@ def _cmd_solve(args) -> int:
                 "max_depth": result.stats.max_depth,
                 "candidates": result.stats.candidates,
                 "wall_time": result.stats.wall_time,
+                "setup_s": result.stats.setup_s,
                 "layers": [{"candidates": c, "new_states": n, "seconds": t}
                            for c, n, t in result.stats.layers],
             },

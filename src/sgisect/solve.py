@@ -10,23 +10,13 @@ never needs a witness longer than 2k, so the search closes by depth 2k on its
 own; that bound is checked on every result, not used as a cap.
 ``bounded_solve`` is the one caller of the engine's depth cap.
 
-The search never visits a tuple from which no word can finish in every
-accept set: each constraint's live elements (those some product of letter
-images, possibly empty, takes into the accept set) are computed once per
-call, and candidates with a dead component are dropped.  A tuple is stored
-as a row of cells, each cell one byte for consecutive constraints whose
-element tuples number fewer than 256, and the row's bytes are its exact key;
-one walk over a layer's keys in candidate order stores each key not yet
-seen, so each tuple keeps its first discovery.  Letters a and b commute when
-h(a)h(b) == h(b)h(a) in every
-constraint, and the search never extends a word ending in l by a smaller
-letter commuting with l: it builds only the lexicographic normal forms of
-trace theory.  The least shortest word reaching a tuple is such a normal
-form, and each of its prefixes is the least shortest word reaching its own
-tuple, so by induction every tuple is still found at the same depth through
-the same word.  None of the three devices changes the witness, the states or
-the depth: the answer is the shortest, lexicographically least word the
-plain search finds.  On the counting gadget of random 3-CNF at 4.2 clauses
+The search drops every tuple from which no word can finish in every accept
+set, stores a tuple as a row of byte cells that is its own exact key, and
+never extends a word ending in l by a smaller letter commuting with l, so it
+builds only the lexicographic normal forms of trace theory.  None of the
+three devices changes the witness, the states or the depth (``_bfs`` says
+why): the answer is the shortest, lexicographically least word the plain
+search finds.  On the counting gadget of random 3-CNF at 4.2 clauses
 per variable, ``li_solve`` takes 0.12-0.13 s and 66 MB at k=8, 0.87-0.94 s
 and 245 MB at k=9, and 5.3-6.0 s and 1.3 GB at k=10 (4,697,873 states),
 against 0.31 s and 93 MB, 2.3-2.6 s and 418 MB, and 18 s and 2.3 GB with
@@ -42,6 +32,7 @@ holding its witness.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -76,6 +67,14 @@ class StateCapError(RuntimeError):
         where = "" if depth is None else f" at depth {depth}, with {states} states stored"
         super().__init__(f"search exceeded the state cap of {cap}{where}")
         self.cap, self.depth, self.states = cap, depth, states
+
+
+class SearchMemoryError(MemoryError):
+    """Out of memory in the BFS's depth loop, after ``depth`` layers with ``states`` stored."""
+
+    def __init__(self, cause: MemoryError, depth: int, states: int):
+        super().__init__(f"at depth {depth}, with {states} states stored" + (f": {cause}" if str(cause) else ""))
+        self.depth, self.states = depth, states
 
 
 @dataclass(frozen=True)
@@ -163,9 +162,13 @@ class SolveStats:
     wall_time: float
     candidates: int = 0  # BFS (row, letter) pairs generated over all depths; 0 for SLP enumeration
     # BFS: (candidates, new states, seconds) for each depth, plus a last
-    # round that found no new state, if the search closed on one; the
-    # seconds leave out set-up.  Empty for SLP enumeration.
+    # round that found no new state, if the search closed on one.  Empty
+    # for SLP enumeration.
     layers: tuple[tuple[int, int, float], ...] = ()
+    # BFS: seconds in set-up (``_tables``); 0.0 for SLP enumeration.  A BFS's wall_time is
+    # setup_s, plus the layer seconds, plus the final round that stops before recording a
+    # layer (on an accepting row, the depth cap or no live pair), which no layer records.
+    setup_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -206,25 +209,29 @@ def _merge_cells(step, masks, sizes, starts):
     empty value comes last.  Horner's rule builds both tables one constraint
     at a time: a longer tuple's successor is its prefix's successor times
     the constraint's size plus the constraint's own successor, and its mask
-    is the AND of theirs.  A cell of several constraints has fewer than 256
-    values, so the sums stay in step's dtype.
+    is the AND of theirs.  Each run of consecutive cells whose constraints
+    have the same sizes goes through it as one batch.  A cell of several
+    constraints has fewer than 256 values, so the sums stay in step's dtype.
     """
     A, W = step.shape[1], masks.shape[1]
     sizes = sizes.tolist()
-    offsets = np.cumsum([0] + [n + 1 for n in sizes]).tolist()
+    offsets = np.cumsum([0] + [n + 1 for n in sizes])
+    shapes = [tuple(sizes[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
     succ_parts, mask_parts = [], []
-    for lo, hi in zip(starts, starts[1:] + [len(sizes)]):
-        o, n = offsets[lo], sizes[lo]
-        succ, mask = step[o:o + n], masks[o:o + n]
-        empty_succ, empty_mask = step[o + n], masks[o + n:o + n + 1]
-        for i in range(lo + 1, hi):
-            o, n = offsets[i], sizes[i]
-            succ = (succ[:, None] * n + step[o:o + n]).reshape(-1, A)
-            mask = (mask[:, None] & masks[o:o + n]).reshape(-1, W)
-            empty_succ = empty_succ * n + step[o + n]
-            empty_mask = empty_mask & masks[o + n]
-        succ_parts += [succ, empty_succ[None]]
-        mask_parts += [mask, empty_mask]
+    for shape, run in itertools.groupby(zip(shapes, starts), key=lambda cell: cell[0]):
+        first = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
+        for i, n in enumerate(shape):
+            o = offsets[first + i]  # the cells' i-th constraints' first rows
+            rows = o[:, None] + np.arange(n)
+            if i == 0:
+                succ, mask, empty_succ, empty_mask = step[rows], masks[rows], step[o + n], masks[o + n]
+            else:  # (cells, values so far times n, A), and (cells, A) for the empty value
+                succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(first), -1, A)
+                mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(first), -1, W)
+                empty_succ = empty_succ * n + step[o + n]
+                empty_mask = empty_mask & masks[o + n]
+        succ_parts.append(np.concatenate([succ, empty_succ[:, None]], axis=1).reshape(-1, A))
+        mask_parts.append(np.concatenate([mask, empty_mask[:, None]], axis=1).reshape(-1, W))
     return np.concatenate(succ_parts), np.concatenate(mask_parts)
 
 
@@ -271,84 +278,19 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       counting gadget, where every two letters commute, about three
       quarters of the candidates go.
 
-    Set-up fills each constraint's element-times-letter table with one
-    gather per distinct Semigroup object, for all the constraints that share
-    it (reduction gadgets share one among all their constraints), and runs
-    the liveness rounds on the transposed table as intp.  From these it
-    builds, for every cell value, its successor by each letter and one mask
-    word: a bit per letter whose successor is live in every component, and
-    one bit for "every component accepts".  When each cell holds one
-    constraint, the tables are the per-constraint ones as they stand.  In
-    the depth loop, one AND-reduce over a layer's cells gives each row's
-    live letters and its accept bit, and the candidates are one gather from
-    the flattened successor table.
+    Set-up is ``_tables``, timed as ``SolveStats.setup_s``.  From its
+    tables, one AND-reduce over a layer's cells gives each row's live letters
+    and its accept bit, and the candidates are one gather from the flattened
+    successor table.  A ``MemoryError`` in the depth loop comes out as a
+    ``SearchMemoryError`` that says how far the search got.
     """
     t0 = time.perf_counter()
-    cons = instance.constraints
+    _, masks, allowed_after, table, base, empty = _tables(instance)
     A = instance.alphabet_size
-    sizes = np.array([c.semigroup.size for c in cons], dtype=np.intp)
-
-    # Every constraint's elements, plus one row for the empty word, stacked:
-    # row x of constraint i holds x times each letter image, its empty-word
-    # row the images themselves, all as the constraint's own element ids.
-    counts = sizes + 1
-    offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max() - 1))
-    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
-    forbidden = np.tri(A, k=-1, dtype=bool)
-    groups: dict[int, list[int]] = {}  # constraints by semigroup object
-    for i, c in enumerate(cons):
-        groups.setdefault(id(c.semigroup), []).append(i)
-    for members in groups.values():
-        S = cons[members[0]].semigroup
-        images = np.array([cons[i].morphism.images for i in members], dtype=np.intp)  # (g, A)
-        # (n + 1, g, A): x times each image, then the empty word's row
-        block = np.concatenate([S.array[:, images], images[None].astype(S.array.dtype)])
-        step[np.arange(S.size + 1)[:, None] + offsets[members]] = block
-        # chunks of constraints, so that no (chunk, A, A) block is larger than step
-        chunk = max(1, step.size // (A * A))
-        for lo in range(0, len(members), chunk):
-            part = images[lo:lo + chunk]
-            ab = S.array[part[:, :, None], part[:, None, :]]  # (chunk, A, A): h_i(a)h_i(b)
-            forbidden &= (ab == ab.transpose(0, 2, 1)).all(axis=0)
-    accept = np.zeros(total, dtype=bool)
-    accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
-    # the table's successors as row numbers; intp, since take would convert it every round
-    succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
-    live = accept
-    while True:  # backward closure of the accept sets, at most max(sizes) rounds
-        grown = live | live.take(succ).any(axis=0)
-        if np.array_equal(grown, live):
-            break
-        live = grown
-
-    # Mask words: bit a says letter a's successor is live, bit A that the row
-    # accepts (the empty-word rows never do).
-    nbytes = A // 8 + 1
-    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
-    nbits = 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)
-    flags = np.zeros((total, nbits), dtype=bool)
-    flags[:, :A] = live.take(succ).T
-    flags[:, A] = accept
-    masks = np.packbits(flags, axis=1, bitorder="little").view(mask_dtype)  # (total, words)
-    accept_word, bit = divmod(A, 8 * mask_dtype.itemsize)
-    accept_bit = mask_dtype.type(1 << bit)
-    # row l: the letters allowed after a word ending in l; row A: after the empty word
-    allowed = np.zeros((A + 1, nbits), dtype=bool)
-    allowed[:, :A] = ~np.vstack([forbidden, np.zeros(A, dtype=bool)])
-    allowed_after = np.packbits(allowed, axis=1, bitorder="little").view(mask_dtype)
-
-    starts = _cells(sizes.tolist())
-    values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
-    if len(starts) < len(cons):  # else each cell is one constraint, whose rows step and masks hold
-        step, masks = _merge_cells(step, masks, sizes, starts)
-    counts = values + 1
-    base = np.cumsum(counts) - counts  # each cell's first row
-    G = int(counts.sum())
-    dtype = np.min_scalar_type(values.max())
-    table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times G plus row
-    row_bytes = np.dtype((np.void, len(starts) * dtype.itemsize))
+    G = table.size // A
+    accept_word, bit = divmod(A, 8 * masks.itemsize)
+    accept_bit = masks.dtype.type(1 << bit)
+    row_bytes = np.dtype((np.void, empty.nbytes))
 
     visited: set[bytes] = set()
     trail: list[tuple[np.ndarray, np.ndarray]] = []  # per depth: parent row, letter
@@ -363,50 +305,147 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
                 found = parents[found]
             witness = Witness(provenance, word=tuple(reversed(word)))
         status = SATISFIABLE if witness is not None else EMPTY
-        stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates, tuple(layers))
+        stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates, tuple(layers), setup_s)
         return SolveResult(status, witness, complete, stats)
 
-    layer = values[None].astype(dtype)  # (rows, cells): the empty word
+    layer = empty[None]  # (rows, cells): the empty word
     last = np.array([A])  # each row's last letter, A for the empty word
     depth = candidates = 0
     tick = time.perf_counter()
+    setup_s = tick - t0
+    try:
+        while True:
+            rows = layer + base  # intp row numbers
+            bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
+            hits = (bits[:, accept_word] & accept_bit).nonzero()[0]
+            if hits.size:
+                return done(int(hits[0]), depth, True)
+            if depth_cap is not None and depth >= depth_cap:
+                return done(None, depth, False)
+            # (row, letter) pairs whose successor is live in every component and
+            # whose word stays a normal form
+            bits &= allowed_after.take(last, axis=0)
+            live_pairs = np.unpackbits(bits.view(np.uint8), axis=1, count=A, bitorder="little")
+            parents, letters = np.divmod(live_pairs.ravel().nonzero()[0], A)
+            if parents.size == 0:
+                return done(None, depth, True)
+            candidates += parents.size
+            index = rows.take(parents, axis=0)
+            index += (letters * G)[:, None]
+            cand = table.take(index)  # (candidates, cells)
+            del rows, index  # a round's largest arrays, dropped before visited grows
+            packed = cand.view(row_bytes).ravel().tolist()
+            # one walk in candidate order: a key not yet visited is added on the
+            # spot, so each tuple keeps its first discovery
+            new = [i for i, key in enumerate(packed) if not (key in visited or visited.add(key))]
+            now = time.perf_counter()
+            layers.append((parents.size, len(new), now - tick))
+            tick = now
+            if not new:
+                return done(None, depth, True)
+            depth += 1
+            if len(visited) > state_cap:
+                raise StateCapError(state_cap, depth, len(visited))
+            if len(new) < parents.size:
+                new = np.array(new, dtype=np.intp)
+                parents, letters, cand = parents[new], letters[new], cand.take(new, axis=0)
+            del packed, new
+            trail.append((parents, letters))
+            layer, last = cand, letters
+    except MemoryError as exc:
+        raise SearchMemoryError(exc, depth, len(visited)) from exc
+
+
+def _tables(instance: Instance):
+    """Everything ``_bfs`` builds before its first layer, as
+    (live, masks, allowed_after, table, base, empty).
+
+    Each constraint's element-times-letter table is filled with one gather
+    per distinct Semigroup object, for all the constraints that share it
+    (reduction gadgets share one among all their constraints), and the
+    commutation matrix is read off that semigroup's table once.  ``live``
+    marks the live rows among every constraint's elements, each constraint
+    followed by its empty-word row: the closure runs one round over every
+    row, then rounds over the rows still dead only, which on the nilpotent
+    gadget are those of one constraint.  For every cell value there is then
+    its successor by each letter (``table``, at letter times the cell rows
+    plus row; ``base`` holds each cell's first row) and one mask word
+    (``masks``): a bit per letter whose successor is live in every
+    component, and one bit for "every component accepts".  When each cell
+    holds one constraint, these are the per-constraint tables as they stand.
+    ``allowed_after`` holds the letters allowed after a word ending in each
+    letter, and ``empty`` is the empty word's row.
+    """
+    cons = instance.constraints
+    A = instance.alphabet_size
+    sizes = np.array([c.semigroup.size for c in cons], dtype=np.intp)
+
+    # Every constraint's elements, plus one row for the empty word, stacked:
+    # row x of constraint i holds x times each letter image, its empty-word
+    # row the images themselves, all as the constraint's own element ids.
+    counts = sizes + 1
+    offsets = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max() - 1))
+    step_rows = step.view(np.dtype((np.void, step.strides[0])))  # (total, 1): a row as one item
+    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
+    forbidden = np.tri(A, k=-1, dtype=bool)
+    groups: dict[int, list[int]] = {}  # constraints by semigroup object
+    for i, c in enumerate(cons):
+        groups.setdefault(id(c.semigroup), []).append(i)
+    for members in groups.values():
+        S = cons[members[0]].semigroup
+        images = np.array([cons[i].morphism.images for i in members], dtype=np.intp)  # (g, A)
+        # x times y, then a row for the empty word times y, which is y
+        times = np.vstack([S.array, np.arange(S.size, dtype=step.dtype)])
+        block = times.take(images, axis=1)  # (n + 1, g, A), C order, so each row is one item
+        step_rows[np.arange(S.size + 1)[:, None] + offsets[members]] = block.view(step_rows.dtype)
+        commutes = (S.array == S.array.T).ravel()
+        # chunks of constraints, so that no (chunk, A, A) block is larger than step
+        chunk = max(1, step.size // (A * A))
+        for lo in range(0, len(members), chunk):
+            part = images[lo:lo + chunk]
+            forbidden &= commutes.take(part[:, :, None] * S.size + part[:, None, :]).all(axis=0)
+    accept = np.zeros(total, dtype=bool)
+    accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
+    # the table's successors as row numbers; intp, since take would convert it every round
+    succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
+    # backward closure of the accept sets, at most max(sizes) rounds: one over
+    # every row, then rounds over the rows it left dead until none turns live
+    live = accept | accept.take(succ).any(axis=0)
+    dead = np.flatnonzero(~live)
+    dead_succ, grown = succ[:, dead], 0
     while True:
-        rows = layer + base  # intp row numbers
-        bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
-        hits = np.flatnonzero(bits[:, accept_word] & accept_bit)
-        if hits.size:
-            return done(int(hits[0]), depth, True)
-        if depth_cap is not None and depth >= depth_cap:
-            return done(None, depth, False)
-        # (row, letter) pairs whose successor is live in every component and
-        # whose word stays a normal form
-        bits &= allowed_after.take(last, axis=0)
-        live_pairs = np.unpackbits(bits.view(np.uint8), axis=1, count=A, bitorder="little")
-        parents, letters = np.divmod(np.flatnonzero(live_pairs), A)
-        if parents.size == 0:
-            return done(None, depth, True)
-        candidates += parents.size
-        index = rows.take(parents, axis=0)
-        index += (letters * G)[:, None]
-        cand = table.take(index)  # (candidates, cells)
-        del rows, index  # a round's largest arrays, dropped before visited grows
-        packed = cand.view(row_bytes).ravel().tolist()
-        # one walk in candidate order: a key not yet visited is added on the
-        # spot, so each tuple keeps its first discovery
-        new = [i for i, key in enumerate(packed) if not (key in visited or visited.add(key))]
-        now = time.perf_counter()
-        layers.append((parents.size, len(new), now - tick))
-        tick = now
-        if not new:
-            return done(None, depth, True)
-        depth += 1
-        if len(visited) > state_cap:
-            raise StateCapError(state_cap, depth, len(visited))
-        if len(new) < parents.size:
-            parents, letters, cand = parents[new], letters[new], cand[new]
-        del packed, new
-        trail.append((parents, letters))
-        layer, last = cand, letters
+        now_live = live.take(dead_succ).any(axis=0)  # never loses a row, since live only grows
+        if np.count_nonzero(now_live) == grown:
+            break
+        live[dead] = now_live
+        grown = np.count_nonzero(now_live)
+
+    # Mask words: bit a says letter a's successor is live, bit A that the row
+    # accepts (the empty-word rows never do).  Each row of flags fills whole
+    # words, so packing it flat gives the same words as packing row by row.
+    nbytes = A // 8 + 1
+    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
+    nbits = 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)
+    flags = np.zeros((total, nbits), dtype=bool)
+    flags[:, :A] = live.take(succ).T
+    flags[:, A] = accept
+    masks = np.packbits(flags.ravel(), bitorder="little").view(mask_dtype).reshape(total, -1)
+    # row l: the letters allowed after a word ending in l; row A: after the empty word
+    allowed = np.zeros((A + 1, nbits), dtype=bool)
+    allowed[:, :A] = ~np.vstack([forbidden, np.zeros(A, dtype=bool)])
+    allowed_after = np.packbits(allowed.ravel(), bitorder="little").view(mask_dtype).reshape(A + 1, -1)
+
+    starts = _cells(sizes.tolist())
+    values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
+    if len(starts) < len(cons):  # else each cell is one constraint, whose rows step and masks hold
+        step, masks = _merge_cells(step, masks, sizes, starts)
+    counts = values + 1
+    base = np.cumsum(counts) - counts  # each cell's first row
+    dtype = np.min_scalar_type(values.max())
+    table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times the cell rows plus row
+    return live, masks, allowed_after, table, base, values.astype(dtype)
 
 
 def brute_force_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:

@@ -82,6 +82,24 @@ def solve_by_word_enumeration(instance: Instance, max_len: int):
     return None
 
 
+def live_elements(instance: Instance) -> list[set[int]]:
+    """Each constraint's live elements, by the definition: x is live when x,
+    or x times some product of letter images, is accepted.  Rounds of "some
+    letter image takes x to a live element" run until one adds nothing."""
+    A = instance.alphabet_size
+    lives = []
+    for c in instance.constraints:
+        t, imgs = c.semigroup.table, c.morphism.images
+        live = set(c.accept)
+        grown = True
+        while grown:
+            more = {x for x in range(len(t)) if any(t[x][imgs[a]] in live for a in range(A))}
+            grown = not more <= live
+            live |= more
+        lives.append(live)
+    return lives
+
+
 def bfs_reference(instance: Instance, depth_cap: int | None = None):
     """The engine's search as a plain tuple BFS, with no commutation rule.
 
@@ -95,15 +113,7 @@ def bfs_reference(instance: Instance, depth_cap: int | None = None):
     A = instance.alphabet_size
     tables = [c.semigroup.table for c in instance.constraints]
     images = [c.morphism.images for c in instance.constraints]
-    lives = []
-    for t, imgs, c in zip(tables, images, instance.constraints):
-        live = set(c.accept)  # x is live when x times some product of images, or x, is accepted
-        grown = True
-        while grown:
-            more = {x for x in range(len(t)) if any(t[x][imgs[a]] in live for a in range(A))}
-            grown = not more <= live
-            live |= more
-        lives.append(live)
+    lives = live_elements(instance)
 
     def succ_of(tup, a):
         if tup is None:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sgisect.core import direct_product
@@ -24,6 +25,22 @@ def family_pool():
     pool.append(direct_product([mincap(2), mincap(3)])[0])
     pool.append(direct_product([leftzero(2), cyclic(2)])[0])
     return pool
+
+
+@pytest.fixture
+def memory_error_at_depth_2(monkeypatch):
+    """``np.unpackbits``, which the BFS calls once per round after the accept
+    test, raises ``MemoryError`` on its third call: in the round after depth
+    2.  Nothing large is allocated."""
+    unpack, calls = np.unpackbits, []
+
+    def unpackbits(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate 1.00 MiB")
+        return unpack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unpackbits", unpackbits)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 import sgisect
 import sgisect.solve as solve
 from sgisect import families
+from sgisect.core import Morphism
 from sgisect.cli import run_command
 from sgisect.formats import parse_instance, parse_slp_text, serialize_instance
 from sgisect.reductions import CnfFormula, reduce_unbounded
@@ -138,11 +139,14 @@ class TestSolve:
         assert data["stats"]["states_explored"] == data["stats"]["candidates"] == 2  # x1 and nx1
         [layer] = data["stats"]["layers"]  # x1 accepts, so the search stops at depth 1
         assert (layer["candidates"], layer["new_states"]) == (2, 2) and layer["seconds"] >= 0
+        stats = data["stats"]
+        assert 0 <= stats["setup_s"] and stats["setup_s"] + layer["seconds"] <= stats["wall_time"]
 
     def test_json_slp_has_no_layers(self, capsys, sat_gadget):
         code, out, _ = _run(capsys, "solve", "--json", "--strategy", "slp", sat_gadget)
         assert code == 0
         assert json.loads(out)["stats"]["layers"] == []
+        assert json.loads(out)["stats"]["setup_s"] == 0.0
 
     def test_bad_instance_file(self, capsys, tmp_path):
         path = tmp_path / "bad.sgi"
@@ -402,6 +406,14 @@ class TestSolverFailures:
         code, out, err = _run(capsys, "solve", sat_gadget)
         assert code == 2 and out == ""
         assert err == "error: search exceeded the state cap of 5 at depth 3, with 6 states stored\n"
+
+    def test_memory_error_says_how_far_the_search_got(self, capsys, memory_error_at_depth_2, tmp_path):
+        path = tmp_path / "deep.sgi"  # a^6 into Z_7, one new state per depth
+        path.write_text(serialize_instance(solve.Instance(("a",), (
+            solve.Constraint(Morphism((1,), families.cyclic(7)), frozenset({6})),))))
+        code, out, err = _run(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: at depth 2, with 2 states stored: Unable to allocate 1.00 MiB\n"
 
 
 class TestModuleEntryPoint:

@@ -4,6 +4,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from sgisect.core import Morphism, Semigroup, apply_morphism, direct_product
@@ -16,8 +17,8 @@ from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapErro
                            li_solve, li_witness_shorten, verify_witness)
 from sgisect.varieties import is_commutative, is_li, li_degree
 
-from _oracles import (bfs_reference, commuting_letter_pairs, first_enumerated_slp, random_instance,
-                      random_morphism, solve_by_word_enumeration)
+from _oracles import (bfs_reference, commuting_letter_pairs, first_enumerated_slp, live_elements,
+                      random_instance, random_morphism, solve_by_word_enumeration)
 
 
 def _single(S, images, accept, names=None) -> Instance:
@@ -53,8 +54,11 @@ def _agree_with_reference(I, depth_cap=None):
 def _check_layers(r):
     """``stats.layers`` holds one (candidates, new states, seconds) per round
     that generated candidates: one per depth, plus, when a closed search ends
-    on a round that found no new tuple, that round."""
+    on a round that found no new tuple, that round.  Set-up and the layers
+    fit in the wall time, which also holds the round that stopped the search."""
     layers, depth = r.stats.layers, r.stats.max_depth
+    assert 0 <= r.stats.setup_s
+    assert r.stats.setup_s + sum(seconds for _, _, seconds in layers) <= r.stats.wall_time
     assert sum(new for _, new, _ in layers) == r.stats.states_explored
     assert sum(cand for cand, _, _ in layers) == r.stats.candidates
     assert all(new > 0 and seconds >= 0 for _, new, seconds in layers[:depth])
@@ -376,6 +380,69 @@ class TestCells:
             images = tuple(rng.randrange(1, 300) for _ in range(220))
             _agree_with_reference(_single(S, images, accept))
             _agree_with_reference(_single(S, images[::-1], accept), 1)
+
+
+class TestLiveness:
+    """``_tables`` closes the accept sets with one round over every row and
+    then rounds over the rows still dead; its live rows must be the live
+    elements of the definition (``_oracles.live_elements``)."""
+
+    @staticmethod
+    def _same_live_rows(I):
+        live = solve._tables(I)[0]
+        row = 0
+        for c, expected in zip(I.constraints, live_elements(I)):
+            n = c.semigroup.size
+            assert set(np.flatnonzero(live[row:row + n]).tolist()) == expected
+            # the empty word's row steps to the letter images
+            assert live[row + n] == any(y in expected for y in c.morphism.images)
+            row += n + 1
+        assert row == live.size
+
+    def test_family_pool(self, family_pool):
+        rng = random.Random(1616)
+        for _ in range(300):
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 4))]
+            self._same_live_rows(random_instance(rng, semis, rng.randint(1, 4), allow_empty_accept=True))
+
+    def test_one_element_per_round(self):
+        # with one letter of image 1 into Z_n and accept {0}, element x is
+        # n - x steps from 0, so the closure needs n - 1 rounds, each adding
+        # one element; an image of 0 or a second constraint changes nothing
+        for n in (5, 9, 16):
+            S = cyclic(n)
+            self._same_live_rows(_single(S, (1,), (0,)))
+            self._same_live_rows(Instance(("a", "b"), (Constraint(Morphism((1, 1), S), frozenset({0})),
+                                                       Constraint(Morphism((0, 1), mincap(3)), frozenset({2})))))
+
+    def test_nilpotent_gadget(self):
+        # every clause constraint accepts the zero, which some letter maps
+        # to, so the first round settles it; the constraint accepting k needs
+        # k + 1 rounds
+        rng = random.Random(1617)
+        for k in (5, 6, 7):
+            for _ in range(2):
+                clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, k + 1), 3))
+                                for _ in range(round(4.2 * k)))
+                I = reduce_nilpotent(CnfFormula(k, clauses))
+                self._same_live_rows(I)
+                r, _ = _agree_with_reference(I)
+                assert _summary(li_solve(I)) == _summary(r)
+
+
+class TestOutOfMemory:
+    """A ``MemoryError`` in the depth loop comes out as a
+    ``SearchMemoryError`` carrying the depth and the states stored."""
+
+    def test_depth_and_states(self, memory_error_at_depth_2):
+        with pytest.raises(solve.SearchMemoryError) as err:
+            brute_force_solve(_single(cyclic(7), (1,), (6,)))  # a^6: one new state per depth
+        assert isinstance(err.value, MemoryError)
+        assert (err.value.depth, err.value.states) == (2, 2)
+        assert str(err.value) == "at depth 2, with 2 states stored: Unable to allocate 1.00 MiB"
+
+    def test_empty_message(self):
+        assert str(solve.SearchMemoryError(MemoryError(), 0, 0)) == "at depth 0, with 0 states stored"
 
 
 class TestTraceNormalForm:
