@@ -6,9 +6,11 @@ values can be shared freely across threads.
 
 The cubic table kernels (the associativity check here, the local-triviality
 checks in ``varieties``) and the BFS engine read ``Semigroup.array``, a
-read-only numpy copy of the table.  It is built on first access and cached on
-the instance, so a semigroup that no kernel reads never pays for it.  Threads
-racing on the first access may compute the array twice
+read-only numpy copy of the table.  A semigroup built from a 2-D integer array
+(the parser's, a direct product's) keeps a compact copy of that array from the
+start.  One built from rows of ints builds the copy on first access and caches
+it on the instance, so a semigroup that no kernel reads never pays for it.
+Threads racing on the first access may compute the array twice
 (``functools.cached_property`` takes no lock from Python 3.12 on); the copies
 are equal and read-only, so keeping either is correct.
 """
@@ -46,17 +48,22 @@ class Semigroup:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(map(int, row)) for row in self.table)
+        a = self.table
+        from_array = isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"
+        table = tuple(map(tuple, a.tolist())) if from_array else tuple(tuple(map(int, row)) for row in a)
         object.__setattr__(self, "table", table)
         n = len(table)
         if n == 0:
             raise ValueError("a semigroup is non-empty")
-        for x, row in enumerate(table):
-            if len(row) != n:
-                raise ValueError(f"table not square: row {x} has {len(row)} entries, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                y = next(y for y, v in enumerate(row) if not 0 <= v < n)
-                raise ValueError(f"entry {row[y]} at ({x}, {y}) out of range 0..{n - 1}")
+        if from_array and a.shape[1] == n and a.min() >= 0 and a.max() < n:
+            object.__setattr__(self, "array", _read_only(a))  # fills the cached property
+        else:  # rows of ints, or an array that fails its one range check: name the first bad entry
+            for x, row in enumerate(table):
+                if len(row) != n:
+                    raise ValueError(f"table not square: row {x} has {len(row)} entries, expected {n}")
+                if min(row) < 0 or max(row) >= n:
+                    y = next(y for y, v in enumerate(row) if not 0 <= v < n)
+                    raise ValueError(f"entry {row[y]} at ({x}, {y}) out of range 0..{n - 1}")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:
@@ -75,15 +82,20 @@ class Semigroup:
         equality and hashing see only ``table``.  The compact dtype keeps the
         cache small: arithmetic on it wraps, so callers widen before adding.
         """
-        a = np.array(self.table, dtype=np.min_scalar_type(len(self.table) - 1))
-        a.flags.writeable = False
-        return a
+        return _read_only(self.table)
 
     def elements(self) -> range:
         return range(len(self.table))
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
+
+
+def _read_only(table) -> np.ndarray:
+    """A read-only copy of an n x n table in the smallest unsigned dtype holding n-1."""
+    a = np.array(table, dtype=np.min_scalar_type(len(table) - 1))
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -94,14 +106,14 @@ class Morphism:
     target: Semigroup
 
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+        images = tuple(map(int, self.images))
         object.__setattr__(self, "images", images)
         if not images:
             raise ValueError("a morphism needs at least one letter")
         n = self.target.size
-        for a, v in enumerate(images):
-            if not 0 <= v < n:
-                raise ValueError(f"image {v} of letter {a} out of range 0..{n - 1}")
+        if min(images) < 0 or max(images) >= n:
+            a = next(a for a, v in enumerate(images) if not 0 <= v < n)
+            raise ValueError(f"image {images[a]} of letter {a} out of range 0..{n - 1}")
 
     @property
     def alphabet_size(self) -> int:
@@ -284,7 +296,7 @@ def direct_product(factors, cap: int = DEFAULT_PRODUCT_CAP) -> tuple[Semigroup, 
     if all(f.labels is not None for f in factors):
         columns = [[f.labels[x] for x in p] for f, p in zip(factors, projections)]
         labels = tuple("(" + ",".join(parts) + ")" for parts in zip(*columns))
-    return Semigroup(table.tolist(), labels), projections
+    return Semigroup(table, labels), projections
 
 
 def apply_morphism(h: Morphism, word) -> int:

@@ -29,7 +29,10 @@ SLP file.
 
 Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
-line number to their errors and checks only counts and block structure.
+line number to their errors and checks only counts and block structure.  A
+table's rows are converted in one pass into one integer array, which
+``Semigroup`` checks with one ``min`` and one ``max``; rows are read one by
+one only to report a ragged row or a non-integer token at its line.
 
 SLP grammar: a header line ``SLP 1``, a line ``START <var>``, then one line
 ``<var> = <sym> <sym> ...`` per variable.  Tokens starting with ``X`` are
@@ -38,6 +41,10 @@ with ``X``).  Definition order is free.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice
+
+import numpy as np
 
 from .circuits import OPS, BooleanCircuit
 from .core import AssociativityError, Morphism, Semigroup, check_associative
@@ -52,21 +59,36 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _logical_lines(text: str):
+def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
     """(lineno, tokens) for each non-empty line after comment stripping."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+    return [(lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := raw.partition("#")[0].split())]
+
+
+def _take(lines):
+    """The next (lineno, tokens) from an iterator over logical lines."""
+    for item in lines:
+        return item
+    raise FormatError("unexpected end of file")
 
 
 def default_letter_names(m: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(m))
 
 
+class _Decimals(dict):
+    """``int(token)``, looked up for "0" to "1023": a short token hashes faster than ``int`` parses it."""
+
+    def __missing__(self, token: str) -> int:
+        return int(token)
+
+
+_int = _Decimals((str(i), i) for i in range(1024)).__getitem__
+
+
 def _ints(tokens, what: str, lineno: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(_int, tokens))
     except ValueError:
         raise FormatError(f"non-integer {what} in {tokens!r}", lineno) from None
 
@@ -82,15 +104,26 @@ def _at_line(lineno: int, build, *args):
 
 
 def _read_table(rows, n: int, lineno: int) -> Semigroup:
-    """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line."""
+    """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line.
+
+    The block's tokens become an (n, n) array in one pass.  Only a ragged row
+    or a token that is no int64 sends the rows through one by one, to report
+    the first bad row, or to leave a huge int to Semigroup's range check.
+    """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
-    table = []
-    for rlineno, tokens in rows:
-        row = _ints(tokens, "table entry", rlineno)
-        if len(row) != n:
-            raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
-        table.append(row)
+    tokens = [t for _, t in rows]
+    try:
+        table = np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n)
+    except (ValueError, OverflowError):  # no int, beyond int64, or too few tokens
+        table = None
+    if table is None or set(map(len, tokens)) != {n}:
+        table = []
+        for rlineno, row_tokens in rows:
+            row = _ints(row_tokens, "table entry", rlineno)
+            if len(row) != n:
+                raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
+            table.append(row)
     return _at_line(lineno, check_associative, table)
 
 
@@ -98,7 +131,7 @@ def _read_table(rows, n: int, lineno: int) -> Semigroup:
 
 def parse_table_text(text: str) -> Semigroup:
     """Rows of indices; the first row fixes n.  A non-associative table raises AssociativityError."""
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
     if not lines:
         raise FormatError("empty table")
     return _read_table(lines, len(lines[0][1]), lines[0][0])
@@ -112,25 +145,14 @@ def serialize_table_text(S: Semigroup) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate an SGI document (associativity included)."""
-    lines = list(_logical_lines(text))
-    pos = 0
+    lines = _logical_lines(text)
+    it = iter(lines)  # every block below reads on from where the last one stopped
 
-    def peek():
-        return lines[pos] if pos < len(lines) else (None, None)
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("unexpected end of file")
-        item = lines[pos]
-        pos += 1
-        return item
-
-    lineno, tokens = take()
+    lineno, tokens = _take(it)
     if tokens != ["SGI", "1"]:
         raise FormatError("expected header 'SGI 1'", lineno)
 
-    lineno, tokens = take()
+    lineno, tokens = _take(it)
     if len(tokens) != 2 or tokens[0] != "ALPHABET":
         raise FormatError("expected 'ALPHABET <m>'", lineno)
     m = _ints(tokens[1:], "alphabet size", lineno)[0]
@@ -138,18 +160,15 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("alphabet must be non-empty", lineno)
 
     names, names_line = default_letter_names(m), None
-    _, tokens = peek()
-    if tokens and tokens[0] == "NAMES":
-        lineno, tokens = take()
-        names_line = lineno
+    if len(lines) > 2 and lines[2][1][0] == "NAMES":
+        names_line, tokens = _take(it)
         if len(tokens) != m + 1:
-            raise FormatError(f"NAMES needs {m} tokens, got {len(tokens) - 1}", lineno)
+            raise FormatError(f"NAMES needs {m} tokens, got {len(tokens) - 1}", names_line)
         names = tuple(tokens[1:])
 
     tables: dict[str, Semigroup] = {}
     constraints: list[Constraint] = []
-    while pos < len(lines):
-        lineno, tokens = take()
+    for lineno, tokens in it:
         if tokens[0] == "TABLE":
             if len(tokens) != 3:
                 raise FormatError("expected 'TABLE <name> <n>'", lineno)
@@ -159,13 +178,11 @@ def parse_instance(text: str) -> Instance:
             n = _ints(tokens[2:], "table size", lineno)[0]
             if n < 1:
                 raise FormatError("table size must be >= 1", lineno)
-            rows = lines[pos:pos + n]
-            pos += len(rows)
             try:
-                tables[name] = _read_table(rows, n, lineno)
+                tables[name] = _read_table(list(islice(it, n)), n, lineno)
             except AssociativityError as exc:
                 raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
-            elineno, etokens = take()
+            elineno, etokens = _take(it)
             if etokens != ["END"]:
                 raise FormatError("expected 'END' closing the TABLE block", elineno)
         elif tokens[0] == "CONSTRAINT":
@@ -179,8 +196,7 @@ def parse_instance(text: str) -> Instance:
             morphism = None
             accept = None
             seen: set[str] = set()
-            while True:
-                blineno, btokens = take()
+            for blineno, btokens in it:
                 if btokens == ["END"]:
                     break
                 if btokens[0] in seen:
@@ -200,6 +216,8 @@ def parse_instance(text: str) -> Instance:
                     accept_line = blineno
                 else:
                     raise FormatError(f"unexpected token {btokens[0]!r} in CONSTRAINT block", blineno)
+            else:
+                raise FormatError("unexpected end of file")
             if morphism is None:
                 raise FormatError("CONSTRAINT block lacks IMAGES", lineno)
             if accept is None:
@@ -252,7 +270,7 @@ def parse_slp_text(text: str, letter_names=None) -> tuple[Slp, tuple[str, ...]]:
     With ``letter_names`` given, letter tokens must come from that list; else
     letters are indexed in order of first appearance.
     """
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
     if not lines or lines[0][1] != ["SLP", "1"]:
         raise FormatError("expected header 'SLP 1'", lines[0][0] if lines else None)
     if len(lines) < 2 or len(lines[1][1]) != 2 or lines[1][1][0] != "START":

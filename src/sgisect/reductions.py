@@ -154,20 +154,18 @@ def reduce_unbounded(formula: CnfFormula) -> Instance:
     if k < 1:
         raise ValueError("need at least one variable")
     S = mincap(k + 2)
-    letters = reduction_alphabet(k)
-    m = 2 * k
+    literals = [_letter_literal(a, k) for a in range(2 * k)]
 
     def morphism(weight2):
-        return Morphism(tuple(1 if a in weight2 else 0 for a in range(m)), S)
+        """Weight 2 for the letters carrying a literal in ``weight2``, 1 for the rest."""
+        return Morphism(tuple([1 if lit in weight2 else 0 for lit in literals]), S)
 
-    constraints = [Constraint(morphism(frozenset()), frozenset({k - 1}), "g0")]
+    constraints = [Constraint(morphism(()), frozenset({k - 1}), "g0")]
     for i in range(1, k + 1):
-        pair = frozenset({i - 1, k + i - 1})
-        constraints.append(Constraint(morphism(pair), frozenset({k}), f"g{i}"))
+        constraints.append(Constraint(morphism((i, -i)), frozenset({k}), f"g{i}"))
     for j, clause in enumerate(formula.clauses, start=1):
-        hot = frozenset(a for a in range(m) if _letter_literal(a, k) in clause)
-        constraints.append(Constraint(morphism(hot), frozenset({k, k + 1}), f"h{j}"))
-    return Instance(letters, tuple(constraints))
+        constraints.append(Constraint(morphism(clause), frozenset({k, k + 1}), f"h{j}"))
+    return Instance(reduction_alphabet(k), tuple(constraints))
 
 
 def reduce_nilpotent(formula: CnfFormula) -> Instance:
@@ -182,21 +180,17 @@ def reduce_nilpotent(formula: CnfFormula) -> Instance:
     if k < 1:
         raise ValueError("need at least one variable")
     S = nilinterval(k)
-    letters = reduction_alphabet(k)
-    m = 2 * k
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
     pair_index = {p: c + 1 for c, p in enumerate(pairs)}
+    literals = [_letter_literal(a, k) for a in range(2 * k)]
+    diagonal = [pair_index[(abs(lit), abs(lit))] for lit in literals]
 
-    def diag(letter: int) -> int:
-        i = letter + 1 if letter < k else letter - k + 1
-        return pair_index[(i, i)]
-
-    g = Morphism(tuple(diag(a) for a in range(m)), S)
+    g = Morphism(tuple(diagonal), S)
     constraints = [Constraint(g, frozenset({pair_index[(1, k)]}), "g")]
     for j, clause in enumerate(formula.clauses, start=1):
-        images = tuple(0 if _letter_literal(a, k) in clause else diag(a) for a in range(m))
+        images = tuple([0 if lit in clause else d for lit, d in zip(literals, diagonal)])
         constraints.append(Constraint(Morphism(images, S), frozenset({0}), f"h{j}"))
-    return Instance(letters, tuple(constraints))
+    return Instance(reduction_alphabet(k), tuple(constraints))
 
 
 def assignment_to_word(assignment: Assignment) -> tuple[int, ...]:

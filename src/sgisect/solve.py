@@ -84,7 +84,7 @@ class Constraint:
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "accept", frozenset(int(x) for x in self.accept))
+        object.__setattr__(self, "accept", frozenset(map(int, self.accept)))
         n = self.morphism.target.size
         for x in self.accept:
             if not 0 <= x < n:
@@ -106,11 +106,13 @@ class Instance:
         if not self.letter_names:
             raise ValueError("alphabet must be non-empty")
         # a name must read back as one letter in a word and in an SLP file
-        for i, name in enumerate(self.letter_names):
+        seen = set()
+        for name in self.letter_names:
             if name.split() != [name] or "#" in name:
                 raise ValueError(f"letter name {name!r} is not one token without whitespace or '#'")
-            if name in self.letter_names[:i]:
+            if name in seen:
                 raise ValueError(f"letter name {name!r} is repeated")
+            seen.add(name)
             if name.startswith("X"):
                 raise ValueError(f"letter name {name!r} starts with 'X', the SLP variable prefix")
         if not self.constraints:

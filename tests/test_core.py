@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, apply_morphism,
+from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, Semigroup, apply_morphism,
                           check_associative, direct_product, distinguished_elements,
                           local_monoid, monogenic_orders, multiply, power, product_morphism,
                           sub_semigroup, subsemigroup_closure)
@@ -100,6 +101,47 @@ class TestArray:
         S.array
         assert S == fresh and hash(S) == hash(fresh) == before
         assert {S: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("spec", ["mincap:1", "nilinterval:8", "cyclic:256", "leftzero:300"])
+    def test_built_from_an_array(self, spec):
+        S = build_family(spec)
+        for dtype in (np.int64, np.intp, np.uint16):
+            A = Semigroup(np.array(S.table, dtype=dtype), S.labels)
+            assert A == S and hash(A) == hash(S) and A.table == S.table
+            assert all(type(v) is int for row in A.table for v in row)
+            assert "array" in A.__dict__  # filled at construction, not on first access
+            assert A.array.dtype == S.array.dtype and np.array_equal(A.array, S.array)
+            assert not A.array.flags.writeable
+
+    def test_array_is_copied(self):
+        table = np.array([[0, 1], [1, 1]])
+        S = Semigroup(table)
+        table[0, 0] = 1
+        assert S.table == ((0, 1), (1, 1)) and S.array[0, 0] == 0
+
+    def test_tuple_built_stays_lazy(self):
+        assert "array" not in Semigroup(((0, 1), (1, 1))).__dict__
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1], [2, 0]], "entry 2 at (1, 0) out of range 0..1"),
+        ([[0, -1], [5, 0]], "entry -1 at (0, 1) out of range 0..1"),
+        ([[0, 1, 1], [1, 1, 1]], "table not square: row 0 has 3 entries, expected 2"),
+    ])
+    def test_array_errors_match_tuple_errors(self, table, message):
+        for t in (table, np.array(table)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Semigroup(t)
+
+    @pytest.mark.parametrize("images, message", [
+        ((0, 4, 5), "image 4 of letter 1 out of range 0..3"),
+        ((3, -1, 9), "image -1 of letter 1 out of range 0..3"),
+        ((7, 0, -2), "image 7 of letter 0 out of range 0..3"),
+        ((0, 1, 2, 3, 2 ** 70), f"image {2 ** 70} of letter 4 out of range 0..3"),
+    ])
+    def test_morphism_names_the_first_bad_letter(self, images, message):
+        for imgs in (images, list(images)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Morphism(imgs, mincap(4))
 
 
 class TestNilintervalMemo:

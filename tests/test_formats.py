@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -174,6 +175,38 @@ class TestCanonicalSerialization:
             "CONSTRAINT T0", "CONSTRAINT T1", "CONSTRAINT T0", "CONSTRAINT T1"]
 
 
+def _seeded_formula(k: int) -> CnfFormula:
+    """A random CNF over k variables, clause widths 1 to 3, about 4.2 clauses per variable."""
+    rng = random.Random(f"reduction-{k}")
+    return CnfFormula(k, tuple(
+        frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, k + 1), rng.randint(1, min(3, k))))
+        for _ in range(round(4.2 * k))))
+
+
+class TestReductionSerialization:
+    """sha256 of serialize_instance of each gadget, pinned from the reductions
+    that looked up each letter's literal and diagonal image per clause."""
+
+    @pytest.mark.parametrize("reduce, k, digest", [
+        (reduce_nilpotent, 3, "cf2854e1348e45c752d4da6d7b26bdf986703f449f1525558c8ce512367da86e"),
+        (reduce_nilpotent, 4, "8c6db866d9c1552cc02babbbaa9b035d5069f480ca457fa090b10463a3df8e5e"),
+        (reduce_nilpotent, 5, "de9c207aeda11bad1b51bdc80b1dfc2c81f6a430799bbeae9a9c011365ffe78d"),
+        (reduce_nilpotent, 6, "e1d506f0000fdae92ec8f5742ca08a938adf400bda9307431b3dac48d9941c4f"),
+        (reduce_nilpotent, 7, "bcaced7dfd864ed903267b3923a1048b87f9857b1514e3da904f005289b7450f"),
+        (reduce_nilpotent, 8, "bb64c0e397190b39c6186f4cc4fefe57c94522593a5643bd6c2da624673aebb5"),
+        (reduce_unbounded, 3, "4c82cbbd4f5fa34ed843558e7f9edcc01edcbc1916754de9f9128dbeeb460784"),
+        (reduce_unbounded, 4, "d4d4a5977f6986f2b0fca39a934ce56b6cfe367224da72e65ed5c728c63c7dd3"),
+        (reduce_unbounded, 5, "f2572e99b309ef2ca5092e7329320566e1b2d59cebcadba74a66de522c6954a6"),
+        (reduce_unbounded, 6, "eda799d7c1e180050e3da08ae140726053b3820ee60ff08c7c2b0a013349f34b"),
+        (reduce_unbounded, 7, "134d999c0872a5794ba5ac596b939237232dfbb8b99b6f6d3493991ae314086d"),
+        (reduce_unbounded, 8, "72dd213046915b12b97e94a592b84034c0985f6aa6fc3767c8089b3766cf60db"),
+    ])
+    def test_digest_pinned(self, reduce, k, digest):
+        text = serialize_instance(reduce(_seeded_formula(k)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert serialize_instance(parse_instance(text)) == text
+
+
 class TestSlpFormat:
     def test_round_trip_default_names(self):
         G = power_slp(canonical_slp((0, 1), 2), 5)
@@ -241,6 +274,81 @@ class TestTableFormat:
     def test_entry_out_of_range(self):
         with pytest.raises(FormatError, match="out of range"):
             parse_table_text("0 5\n1 0\n")
+
+    def test_token_lookup_is_int(self):
+        from sgisect.formats import _int
+        for token in ["0", "7", "1023", "1024", "99999", "007", "-0", "-3", "+5", "1_0", "\u0663", "10" * 20]:
+            assert _int(token) == int(token) and type(_int(token)) is int
+        for token in ["x", "1.0", "0x1", "", "1 2"]:
+            with pytest.raises(ValueError):
+                _int(token)
+
+
+# A three-element table in a two-letter instance; the TABLE line is line 3 and
+# the rows are lines 4-6 (lines 1-3 of a bare table text).
+_HEAD = "SGI 1\nALPHABET 2\nTABLE T0 3\n"
+_GOOD_ROWS = "0 1 2\n1 2 2\n2 2 2\n"
+_TAIL = "END\nCONSTRAINT T0\nIMAGES 0 1\nACCEPT 2\nEND\n"
+
+
+class TestGoldenErrors:
+    """Exact messages and lines of the table, IMAGES and ACCEPT errors, as a
+    row-by-row reader reports them: the first row that is not integers or not
+    n long, and only then an out-of-range entry, at the table's first line."""
+
+    @pytest.mark.parametrize("rows, instance_error, table_error", [
+        ("0 1 2\n1 x 2\n2 2 2\n", "line 5: non-integer table entry in ['1', 'x', '2']",
+         "line 2: non-integer table entry in ['1', 'x', '2']"),
+        ("0 1 2\n1 2\n2 2 2\n", "line 5: row has 2 entries, expected 3",
+         "line 2: row has 2 entries, expected 3"),
+        ("0 1 2\n1 2 2 2\n2 2 2\n", "line 5: row has 4 entries, expected 3",
+         "line 2: row has 4 entries, expected 3"),
+        ("0 1 2\n1 2 2\n", "line 6: non-integer table entry in ['END']",  # END read as the third row
+         "line 1: expected 3 rows of 3 entries, got 2 rows"),
+        ("0 1 2\n1 2 3\n2 2 2\n", "line 3: entry 3 at (1, 2) out of range 0..2",
+         "line 1: entry 3 at (1, 2) out of range 0..2"),
+        ("0 1 2\n1 2 2\n2 -1 2\n", "line 3: entry -1 at (2, 1) out of range 0..2",
+         "line 1: entry -1 at (2, 1) out of range 0..2"),
+        ("0 1 2\n1 2 2\n2 2 " + str(10**30) + "\n",
+         f"line 3: entry {10**30} at (2, 2) out of range 0..2",
+         f"line 1: entry {10**30} at (2, 2) out of range 0..2"),
+        ("0 1 2\n1 2\n2 y 2\n", "line 5: row has 2 entries, expected 3",
+         "line 2: row has 2 entries, expected 3"),
+        ("0 z 2\n1 2\n2 2 2\n", "line 4: non-integer table entry in ['0', 'z', '2']",
+         "line 1: non-integer table entry in ['0', 'z', '2']"),
+        ("0 1 7\n1 2\n2 2 2\n", "line 5: row has 2 entries, expected 3",
+         "line 2: row has 2 entries, expected 3"),
+        ("0 1 2\n1 2 2\n2 2 2.0\n", "line 6: non-integer table entry in ['2', '2', '2.0']",
+         "line 3: non-integer table entry in ['2', '2', '2.0']"),
+    ], ids=["non-integer", "short-row", "long-row", "row-count", "out-of-range", "negative",
+            "10**30", "ragged-then-non-integer", "non-integer-then-ragged",
+            "out-of-range-then-ragged", "float"])
+    def test_table_errors(self, rows, instance_error, table_error):
+        with pytest.raises(FormatError) as exc:
+            parse_instance(_HEAD + rows + _TAIL)
+        assert str(exc.value) == instance_error
+        assert exc.value.line == int(instance_error.split()[1][:-1])
+        with pytest.raises(FormatError) as exc:
+            parse_table_text(rows)
+        assert str(exc.value) == table_error
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("IMAGES 0 1", "IMAGES 0", "line 9: IMAGES needs 2 indices, got 1"),
+        ("IMAGES 0 1", "IMAGES 0 1 2", "line 9: IMAGES needs 2 indices, got 3"),
+        ("IMAGES 0 1", "IMAGES 0 3", "line 9: image 3 of letter 1 out of range 0..2"),
+        ("IMAGES 0 1", "IMAGES -1 5", "line 9: image -1 of letter 0 out of range 0..2"),
+        ("ACCEPT 2", "ACCEPT 1 3", "line 10: accepting element 3 out of range 0..2"),
+        ("ACCEPT 2", "ACCEPT -1", "line 10: accepting element -1 out of range 0..2"),
+    ])
+    def test_constraint_errors(self, old, new, error):
+        with pytest.raises(FormatError, match="^" + re.escape(error) + "$"):
+            parse_instance((_HEAD + _GOOD_ROWS + _TAIL).replace(old, new))
+
+    def test_non_ascii_digits_read_as_int_does(self):
+        # int() reads any Unicode decimal digit, and so does the table reader
+        text = _HEAD + _GOOD_ROWS.replace("1 2 2", "1 2 \u0662") + _TAIL
+        assert parse_instance(text) == parse_instance(_HEAD + _GOOD_ROWS + _TAIL)
+        assert parse_table_text("0 +1\n0_1 1\n").table == ((0, 1), (1, 1))
 
 
 class TestCircuitFormat:

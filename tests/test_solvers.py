@@ -871,3 +871,10 @@ class TestInstanceValidation:
     def test_no_constraints(self):
         with pytest.raises(ValueError):
             Instance(("a",), ())
+
+    @pytest.mark.parametrize("names, repeated", [
+        (("a", "b", "a"), "a"), (("a", "b", "b", "a"), "b"), (("p", "q", "r", "s", "q", "p"), "q")])
+    def test_first_repeated_letter_name(self, names, repeated):
+        h = Morphism((0,) * len(names), mincap(3))
+        with pytest.raises(ValueError, match=f"^letter name '{repeated}' is repeated$"):
+            Instance(names, (Constraint(h, frozenset({0})),))
