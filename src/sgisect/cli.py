@@ -10,6 +10,8 @@ its file (the formats layer adds the line number), and ``run_command`` turns
 every error into one ``error: ...`` line and exit 2.  ``shorten`` defaults to
 the largest ``li_degree`` of the constraints.  ``--max-depth`` is accepted
 only with ``--strategy brute``, and ``--slp-size`` only with ``--strategy slp``.
+``solve --trace`` adds the solve's set-up seconds and one line per BFS depth
+to stderr, and leaves stdout as it is.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ def _cmd_solve(args) -> int:
     except PreconditionError as exc:
         raise ValueError(f"strategy {args.strategy!r} not applicable: {exc}") from exc
 
+    if args.trace:
+        print(f"trace setup_s={result.stats.setup_s:.6f}", file=sys.stderr)
+        for depth, (candidates, new, seconds) in enumerate(result.stats.layers, start=1):
+            print(f"trace depth={depth} candidates={candidates} new_states={new} seconds={seconds:.6f}",
+                  file=sys.stderr)
     if args.json:
         payload = {
             "status": result.status,
@@ -243,6 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None,
                    help="length cap, for --strategy brute only (result may be incomplete)")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--trace", action="store_true",
+                   help="print set-up seconds and per-depth candidates, new states and seconds to stderr")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("reduce", help="compile a DIMACS CNF file to an SGI instance")

@@ -10,16 +10,19 @@ read-only numpy copy of the table.  A semigroup built from a 2-D integer array
 (the parser's, a direct product's) keeps a compact copy of that array from the
 start.  One built from rows of ints builds the copy on first access and caches
 it on the instance, so a semigroup that no kernel reads never pays for it.
-Threads racing on the first access may compute the array twice
-(``functools.cached_property`` takes no lock from Python 3.12 on); the copies
-are equal and read-only, so keeping either is correct.
+Functions of a table alone (``li_degree`` and ``classify`` in ``varieties``,
+the serialized rows in ``formats``) are memoised on the instance the same way,
+through ``memo_on_object``.  Threads racing on a first access may compute a
+value twice (``functools.cached_property`` takes no lock from Python 3.12 on,
+and neither does ``memo_on_object``); the values are equal and immutable, so
+keeping either is correct.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -89,6 +92,24 @@ class Semigroup:
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
+
+
+def memo_on_object(compute):
+    """``compute(obj)``, computed once per object and kept in the object's ``__dict__``.
+
+    Not a field, so equality and hashing are unchanged.  Every caller shares
+    the result, so it must be immutable; a call that raises keeps nothing.
+    """
+    key = f"_memo_{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def memoised(obj):
+        cache = vars(obj)
+        if key not in cache:
+            cache[key] = compute(obj)
+        return cache[key]
+
+    return memoised
 
 
 def _read_only(table) -> np.ndarray:

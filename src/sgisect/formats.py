@@ -30,9 +30,20 @@ SLP file.
 Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
 line number to their errors and checks only counts and block structure.  A
+TABLE block ends at its END line, so a block short of rows is reported at
+its TABLE line, as ``parse_table_text`` reports a short table.  A
 table's rows are converted in one pass into one integer array, which
 ``Semigroup`` checks with one ``min`` and one ``max``; rows are read one by
 one only to report a ragged row or a non-integer token at its line.
+
+A batch of reduced instances repeats a few tables many times, so
+``parse_instance`` interns TABLE blocks that pass the row checks: a block
+seen before returns the same validated ``Semigroup`` object, memos and all.
+Only a block that parsed without error is kept, so every error is raised
+afresh at its line.  The process-wide cache is bounded (``INTERN_TABLES``,
+``INTERN_CELLS``) and locked, so threads may share it; ``parse_table_text``
+does not use it.  ``serialize_instance`` memoises each table's row block on
+its object.
 
 SLP grammar: a header line ``SLP 1``, a line ``START <var>``, then one line
 ``<var> = <sym> <sym> ...`` per variable.  Tokens starting with ``X`` are
@@ -42,12 +53,14 @@ with ``X``).  Definition order is free.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+import threading
+from collections import OrderedDict
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
 from .circuits import OPS, BooleanCircuit
-from .core import AssociativityError, Morphism, Semigroup, check_associative
+from .core import AssociativityError, Morphism, Semigroup, check_associative, memo_on_object
 from .slp import Slp, is_var_ref, ref_target, validate_slp, var_ref
 from .solve import Constraint, Instance
 
@@ -103,28 +116,80 @@ def _at_line(lineno: int, build, *args):
         raise FormatError(str(exc), lineno) from None
 
 
-def _read_table(rows, n: int, lineno: int) -> Semigroup:
+INTERN_TABLES = 64  # TABLE blocks parse_instance keeps
+# Cells (n * n per table) the kept tables hold in all.  A kept table has at
+# most 256 elements, so its entries are Python's shared small ints, and a cell
+# costs 13-17 bytes with the key text, the table tuples, the array and the
+# memos (tracemalloc): about 1.1 MB in all.
+INTERN_CELLS = 1 << 16
+
+
+class _TableIntern:
+    """Validated semigroups by their TABLE block's tokens; bounded, least recently used dropped first."""
+
+    def __init__(self):
+        self._tables: OrderedDict[str, Semigroup] = OrderedDict()
+        self._cells = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> Semigroup | None:
+        with self._lock:
+            S = self._tables.get(key)
+            if S is not None:
+                self._tables.move_to_end(key)
+            return S
+
+    def put(self, key: str, S: Semigroup) -> None:
+        cells = S.size * S.size
+        if cells > INTERN_CELLS:
+            return
+        with self._lock:
+            if key in self._tables:
+                return
+            self._tables[key] = S
+            self._cells += cells
+            while self._cells > INTERN_CELLS or len(self._tables) > INTERN_TABLES:
+                _, old = self._tables.popitem(last=False)
+                self._cells -= old.size * old.size
+
+
+_TABLES = _TableIntern()
+
+
+def _read_table(rows, n: int, lineno: int, intern: _TableIntern | None = None) -> Semigroup:
     """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line.
 
     The block's tokens become an (n, n) array in one pass.  Only a ragged row
     or a token that is no int64 sends the rows through one by one, to report
     the first bad row, or to leave a huge int to Semigroup's range check.
+    With ``intern`` given, a block of n rows of n tokens is first looked up
+    there by its tokens, and a block that parses without error is kept there.
     """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
     tokens = [t for _, t in rows]
+    ragged = set(map(len, tokens)) != {n}
+    key = None
+    if intern is not None and not ragged:  # n rows of n tokens: the tokens fix the table
+        key = " ".join(chain.from_iterable(tokens))
+        S = intern.get(key)
+        if S is not None:
+            return S
     try:
         table = np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n)
     except (ValueError, OverflowError):  # no int, beyond int64, or too few tokens
         table = None
-    if table is None or set(map(len, tokens)) != {n}:
+    if table is None or ragged:
         table = []
         for rlineno, row_tokens in rows:
             row = _ints(row_tokens, "table entry", rlineno)
             if len(row) != n:
                 raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
             table.append(row)
-    return _at_line(lineno, check_associative, table)
+    S = _at_line(lineno, check_associative, table)
+    if key is not None:
+        intern.put(key, S)
+    return S
 
 
 # -- raw multiplication tables -------------------------------------------------
@@ -139,6 +204,9 @@ def parse_table_text(text: str) -> Semigroup:
 
 def serialize_table_text(S: Semigroup) -> str:
     return "".join(" ".join(str(v) for v in row) + "\n" for row in S.table)
+
+
+_table_rows = memo_on_object(serialize_table_text)
 
 
 # -- SGI instances --------------------------------------------------------------
@@ -178,8 +246,9 @@ def parse_instance(text: str) -> Instance:
             n = _ints(tokens[2:], "table size", lineno)[0]
             if n < 1:
                 raise FormatError("table size must be >= 1", lineno)
+            rows = list(islice(takewhile(lambda line: line[1] != ["END"], it), n))  # stops at END
             try:
-                tables[name] = _read_table(list(islice(it, n)), n, lineno)
+                tables[name] = _read_table(rows, n, lineno, _TABLES)
             except AssociativityError as exc:
                 raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
             elineno, etokens = _take(it)
@@ -235,22 +304,22 @@ def serialize_instance(instance: Instance) -> str:
     """Canonical form: tables deduplicated by content, constraints in order.
 
     Tables are named T0, T1, ... in order of first appearance.  Constraints
-    mostly share Semigroup objects, so each is looked up by identity, and a
-    table is hashed only when its object is first seen.
+    mostly share Semigroup objects, so each is looked up by identity.  A
+    table's row block is memoised on its object and is its dedup key: equal
+    texts are equal tables, and a ``str`` caches its hash.
     """
     lines = ["SGI 1", f"ALPHABET {instance.alphabet_size}",
              "NAMES " + " ".join(instance.letter_names)]
     names: dict[int, str] = {}  # table name per Semigroup object
-    by_table: dict[tuple, str] = {}  # equal tables share a name
+    by_table: dict[str, str] = {}  # equal tables share a name
     for c in instance.constraints:
         S = c.semigroup
         if id(S) not in names:
+            rows = _table_rows(S)
             fresh = f"T{len(by_table)}"
-            names[id(S)] = by_table.setdefault(S.table, fresh)
+            names[id(S)] = by_table.setdefault(rows, fresh)
             if names[id(S)] == fresh:
-                lines.append(f"TABLE {fresh} {S.size}")
-                lines.extend(" ".join(map(str, row)) for row in S.table)
-                lines.append("END")
+                lines.append(f"TABLE {fresh} {S.size}\n{rows}END")
     for c in instance.constraints:
         lines.append(f"CONSTRAINT {names[id(c.semigroup)]}")
         if c.name is not None:

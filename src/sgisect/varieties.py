@@ -4,6 +4,10 @@
 The graded version ``li_k`` is the equation
 x_1...x_k z y_k...y_1 == x_1...x_k y_k...y_1 quantified over all elements;
 ``li_degree`` is the least k for which it holds.
+
+``li_degree`` and ``classify`` depend on the table alone, so each is computed
+once per ``Semigroup`` object and kept on it (``core.memo_on_object``);
+threads may race on a first call and compute it twice, harmlessly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Semigroup, distinguished_elements, monogenic_orders
+from .core import Semigroup, distinguished_elements, memo_on_object, monogenic_orders
 
 LI_FIRST_BLOCK_CELLS = 1 << 10  # cells in the first block of each li condition check
 LI_BLOCK_CELLS = 1 << 16  # cells beyond which blocks stop doubling
@@ -125,30 +129,19 @@ def satisfies_li_k(S: Semigroup, k: int) -> bool:
     return _li_condition_on(S, _product_chain(S, k)[-1])
 
 
+@memo_on_object
 def li_degree(S: Semigroup) -> int | None:
     """Least k such that S satisfies the degree-k equation; None when S is not li.
 
-    Computed once per Semigroup object and kept in its ``__dict__`` like
-    ``Semigroup.array``: not a field, so equality and hashing are unchanged,
-    and it lives as long as S.  ``classify`` and ``li_solve`` both ask for it.
-    """
-    cache = vars(S)
-    if "_li_degree" not in cache:
-        cache["_li_degree"] = _least_li_degree(S)
-    return cache["_li_degree"]
-
-
-def _least_li_degree(S: Semigroup) -> int | None:
-    """``li_degree`` without the cache.
-
-    The degree-k equation is the condition on P_k, the set of k-fold products,
-    and P_1 ⊇ P_2 ⊇ ... (see ``_product_chain``).  An equation that holds on
-    P_k holds on the subset P_{k+1}, so degree k implies degree k+1, and a
-    binary search over the chain finds the least degree with O(log size)
-    condition checks.  The chain is built until it is stable at some P_m,
-    m <= size, which stands for every later level: if the equation fails
-    there it fails at every degree.  Holding at some degree k is the same as
-    local triviality: an idempotent e is the k-fold product e...e, so
+    Memoised on S (``memo_on_object``): ``classify`` and ``li_solve`` both ask
+    for it.  The degree-k equation is the condition on P_k, the set of k-fold
+    products, and P_1 ⊇ P_2 ⊇ ... (see ``_product_chain``).  An equation that
+    holds on P_k holds on the subset P_{k+1}, so degree k implies degree k+1,
+    and a binary search over the chain finds the least degree with
+    O(log size) condition checks.  The chain is built until it is stable at
+    some P_m, m <= size, which stands for every later level: if the equation
+    fails there it fails at every degree.  Holding at some degree k is the
+    same as local triviality: an idempotent e is the k-fold product e...e, so
     e*x*e == e*e == e; a locally trivial semigroup of size n satisfies the
     equation by degree n+1, which is past P_m.
     """
@@ -173,7 +166,9 @@ def is_a2n(S: Semigroup) -> bool:
     return bool((T[sq] == sq[:, None]).all() and (T[:, sq] == sq).all())
 
 
+@memo_on_object
 def classify(S: Semigroup) -> ClassificationReport:
+    """Every predicate of this module on S; memoised on S (``memo_on_object``)."""
     _, class_order = monogenic_orders(S)
     degree = li_degree(S)
     return ClassificationReport(

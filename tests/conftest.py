@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgisect import formats
 from sgisect.core import direct_product
 from sgisect.slp import first_words
 from sgisect.families import (cyclic, enumerate_semigroup_tables, leftzero, mincap,
@@ -49,3 +50,11 @@ def fresh_word_memo():
     first_words.cache_clear()
     yield
     first_words.cache_clear()
+
+
+@pytest.fixture
+def fresh_table_intern(monkeypatch):
+    """An empty TABLE-block intern cache for ``parse_instance`` during the test."""
+    intern = formats._TableIntern()
+    monkeypatch.setattr(formats, "_TABLES", intern)
+    return intern

@@ -142,6 +142,21 @@ class TestSolve:
         stats = data["stats"]
         assert 0 <= stats["setup_s"] and stats["setup_s"] + layer["seconds"] <= stats["wall_time"]
 
+    def test_trace_goes_to_stderr_only(self, capsys, tmp_path):
+        path = tmp_path / "deep.sgi"
+        path.write_text("SGI 1\nALPHABET 1\nNAMES a\nTABLE T0 4\n1 2 3 3\n2 3 3 3\n3 3 3 3\n3 3 3 3\nEND\n"
+                        "CONSTRAINT T0\nIMAGES 0\nACCEPT 2\nEND\n")
+        code, plain, err = _run(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        code, out, err = _run(capsys, "solve", str(path), "--trace")
+        assert code == 0 and out == plain
+        code, out, err = _run(capsys, "solve", str(path), "--json", "--trace")
+        stats = json.loads(out)["stats"]
+        assert [line.split("=")[0] for line in err.splitlines()] == ["trace setup_s"] + ["trace depth"] * 3
+        assert err.splitlines() == [f"trace setup_s={stats['setup_s']:.6f}"] + [
+            f"trace depth={d} candidates={layer['candidates']} new_states={layer['new_states']} "
+            f"seconds={layer['seconds']:.6f}" for d, layer in enumerate(stats["layers"], start=1)]
+
     def test_json_slp_has_no_layers(self, capsys, sat_gadget):
         code, out, _ = _run(capsys, "solve", "--json", "--strategy", "slp", sat_gadget)
         assert code == 0

@@ -1,11 +1,14 @@
 import hashlib
 import random
 import re
+import sys
+import threading
 
 import pytest
 
+from sgisect import formats
 from sgisect.core import Morphism
-from sgisect.families import cyclic, mincap
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
 from sgisect.formats import (FormatError, parse_instance, parse_slp_text, parse_table_text,
                              serialize_circuit_text, serialize_instance, serialize_slp_text,
                              serialize_table_text)
@@ -303,7 +306,7 @@ class TestGoldenErrors:
          "line 2: row has 2 entries, expected 3"),
         ("0 1 2\n1 2 2 2\n2 2 2\n", "line 5: row has 4 entries, expected 3",
          "line 2: row has 4 entries, expected 3"),
-        ("0 1 2\n1 2 2\n", "line 6: non-integer table entry in ['END']",  # END read as the third row
+        ("0 1 2\n1 2 2\n", "line 3: expected 3 rows of 3 entries, got 2 rows",  # the block stops at END
          "line 1: expected 3 rows of 3 entries, got 2 rows"),
         ("0 1 2\n1 2 3\n2 2 2\n", "line 3: entry 3 at (1, 2) out of range 0..2",
          "line 1: entry 3 at (1, 2) out of range 0..2"),
@@ -349,6 +352,101 @@ class TestGoldenErrors:
         text = _HEAD + _GOOD_ROWS.replace("1 2 2", "1 2 \u0662") + _TAIL
         assert parse_instance(text) == parse_instance(_HEAD + _GOOD_ROWS + _TAIL)
         assert parse_table_text("0 +1\n0_1 1\n").table == ((0, 1), (1, 1))
+
+
+class TestTableIntern:
+    """``parse_instance`` returns one Semigroup object per distinct TABLE block
+    and raises every error afresh, at its own line."""
+
+    @staticmethod
+    def _table(instance):
+        return instance.constraints[0].semigroup
+
+    def test_same_text_same_object(self, fresh_table_intern):
+        text = _HEAD + _GOOD_ROWS + _TAIL
+        first, second = parse_instance(text), parse_instance(text)
+        assert first == second and self._table(first) is self._table(second)
+        assert len(fresh_table_intern._tables) == 1
+
+    def test_one_entry_apart_distinct_objects(self, fresh_table_intern):
+        S = self._table(parse_instance(_HEAD + _GOOD_ROWS + _TAIL))
+        T = self._table(parse_instance(_HEAD + _GOOD_ROWS.replace("1 2 2", "2 2 2") + _TAIL))
+        assert S is not T and S != T
+        assert T.table == ((0, 1, 2), (2, 2, 2), (2, 2, 2))
+
+    @pytest.mark.parametrize("rows, error", [
+        ("0 1 2 1\n2 2\n2 2 2\n", "line 4: row has 4 entries, expected 3"),
+        ("0 1 2\n1 2\n2 2 2 2\n", "line 5: row has 2 entries, expected 3"),
+        ("0 1 2\n1 2 2\n2 2 x\n", "line 6: non-integer table entry in ['2', '2', 'x']"),
+        ("0 1 2\n1 2 2\n2 2 3\n", "line 3: entry 3 at (2, 2) out of range 0..2"),
+        ("0 1 2\n1 2 2\n2 2 0\n",
+         "line 3: table 'T0' is not associative: associativity violated at triple (1, 1, 2)"),
+    ], ids=["ragged-same-tokens", "ragged-same-tokens-later-row", "non-integer", "out-of-range",
+            "non-associative"])
+    def test_bad_block_after_a_valid_one(self, fresh_table_intern, rows, error):
+        # the ragged blocks flatten to the valid block's tokens; each bad block
+        # is parsed twice, the second time one line further down
+        parse_instance(_HEAD + _GOOD_ROWS + _TAIL)
+        lineno = int(error.split()[1][:-1])
+        for shift in (0, 1):
+            with pytest.raises(FormatError) as exc:
+                parse_instance("# shifted\n" * shift + _HEAD + rows + _TAIL)
+            assert str(exc.value) == error.replace(f"line {lineno}:", f"line {lineno + shift}:")
+            assert exc.value.line == lineno + shift
+        assert len(fresh_table_intern._tables) == 1
+
+    def test_equal_blocks_in_one_document_share_an_object(self, fresh_table_intern):
+        text = (_HEAD + _GOOD_ROWS + "END\nTABLE T1 3\n" + _GOOD_ROWS + _TAIL
+                + "CONSTRAINT T1\nIMAGES 1 0\nACCEPT 2\nEND\n")
+        first, second = (c.semigroup for c in parse_instance(text).constraints)
+        assert first is second
+
+    def test_table_over_the_cell_bound_is_not_kept(self, fresh_table_intern, monkeypatch):
+        monkeypatch.setattr(formats, "INTERN_CELLS", 8)  # the 3 x 3 table has 9
+        text = _HEAD + _GOOD_ROWS + _TAIL
+        assert self._table(parse_instance(text)) is not self._table(parse_instance(text))
+        assert len(fresh_table_intern._tables) == 0
+
+    def test_least_recently_used_dropped_first(self, fresh_table_intern, monkeypatch):
+        monkeypatch.setattr(formats, "INTERN_CELLS", 3 * 9)  # three 3 x 3 tables
+        tables = (mincap(3), cyclic(3), leftzero(3), rightzero(3))
+        texts = [_HEAD + serialize_table_text(S) + _TAIL for S in tables]
+        a, b, c = (self._table(parse_instance(t)) for t in texts[:3])
+        assert self._table(parse_instance(texts[0])) is a  # a is now the most recent
+        parse_instance(texts[3])
+        assert len(fresh_table_intern._tables) == 3
+        assert self._table(parse_instance(texts[2])) is c
+        assert self._table(parse_instance(texts[1])) is not b  # b was dropped for the fourth table
+        monkeypatch.setattr(formats, "INTERN_TABLES", 1)
+        parse_instance(texts[0])
+        assert len(fresh_table_intern._tables) == 1
+
+    def test_threads_parse_equal_instances(self, monkeypatch):
+        texts = [serialize_instance(reduce_nilpotent(CnfFormula(k, (frozenset({1, -2}), frozenset({k})))))
+                 for k in (2, 3, 4)] * 4
+        expected = [parse_instance(t) for t in texts]
+        monkeypatch.setattr(formats, "_TABLES", formats._TableIntern())  # the threads start on an empty cache
+        results: dict[int, list] = {}
+
+        def work(i):
+            results[i] = [parse_instance(t) for t in texts[i % 3:] + texts[:i % 3]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 6
+        for i, got in results.items():
+            assert got == expected[i % 3:] + expected[:i % 3]
+        kept = formats._TABLES._tables.values()
+        assert len(kept) == 3 and formats._TABLES._cells == sum(S.size ** 2 for S in kept)
+        assert {self._table(p).table for p in expected} == {nilinterval(k).table for k in (2, 3, 4)}
 
 
 class TestCircuitFormat:

@@ -5,8 +5,10 @@ import random
 import time
 import weakref
 
+import pytest
+
 from sgisect import varieties
-from sgisect.core import Semigroup, direct_product
+from sgisect.core import Semigroup, direct_product, memo_on_object
 from sgisect.formats import parse_instance, serialize_instance
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect.reductions import CnfFormula, reduce_nilpotent
@@ -137,7 +139,7 @@ class TestDegreeAgainstDefinitionalCheck:
 
 
 class TestLiDegreeOncePerObject:
-    def test_classify_then_li_solve_build_one_product_chain(self, monkeypatch):
+    def test_classify_then_li_solve_build_one_product_chain(self, monkeypatch, fresh_table_intern):
         calls = []
         chain = varieties._product_chain
 
@@ -168,6 +170,32 @@ class TestLiDegreeOncePerObject:
         del S
         gc.collect()
         assert ref() is None
+
+
+class TestMemos:
+    def test_memoised_classify_equals_a_fresh_computation(self, family_pool):
+        for S in family_pool:
+            report = classify(S)
+            assert classify(S) is report
+            fresh = Semigroup(S.table)  # an equal table in a new object: nothing memoised
+            assert classify.__wrapped__(fresh) == report
+            assert li_degree(S) == report.li_degree == li_degree.__wrapped__(Semigroup(S.table))
+            assert S == fresh and hash(S) == hash(fresh)
+
+    def test_a_call_that_raises_keeps_nothing(self):
+        calls = []
+
+        def compute(S):
+            calls.append(S)
+            if len(calls) == 1:
+                raise ValueError("first call fails")
+            return S.size
+
+        memoised = memo_on_object(compute)
+        S = Semigroup(mincap(3).table)
+        with pytest.raises(ValueError):
+            memoised(S)
+        assert memoised(S) == memoised(S) == 3 and len(calls) == 2
 
 
 class TestLocalTrivialityAtDegreeSizePlusOne:
