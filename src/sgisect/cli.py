@@ -1,9 +1,10 @@
 """Command-line interface: a thin shell over the library.
 
 Exit codes: 0 = satisfiable / valid / success, 1 = empty / invalid,
-2 = usage or input error, or a solver that hit its state cap or ran out of
-memory.  Results go to stdout, diagnostics to stderr; ``--json`` switches
-commands that report results to machine-readable output.
+2 = usage or input error, a solver that hit its state cap or ran out of
+memory, or any other exception (an internal error).  Results go to stdout,
+diagnostics to stderr; ``--json`` switches commands that report results to
+machine-readable output.
 
 Every input file goes through one loader, so every read or parse error names
 its file (the formats layer adds the line number), and ``run_command`` turns
@@ -313,6 +314,9 @@ def run_command(argv) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a failed assertion or other crash exits 2, never 1 (EMPTY/REJECTED)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

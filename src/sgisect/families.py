@@ -2,6 +2,9 @@
 
 Random associative tables are vanishingly rare, so randomized tests draw from
 these families (and their subsemigroups and direct products) instead.
+Each builder checks its table against ``core.check_table_cells`` before
+building it, so an oversize family member, a reduction's gadget included,
+costs no table.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ def mincap(k: int) -> Semigroup:
     """Values {1..k} under i*j = min(i+j, k); value v is element index v-1."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_table_cells(k)
     table = tuple(tuple(min(i + j + 2, k) - 1 for j in range(k)) for i in range(k))
     return Semigroup(table, tuple(str(v + 1) for v in range(k)))
 
@@ -28,12 +32,14 @@ def trivial() -> Semigroup:
 def leftzero(n: int) -> Semigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_table_cells(n)
     return Semigroup(tuple(tuple(i for _ in range(n)) for i in range(n)))
 
 
 def rightzero(n: int) -> Semigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_table_cells(n)
     return Semigroup(tuple(tuple(j for j in range(n)) for _ in range(n)))
 
 
@@ -41,6 +47,7 @@ def cyclic(n: int) -> Semigroup:
     """The cyclic group of order n: x*y = x+y mod n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_table_cells(n)
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return Semigroup(table, tuple(str(i) for i in range(n)))
 
@@ -55,9 +62,10 @@ def nilinterval(k: int) -> Semigroup:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    n = k * (k + 1) // 2 + 1
+    check_table_cells(n)
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
     index = {p: c + 1 for c, p in enumerate(pairs)}  # 0 is the zero element
-    n = len(pairs) + 1
 
     def mul(a, b):
         if a == 0 or b == 0:
@@ -123,12 +131,8 @@ def _element_count(name: str, k: int) -> int:
 
 
 def build_family(spec: str) -> Semigroup:
-    """Build a semigroup from a spec token like ``mincap:4``.
-
-    The table's cell cap is checked from the element count before building.
-    """
+    """Build a semigroup from a spec token like ``mincap:4``."""
     name, k = _parse_spec(spec)
-    check_table_cells(_element_count(name, k))
     return FAMILY_BUILDERS[name](k)
 
 

@@ -40,10 +40,10 @@ A batch of reduced instances repeats a few tables many times, so
 ``parse_instance`` interns TABLE blocks that pass the row checks: a block
 seen before returns the same validated ``Semigroup`` object, memos and all.
 Only a block that parsed without error is kept, so every error is raised
-afresh at its line.  The process-wide cache is bounded (``INTERN_TABLES``,
-``INTERN_CELLS``) and locked, so threads may share it; ``parse_table_text``
-does not use it.  ``serialize_instance`` memoises each table's row block on
-its object.
+afresh at its line.  The process-wide cache is a ``functools.lru_cache`` of
+``INTERN_TABLES`` tables of at most 64 elements (2**16 cells in all), so
+threads may share it; ``parse_table_text`` does not use it.
+``serialize_instance`` memoises each table's row block on its object.
 
 SLP grammar: a header line ``SLP 1``, a line ``START <var>``, then one line
 ``<var> = <sym> <sym> ...`` per variable.  Tokens starting with ``X`` are
@@ -53,8 +53,7 @@ with ``X``).  Definition order is free.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from itertools import chain, islice, takewhile
 
 import numpy as np
@@ -116,65 +115,34 @@ def _at_line(lineno: int, build, *args):
         raise FormatError(str(exc), lineno) from None
 
 
-INTERN_TABLES = 64  # TABLE blocks parse_instance keeps
-# Cells (n * n per table) the kept tables hold in all.  A kept table has at
-# most 256 elements, so its entries are Python's shared small ints, and a cell
-# costs 13-17 bytes with the key text, the table tuples, the array and the
-# memos (tracemalloc): about 1.1 MB in all.
-INTERN_CELLS = 1 << 16
+INTERN_TABLES = 16  # TABLE blocks parse_instance keeps
 
 
-class _TableIntern:
-    """Validated semigroups by their TABLE block's tokens; bounded, least recently used dropped first."""
-
-    def __init__(self):
-        self._tables: OrderedDict[str, Semigroup] = OrderedDict()
-        self._cells = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Semigroup | None:
-        with self._lock:
-            S = self._tables.get(key)
-            if S is not None:
-                self._tables.move_to_end(key)
-            return S
-
-    def put(self, key: str, S: Semigroup) -> None:
-        cells = S.size * S.size
-        if cells > INTERN_CELLS:
-            return
-        with self._lock:
-            if key in self._tables:
-                return
-            self._tables[key] = S
-            self._cells += cells
-            while self._cells > INTERN_CELLS or len(self._tables) > INTERN_TABLES:
-                _, old = self._tables.popitem(last=False)
-                self._cells -= old.size * old.size
+@functools.lru_cache(maxsize=INTERN_TABLES)
+def _interned(tokens: str, n: int) -> Semigroup:
+    """The validated semigroup whose n * n entries are ``tokens``, separated by spaces."""
+    return check_associative(np.fromiter(map(_int, tokens.split()), np.int64, n * n).reshape(n, n))
 
 
-_TABLES = _TableIntern()
-
-
-def _read_table(rows, n: int, lineno: int, intern: _TableIntern | None = None) -> Semigroup:
+def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
     """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line.
 
     The block's tokens become an (n, n) array in one pass.  Only a ragged row
     or a token that is no int64 sends the rows through one by one, to report
     the first bad row, or to leave a huge int to Semigroup's range check.
-    With ``intern`` given, a block of n rows of n tokens is first looked up
-    there by its tokens, and a block that parses without error is kept there.
+    With ``intern``, a block of n rows of n tokens goes through ``_interned``
+    if the kept tables stay within 2**16 cells (n <= 64); a block that fails
+    there is read again below, to raise its error at its line.
     """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
     tokens = [t for _, t in rows]
     ragged = set(map(len, tokens)) != {n}
-    key = None
-    if intern is not None and not ragged:  # n rows of n tokens: the tokens fix the table
-        key = " ".join(chain.from_iterable(tokens))
-        S = intern.get(key)
-        if S is not None:
-            return S
+    if intern and not ragged and INTERN_TABLES * n * n <= 1 << 16:  # the tokens fix the table
+        try:
+            return _interned(" ".join(chain.from_iterable(tokens)), n)
+        except (ValueError, OverflowError):
+            pass
     try:
         table = np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n)
     except (ValueError, OverflowError):  # no int, beyond int64, or too few tokens
@@ -186,10 +154,7 @@ def _read_table(rows, n: int, lineno: int, intern: _TableIntern | None = None) -
             if len(row) != n:
                 raise FormatError(f"row has {len(row)} entries, expected {n}", rlineno)
             table.append(row)
-    S = _at_line(lineno, check_associative, table)
-    if key is not None:
-        intern.put(key, S)
-    return S
+    return _at_line(lineno, check_associative, table)
 
 
 # -- raw multiplication tables -------------------------------------------------
@@ -227,7 +192,7 @@ def parse_instance(text: str) -> Instance:
     if m < 1:
         raise FormatError("alphabet must be non-empty", lineno)
 
-    names, names_line = default_letter_names(m), None
+    names_line = None
     if len(lines) > 2 and lines[2][1][0] == "NAMES":
         names_line, tokens = _take(it)
         if len(tokens) != m + 1:
@@ -248,7 +213,7 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError("table size must be >= 1", lineno)
             rows = list(islice(takewhile(lambda line: line[1] != ["END"], it), n))  # stops at END
             try:
-                tables[name] = _read_table(rows, n, lineno, _TABLES)
+                tables[name] = _read_table(rows, n, lineno, intern=True)
             except AssociativityError as exc:
                 raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
             elineno, etokens = _take(it)
@@ -297,6 +262,8 @@ def parse_instance(text: str) -> Instance:
 
     if not constraints:
         raise FormatError("instance declares no constraints")
+    if names_line is None:  # built only now: each IMAGES line held m tokens, so the text bounds m
+        names = default_letter_names(m)
     return _at_line(names_line, Instance, names, tuple(constraints))
 
 

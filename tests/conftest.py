@@ -53,8 +53,8 @@ def fresh_word_memo():
 
 
 @pytest.fixture
-def fresh_table_intern(monkeypatch):
-    """An empty TABLE-block intern cache for ``parse_instance`` during the test."""
-    intern = formats._TableIntern()
-    monkeypatch.setattr(formats, "_TABLES", intern)
-    return intern
+def fresh_table_intern():
+    """An empty TABLE-block intern cache of ``parse_instance`` for the test, emptied again after it."""
+    formats._interned.cache_clear()
+    yield formats._interned
+    formats._interned.cache_clear()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import sgisect
 import sgisect.solve as solve
 from sgisect import families
-from sgisect.core import Morphism
+from sgisect.core import DEFAULT_PRODUCT_CAP, Morphism
 from sgisect.cli import run_command
 from sgisect.formats import parse_instance, parse_slp_text, serialize_instance
 from sgisect.reductions import CnfFormula, reduce_unbounded
@@ -259,6 +260,19 @@ class TestReduce:
         code, _, err = _run(capsys, "reduce", str(cnf))
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("gadget, variables, elements", [
+        ("nilpotent", 200, 200 * 201 // 2 + 1),  # nilinterval(200)
+        ("unbounded", 6000, 6002),  # mincap(6002)
+    ])
+    def test_oversize_gadget_rejected_before_building(self, capsys, tmp_path, gadget, variables, elements):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(f"p cnf {variables} 1\n1 0\n")
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "reduce", str(cnf), "--gadget", gadget)
+        assert code == 2 and out == ""
+        assert err == f"error: table of {elements} x {elements} cells exceeds cap {DEFAULT_PRODUCT_CAP}\n"
+        assert time.perf_counter() - start < 5  # building the table took 39 s and more
+
 
 class TestShorten:
     def test_long_word_shrinks_to_twice_degree(self, capsys, tmp_path):
@@ -332,16 +346,11 @@ class TestGen:
         code, _, _ = _run(capsys, "gen", "nosuch", "3")
         assert code == 2
 
-    @staticmethod
-    def _builder_calls(monkeypatch) -> list:
+    def test_oversize_product_rejected_before_building(self, capsys, monkeypatch):
         calls = []
         for name, build in list(families.FAMILY_BUILDERS.items()):
             monkeypatch.setitem(families.FAMILY_BUILDERS, name,
                                 lambda k, build=build: calls.append(k) or build(k))
-        return calls
-
-    def test_oversize_product_rejected_before_building(self, capsys, monkeypatch):
-        calls = self._builder_calls(monkeypatch)
         # 10**6 elements; 1500**2; nilinterval(90) has 4096 elements, so 4096 * 4
         for specs in (["mincap:100"] * 3, ["mincap:1500", "mincap:1500"],
                       ["nilinterval:90", "cyclic:4"]):
@@ -350,12 +359,14 @@ class TestGen:
         assert calls == []
 
     def test_oversize_family_rejected_before_building(self, capsys, monkeypatch):
-        calls = self._builder_calls(monkeypatch)
+        built = []  # each builder checks the cap itself, before its table
+        monkeypatch.setattr(families, "Semigroup", lambda *args: built.append(args))
         # the cap is 2**24 cells: 4096 elements, and nilinterval(90) has 4096
-        for family, arg in (("mincap", "4097"), ("rightzero", "100000"), ("nilinterval", "91")):
+        for family, arg in (("mincap", "4097"), ("leftzero", "4097"), ("rightzero", "100000"),
+                            ("cyclic", "4097"), ("nilinterval", "91")):
             code, out, err = _run(capsys, "gen", family, arg)
             assert code == 2 and out == "" and "cap" in err
-        assert calls == []
+        assert built == []
 
     def test_product_cap_reads_the_family_element_counts(self):
         for name, build in families.FAMILY_BUILDERS.items():
@@ -403,7 +414,9 @@ class TestLoader:
 
 class TestSolverFailures:
     @pytest.mark.parametrize("command", ["solve"])
-    @pytest.mark.parametrize("error", [solve.StateCapError(5), MemoryError()], ids=["cap", "memory"])
+    @pytest.mark.parametrize("error", [solve.StateCapError(5), MemoryError(), AssertionError("2k bound"),
+                                       IndexError("tuple index out of range")],
+                             ids=["cap", "memory", "assertion", "index"])
     def test_exit_2_with_error_line(self, capsys, monkeypatch, sat_gadget, command, error):
         def fail(*args, **kwargs):
             raise error
@@ -429,6 +442,15 @@ class TestSolverFailures:
         code, out, err = _run(capsys, "solve", str(path))
         assert code == 2 and out == ""
         assert err == "error: out of memory: at depth 2, with 2 states stored: Unable to allocate 1.00 MiB\n"
+
+    def test_crash_names_its_exception(self, capsys, monkeypatch, sat_gadget):
+        def fail(*args, **kwargs):
+            raise AssertionError("witness longer than 2k")
+
+        monkeypatch.setattr("sgisect.cli.brute_force_solve", fail)
+        code, out, err = _run(capsys, "solve", sat_gadget)
+        assert code == 2 and out == ""
+        assert err == "error: internal error: AssertionError: witness longer than 2k\n"
 
 
 class TestModuleEntryPoint:

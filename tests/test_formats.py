@@ -8,7 +8,7 @@ import pytest
 
 from sgisect import formats
 from sgisect.core import Morphism
-from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
+from sgisect.families import cyclic, mincap, nilinterval
 from sgisect.formats import (FormatError, parse_instance, parse_slp_text, parse_table_text,
                              serialize_circuit_text, serialize_instance, serialize_slp_text,
                              serialize_table_text)
@@ -69,6 +69,12 @@ class TestInstanceFormat:
     def test_error_carries_line_number(self):
         bad = MINIMAL.replace("IMAGES 0", "IMAGES 9")
         with pytest.raises(FormatError, match="line 7"):
+            parse_instance(bad)
+
+    def test_huge_alphabet_without_names_fails_at_images(self):
+        # the default names a0, a1, ... are built only after every IMAGES line held m tokens
+        bad = MINIMAL.replace("ALPHABET 1", "ALPHABET 1000000000000")
+        with pytest.raises(FormatError, match=r"^line 7: IMAGES needs 1000000000000 indices, got 1$"):
             parse_instance(bad)
 
     def test_undeclared_table(self):
@@ -366,7 +372,7 @@ class TestTableIntern:
         text = _HEAD + _GOOD_ROWS + _TAIL
         first, second = parse_instance(text), parse_instance(text)
         assert first == second and self._table(first) is self._table(second)
-        assert len(fresh_table_intern._tables) == 1
+        assert fresh_table_intern.cache_info().currsize == 1
 
     def test_one_entry_apart_distinct_objects(self, fresh_table_intern):
         S = self._table(parse_instance(_HEAD + _GOOD_ROWS + _TAIL))
@@ -393,7 +399,7 @@ class TestTableIntern:
                 parse_instance("# shifted\n" * shift + _HEAD + rows + _TAIL)
             assert str(exc.value) == error.replace(f"line {lineno}:", f"line {lineno + shift}:")
             assert exc.value.line == lineno + shift
-        assert len(fresh_table_intern._tables) == 1
+        assert fresh_table_intern.cache_info().currsize == 1
 
     def test_equal_blocks_in_one_document_share_an_object(self, fresh_table_intern):
         text = (_HEAD + _GOOD_ROWS + "END\nTABLE T1 3\n" + _GOOD_ROWS + _TAIL
@@ -401,31 +407,37 @@ class TestTableIntern:
         first, second = (c.semigroup for c in parse_instance(text).constraints)
         assert first is second
 
-    def test_table_over_the_cell_bound_is_not_kept(self, fresh_table_intern, monkeypatch):
-        monkeypatch.setattr(formats, "INTERN_CELLS", 8)  # the 3 x 3 table has 9
-        text = _HEAD + _GOOD_ROWS + _TAIL
-        assert self._table(parse_instance(text)) is not self._table(parse_instance(text))
-        assert len(fresh_table_intern._tables) == 0
+    def test_table_over_the_cell_bound_is_not_kept(self, fresh_table_intern):
+        # 16 tables of 64 x 64 fill the 2**16 cells; a 65-element table is parsed afresh
+        big, kept = (_HEAD.replace("T0 3", f"T0 {n}") + serialize_table_text(mincap(n)) + _TAIL
+                     for n in (65, 64))
+        first, second = self._table(parse_instance(big)), self._table(parse_instance(big))
+        assert first == second == mincap(65) and first is not second
+        assert fresh_table_intern.cache_info().currsize == 0
+        assert self._table(parse_instance(kept)) is self._table(parse_instance(kept))
+        assert fresh_table_intern.cache_info().currsize == 1
 
-    def test_least_recently_used_dropped_first(self, fresh_table_intern, monkeypatch):
-        monkeypatch.setattr(formats, "INTERN_CELLS", 3 * 9)  # three 3 x 3 tables
-        tables = (mincap(3), cyclic(3), leftzero(3), rightzero(3))
-        texts = [_HEAD + serialize_table_text(S) + _TAIL for S in tables]
-        a, b, c = (self._table(parse_instance(t)) for t in texts[:3])
-        assert self._table(parse_instance(texts[0])) is a  # a is now the most recent
-        parse_instance(texts[3])
-        assert len(fresh_table_intern._tables) == 3
-        assert self._table(parse_instance(texts[2])) is c
-        assert self._table(parse_instance(texts[1])) is not b  # b was dropped for the fourth table
-        monkeypatch.setattr(formats, "INTERN_TABLES", 1)
-        parse_instance(texts[0])
-        assert len(fresh_table_intern._tables) == 1
+    def test_least_recently_used_dropped_first(self, fresh_table_intern):
+        texts = [_HEAD.replace("T0 3", f"T0 {n}") + serialize_table_text(mincap(n)) + _TAIL
+                 for n in range(3, formats.INTERN_TABLES + 4)]  # one table more than the cache keeps
+        first, second, *_ = (self._table(parse_instance(t)) for t in texts[:-1])
+        assert self._table(parse_instance(texts[0])) is first  # the first is now the most recent
+        parse_instance(texts[-1])
+        assert fresh_table_intern.cache_info().currsize == formats.INTERN_TABLES
+        assert self._table(parse_instance(texts[0])) is first
+        assert self._table(parse_instance(texts[1])) is not second  # dropped for the last table
 
-    def test_threads_parse_equal_instances(self, monkeypatch):
+    def test_table_text_is_parsed_afresh(self, fresh_table_intern):
+        text = serialize_table_text(mincap(3))
+        first, second = parse_table_text(text), parse_table_text(text)
+        assert first == second and first is not second
+        assert fresh_table_intern.cache_info().currsize == 0
+
+    def test_threads_parse_equal_instances(self, fresh_table_intern):
         texts = [serialize_instance(reduce_nilpotent(CnfFormula(k, (frozenset({1, -2}), frozenset({k})))))
                  for k in (2, 3, 4)] * 4
         expected = [parse_instance(t) for t in texts]
-        monkeypatch.setattr(formats, "_TABLES", formats._TableIntern())  # the threads start on an empty cache
+        fresh_table_intern.cache_clear()  # the threads start on an empty cache
         results: dict[int, list] = {}
 
         def work(i):
@@ -444,8 +456,7 @@ class TestTableIntern:
         assert not any(t.is_alive() for t in threads) and len(results) == 6
         for i, got in results.items():
             assert got == expected[i % 3:] + expected[:i % 3]
-        kept = formats._TABLES._tables.values()
-        assert len(kept) == 3 and formats._TABLES._cells == sum(S.size ** 2 for S in kept)
+        assert fresh_table_intern.cache_info().currsize == 3
         assert {self._table(p).table for p in expected} == {nilinterval(k).table for k in (2, 3, 4)}
 
 
