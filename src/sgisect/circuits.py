@@ -106,21 +106,18 @@ def element_bits(x: int, bits: int) -> list[int]:
     return [(x >> (bits - 1 - k)) & 1 for k in range(bits)]
 
 
+def _bits_of(values, n: int) -> list[int]:
+    """``element_bits`` of each value in turn, for a target of n elements, as one shift and mask."""
+    shifts = np.arange(_bit_width(n) - 1, -1, -1)
+    return ((np.asarray(values)[..., None] >> shifts) & 1).ravel().tolist()
+
+
 def semigroup_table_bits(S: Semigroup) -> list[int]:
-    bits = _bit_width(S.size)
-    out: list[int] = []
-    for row in S.table:
-        for v in row:
-            out.extend(element_bits(v, bits))
-    return out
+    return _bits_of(S.array, S.size)
 
 
 def morphism_image_bits(h: Morphism) -> list[int]:
-    bits = _bit_width(h.target.size)
-    out: list[int] = []
-    for v in h.images:
-        out.extend(element_bits(v, bits))
-    return out
+    return _bits_of(h.images, h.target.size)
 
 
 # -- gadget patterns ----------------------------------------------------------------

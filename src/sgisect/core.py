@@ -7,9 +7,10 @@ values can be shared freely across threads.
 The cubic table kernels (the associativity check here, the local-triviality
 checks in ``varieties``) and the BFS engine read ``Semigroup.array``, a
 read-only numpy copy of the table.  A semigroup built from a 2-D integer array
-(the parser's, a direct product's) keeps a compact copy of that array from the
-start.  One built from rows of ints builds the copy on first access and caches
-it on the instance, so a semigroup that no kernel reads never pays for it.
+(the parser's, a direct product's, a family builder's in ``families``) keeps a
+compact copy of that array from the start.  One built from rows of ints builds
+the copy on first access and caches it on the instance, so a semigroup that no
+kernel reads never pays for it.
 Functions of a table alone (``li_degree`` and ``classify`` in ``varieties``,
 the serialized rows in ``formats``) are memoised on the instance the same way,
 through ``memo_on_object``.  Threads racing on a first access may compute a
@@ -53,7 +54,8 @@ class Semigroup:
     def __post_init__(self):
         a = self.table
         from_array = isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"
-        table = tuple(map(tuple, a.tolist())) if from_array else tuple(tuple(map(int, row)) for row in a)
+        rows = (row.tolist() for row in a) if from_array else (map(int, row) for row in a)
+        table = tuple(map(tuple, rows))  # row by row: the nested list never exists whole
         object.__setattr__(self, "table", table)
         n = len(table)
         if n == 0:
@@ -163,11 +165,12 @@ def check_associative(table, labels=None) -> Semigroup:
     """
     sg = Semigroup(table, labels)
     T = sg.array
+    index = T.astype(np.intp)  # take widens its indices to intp on every call; widen once
     n = sg.size
     rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
     for lo in range(0, n, rows):
-        block = T[lo:lo + rows]
-        bad = T.take(block, axis=0) != block.take(T, axis=1)  # take: ~3x faster than []
+        block = index[lo:lo + rows]
+        bad = T.take(block, axis=0) != T[lo:lo + rows].take(index, axis=1)  # take: ~3x faster than []
         if bad.any():
             x, y, z = np.unravel_index(int(bad.argmax()), bad.shape)
             raise AssociativityError(lo + int(x), int(y), int(z))

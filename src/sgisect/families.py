@@ -4,7 +4,9 @@ Random associative tables are vanishingly rare, so randomized tests draw from
 these families (and their subsemigroups and direct products) instead.
 Each builder checks its table against ``core.check_table_cells`` before
 building it, so an oversize family member, a reduction's gadget included,
-costs no table.
+costs no table.  Tables are built as numpy arrays, in the narrowest dtype that
+holds the builder's largest intermediate value (``leftzero`` and ``rightzero``
+are broadcast views, which allocate no cells), and handed to ``Semigroup``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import numpy as np
 
 from .core import Semigroup, check_table_cells, direct_product, sub_semigroup  # noqa: F401 (re-exported)
 
@@ -21,8 +25,8 @@ def mincap(k: int) -> Semigroup:
     if k < 1:
         raise ValueError("k must be >= 1")
     check_table_cells(k)
-    table = tuple(tuple(min(i + j + 2, k) - 1 for j in range(k)) for i in range(k))
-    return Semigroup(table, tuple(str(v + 1) for v in range(k)))
+    i = np.arange(k, dtype=np.min_scalar_type(2 * k))
+    return Semigroup(np.minimum(i[:, None] + i + 1, k - 1), tuple(str(v + 1) for v in range(k)))
 
 
 def trivial() -> Semigroup:
@@ -33,14 +37,14 @@ def leftzero(n: int) -> Semigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_table_cells(n)
-    return Semigroup(tuple(tuple(i for _ in range(n)) for i in range(n)))
+    return Semigroup(np.broadcast_to(np.arange(n)[:, None], (n, n)))
 
 
 def rightzero(n: int) -> Semigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_table_cells(n)
-    return Semigroup(tuple(tuple(j for j in range(n)) for _ in range(n)))
+    return Semigroup(np.broadcast_to(np.arange(n), (n, n)))
 
 
 def cyclic(n: int) -> Semigroup:
@@ -48,8 +52,8 @@ def cyclic(n: int) -> Semigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_table_cells(n)
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return Semigroup(table, tuple(str(i) for i in range(n)))
+    i = np.arange(n, dtype=np.min_scalar_type(2 * n))
+    return Semigroup((i[:, None] + i) % n, tuple(str(v) for v in range(n)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -64,20 +68,12 @@ def nilinterval(k: int) -> Semigroup:
         raise ValueError("k must be >= 1")
     n = k * (k + 1) // 2 + 1
     check_table_cells(n)
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
-    index = {p: c + 1 for c, p in enumerate(pairs)}  # 0 is the zero element
-
-    def mul(a, b):
-        if a == 0 or b == 0:
-            return 0
-        i, j = pairs[a - 1]
-        i2, j2 = pairs[b - 1]
-        if i2 == j + 1:
-            return index[(i, j2)]
-        return 0
-
-    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-    labels = ("0",) + tuple(f"({i},{j})" for i, j in pairs)
+    first, last = np.triu_indices(k)  # interval c + 1 is (first[c] + 1, last[c] + 1); 0 is the zero
+    index = np.zeros((k, k), np.min_scalar_type(n - 1))
+    index[first, last] = np.arange(1, n)
+    table = np.zeros((n, n), index.dtype)
+    table[1:, 1:] = np.where(first == last[:, None] + 1, index[first[:, None], last], 0)
+    labels = ("0",) + tuple(f"({i + 1},{j + 1})" for i, j in zip(first.tolist(), last.tolist()))
     return Semigroup(table, labels)
 
 

@@ -168,7 +168,8 @@ def parse_table_text(text: str) -> Semigroup:
 
 
 def serialize_table_text(S: Semigroup) -> str:
-    return "".join(" ".join(str(v) for v in row) + "\n" for row in S.table)
+    token = [str(v) for v in range(S.size)].__getitem__  # each entry's text, built once per table
+    return "".join(" ".join(map(token, row)) + "\n" for row in S.table)
 
 
 _table_rows = memo_on_object(serialize_table_text)

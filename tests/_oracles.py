@@ -405,6 +405,70 @@ def li_degree_definitional(S: Semigroup, full_tuples: bool = False):
     return None
 
 
+# -- per-entry builders and writers: one Python step per table entry ---------------
+
+def mincap_reference(k: int) -> Semigroup:
+    table = tuple(tuple(min(i + j + 2, k) - 1 for j in range(k)) for i in range(k))
+    return Semigroup(table, tuple(str(v + 1) for v in range(k)))
+
+
+def leftzero_reference(n: int) -> Semigroup:
+    return Semigroup(tuple(tuple(i for _ in range(n)) for i in range(n)))
+
+
+def rightzero_reference(n: int) -> Semigroup:
+    return Semigroup(tuple(tuple(j for j in range(n)) for _ in range(n)))
+
+
+def cyclic_reference(n: int) -> Semigroup:
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return Semigroup(table, tuple(str(i) for i in range(n)))
+
+
+def nilinterval_reference(k: int) -> Semigroup:
+    n = k * (k + 1) // 2 + 1
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
+    index = {p: c + 1 for c, p in enumerate(pairs)}  # 0 is the zero element
+
+    def mul(a, b):
+        if a == 0 or b == 0:
+            return 0
+        i, j = pairs[a - 1]
+        i2, j2 = pairs[b - 1]
+        if i2 == j + 1:
+            return index[(i, j2)]
+        return 0
+
+    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    labels = ("0",) + tuple(f"({i},{j})" for i, j in pairs)
+    return Semigroup(table, labels)
+
+
+FAMILY_REFERENCES = {"mincap": mincap_reference, "leftzero": leftzero_reference,
+                     "rightzero": rightzero_reference, "cyclic": cyclic_reference,
+                     "nilinterval": nilinterval_reference}
+
+
+def serialize_table_text_reference(S: Semigroup) -> str:
+    return "".join(" ".join(str(v) for v in row) + "\n" for row in S.table)
+
+
+def _bits_reference(values, n: int) -> list[int]:
+    bits = (n - 1).bit_length() if n > 1 else 0
+    out: list[int] = []
+    for v in values:
+        out.extend((v >> (bits - 1 - k)) & 1 for k in range(bits))
+    return out
+
+
+def table_bits_reference(S: Semigroup) -> list[int]:
+    return _bits_reference((v for row in S.table for v in row), S.size)
+
+
+def image_bits_reference(h: Morphism) -> list[int]:
+    return _bits_reference(h.images, h.target.size)
+
+
 # -- randomized generators over the constructive families --------------------------
 
 def random_morphism(rng, S: Semigroup, alphabet_size: int) -> Morphism:

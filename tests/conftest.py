@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from sgisect import formats
-from sgisect.core import direct_product
+from sgisect.core import direct_product, sub_semigroup, subsemigroup_closure
 from sgisect.slp import first_words
 from sgisect.families import (cyclic, enumerate_semigroup_tables, leftzero, mincap,
                               nilinterval, rightzero, trivial)
@@ -25,6 +27,20 @@ def family_pool():
     pool += [nilinterval(k) for k in (1, 2, 3)]
     pool.append(direct_product([mincap(2), mincap(3)])[0])
     pool.append(direct_product([leftzero(2), cyclic(2)])[0])
+    return pool
+
+
+@pytest.fixture(scope="session")
+def derived_pool(family_pool):
+    """``family_pool``, the direct product of each ordered pair from it, and
+    three generated sub-semigroups of each of its members."""
+    rng = random.Random(1729)
+    pool = list(family_pool)
+    pool += [direct_product([a, b])[0] for a in family_pool for b in family_pool]
+    for S in family_pool:
+        for _ in range(3):
+            gens = rng.sample(range(S.size), rng.randint(1, S.size))
+            pool.append(sub_semigroup(S, subsemigroup_closure(S, gens))[0])
     return pool
 
 

@@ -15,8 +15,9 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, t
 from sgisect.formats import serialize_circuit_text
 from sgisect.slp import canonical_slp, power_slp, slp_image, slp_stats
 
-from _oracles import (circuit_depth, circuit_eval_reference, gate_depths, random_slp,
-                      serialize_circuit_reference, slp_to_circuit_reference)
+from _oracles import (circuit_depth, circuit_eval_reference, gate_depths, image_bits_reference,
+                      random_morphism, random_slp, serialize_circuit_reference, slp_to_circuit_reference,
+                      table_bits_reference)
 
 
 def _eval_on(G, h):
@@ -143,18 +144,29 @@ class TestRandomAgreement:
             got = circuit_eval(C, semigroup_table_bits(S), morphism_image_bits(h))
             assert got == slp_image(G, h)
 
-    def test_table_bits_round_trip_every_entry(self):
+    @pytest.mark.parametrize("n", [1, 2, 5, 256, 257])
+    def test_table_bits_round_trip_every_entry(self, n):
         # decoding the emitted table bits recovers the table
-        S = mincap(5)
+        S = mincap(n)
         bits = semigroup_table_bits(S)
-        width = 3
-        for x in range(5):
-            for y in range(5):
-                start = (x * 5 + y) * width
+        width = (n - 1).bit_length()
+        assert len(bits) == n * n * width
+        for x in range(n):
+            for y in range(n):
+                start = (x * n + y) * width
                 value = 0
                 for b in bits[start:start + width]:
                     value = (value << 1) | b
                 assert value == S.table[x][y]
+
+    def test_bits_match_per_entry_loops(self, derived_pool):
+        rng = random.Random(99)
+        for S in derived_pool:
+            table_bits = semigroup_table_bits(S)
+            assert table_bits == table_bits_reference(S)
+            assert type(table_bits) is list and all(type(b) is int for b in table_bits)
+            h = random_morphism(rng, S, rng.randint(1, 4))
+            assert morphism_image_bits(h) == image_bits_reference(h)
 
 
 class TestReferenceAgreement:

@@ -15,7 +15,7 @@ from sgisect.families import (build_family, cyclic, leftzero, mincap, nilinterva
                               trivial)
 from sgisect.varieties import is_li, is_nilpotent
 
-from _oracles import direct_product_definitional, first_nonassociative_triple, fold
+from _oracles import FAMILY_REFERENCES, direct_product_definitional, first_nonassociative_triple, fold
 
 
 class TestCheckAssociative:
@@ -64,7 +64,8 @@ class TestCheckAssociative:
 
     @pytest.mark.parametrize("spec, past_first_block", [
         ("leftzero:80", True), ("rightzero:72", True), ("nilinterval:12", True),
-        ("mincap:70", False), ("cyclic:75", False)])
+        ("mincap:70", False), ("cyclic:75", False),
+        ("leftzero:300", True), ("mincap:260", False)])  # uint16 arrays
     def test_one_changed_entry_past_the_first_block(self, spec, past_first_block):
         S = build_family(spec)
         n = S.size
@@ -152,6 +153,17 @@ class TestNilintervalMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 nilinterval(0)
+
+
+class TestFamilyArrays:
+    @pytest.mark.parametrize("name, sizes", [
+        ("mincap", range(1, 41)), ("leftzero", range(1, 41)), ("rightzero", range(1, 41)),
+        ("cyclic", range(1, 41)), ("nilinterval", range(1, 9))])
+    def test_match_per_entry_comprehensions(self, name, sizes):
+        for n in sizes:
+            S, R = families.FAMILY_BUILDERS[name](n), FAMILY_REFERENCES[name](n)
+            assert S == R and S.labels == R.labels
+            assert "array" in vars(S)  # built from the builder's array, not on first access
 
 
 class TestMultiply:
@@ -341,7 +353,8 @@ class TestDirectProduct:
         assert direct_product([mincap(4)] * 2, cap=256)[0].size == 16
         with pytest.raises(ValueError, match="cap 255"):
             direct_product([mincap(4)] * 2, cap=255)
-        factors = [mincap(100) for _ in range(3)]  # 10**6 elements, 10**12 cells
+        # rows of ints, so each factor's array is built only when read
+        factors = [Semigroup(mincap(100).table) for _ in range(3)]  # 10**6 elements, 10**12 cells
         with pytest.raises(ValueError, match="cap"):
             direct_product(factors)
         assert all("array" not in f.__dict__ for f in factors)  # no factor array was built

@@ -16,7 +16,7 @@ from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import canonical_slp, power_slp, slp_eval_word
 from sgisect.solve import Constraint, Instance, brute_force_solve
 
-from _oracles import random_instance
+from _oracles import random_instance, serialize_table_text_reference
 
 MINIMAL = """\
 SGI 1
@@ -263,6 +263,26 @@ class TestTableFormat:
     def test_round_trip(self):
         S = mincap(4)
         assert parse_table_text(serialize_table_text(S)) == S
+
+    def test_matches_per_entry_writer(self, derived_pool):
+        for S in derived_pool:
+            assert serialize_table_text(S) == serialize_table_text_reference(S)
+
+    @pytest.mark.parametrize("build, n, digest", [
+        (mincap, 1, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (mincap, 255, "c80aa3e3052ead10dd7522a7b6973756c416e7476bf9f46da542b96dc082f6dc"),
+        (mincap, 256, "b120cf8eff4d1ff1b3f43b122fdd35c831841a64694a865970e28439f658bc31"),
+        (mincap, 257, "11c210c2fa73b50b6887c5db4d3a202f231d365686b421a55a752fa6225fcce1"),
+        (mincap, 1100, "c17c629d1f25d5093e007970c4f1ff1e6c0965defa31ac91a26c5c06b25331d4"),
+        (cyclic, 1, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (cyclic, 255, "e43186bad51ce1dd2a8ab11a271c4ceb35cb7e3cb581df2007907f6dcccd0014"),
+        (cyclic, 256, "cb222a764a09522c0ab69deb38a1eb9a0162d07e53fc6caf7ad445b5be437e46"),
+        (cyclic, 257, "93c4f06df131440939a599ea986b03db1f28c83b3ca7c44af1b8af4c3f727332"),
+        (cyclic, 1100, "c767c9eab61e7d6fe8e21dd02d5cf96007422763d6f4ecc841c0a89d6d29cfdc"),
+    ])
+    def test_digest_pinned(self, build, n, digest):
+        # pinned from the per-entry writer; n = 256 and 257 straddle the uint8/uint16 array dtypes
+        assert hashlib.sha256(serialize_table_text(build(n)).encode()).hexdigest() == digest
 
     def test_bad_row_count(self):
         with pytest.raises(FormatError, match="rows"):
