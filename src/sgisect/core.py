@@ -1,16 +1,17 @@
 """Finite semigroups given by multiplication tables, plus morphisms from free semigroups.
 
-Elements are 0-based indices into an n x n table: ``table[x][y]`` is the product
-x*y.  Everything is immutable after construction and every function is pure, so
-values can be shared freely across threads.
+Elements are 0-based indices into an n x n table: ``array[x, y]`` is the
+product x*y.  Everything is immutable after construction and every function is
+pure, so values can be shared freely across threads.
 
-The cubic table kernels (the associativity check here, the local-triviality
-checks in ``varieties``) and the BFS engine read ``Semigroup.array``, a
-read-only numpy copy of the table.  A semigroup built from a 2-D integer array
-(the parser's, a direct product's, a family builder's in ``families``) keeps a
-compact copy of that array from the start.  One built from rows of ints builds
-the copy on first access and caches it on the instance, so a semigroup that no
-kernel reads never pays for it.
+A ``Semigroup`` holds its table once, as ``array``: a read-only numpy array in
+the smallest unsigned dtype holding n-1 (arithmetic on it wraps, so callers
+widen before adding).  That dtype depends on n alone, so the array's bytes are
+canonical and define ``==`` and ``hash``.  Whole-table code (the associativity
+check, ``varieties``, the BFS engine, ``formats``) reads the array.  Loops over
+one word at a time read ``table``, a tuple of tuples of ints built from the
+array on first use and kept on the instance, since indexing Python tuples
+beats indexing numpy one element at a time.
 Functions of a table alone (``li_degree`` and ``classify`` in ``varieties``,
 the serialized rows in ``formats``) are memoised on the instance the same way,
 through ``memo_on_object``.  Threads racing on a first access may compute a
@@ -22,6 +23,7 @@ keeping either is correct.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
@@ -43,54 +45,59 @@ class AssociativityError(ValueError):
 class Semigroup:
     """A finite semigroup; use :func:`check_associative` as the validating constructor.
 
+    ``array`` may be given as any (n, n) integer array or as rows of ints.
     Direct construction checks shape and entry ranges only.  Code that builds
     tables which are associative by construction (direct products, local
     monoids) may instantiate directly.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    array: np.ndarray
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        a = self.table
-        from_array = isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"
-        rows = (row.tolist() for row in a) if from_array else (map(int, row) for row in a)
-        table = tuple(map(tuple, rows))  # row by row: the nested list never exists whole
-        object.__setattr__(self, "table", table)
-        n = len(table)
+        n = len(self.array)
         if n == 0:
             raise ValueError("a semigroup is non-empty")
-        if from_array and a.shape[1] == n and a.min() >= 0 and a.max() < n:
-            object.__setattr__(self, "array", _read_only(a))  # fills the cached property
-        else:  # rows of ints, or an array that fails its one range check: name the first bad entry
-            for x, row in enumerate(table):
+        try:
+            a = np.asarray(self.array)
+        except ValueError:  # ragged rows
+            a = None
+        if a is None or a.dtype.kind not in "iu" or a.shape != (n, n) or a.min() < 0 or a.max() >= n:
+            a = []  # not an in-range (n, n) integer array: name the first bad row or entry
+            for x, row in enumerate(self.array):
+                row = list(map(operator.index, row))
                 if len(row) != n:
                     raise ValueError(f"table not square: row {x} has {len(row)} entries, expected {n}")
                 if min(row) < 0 or max(row) >= n:
                     y = next(y for y, v in enumerate(row) if not 0 <= v < n)
                     raise ValueError(f"entry {row[y]} at ({x}, {y}) out of range 0..{n - 1}")
+                a.append(row)
+        a = np.array(a, dtype=np.min_scalar_type(n - 1))
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} elements")
             object.__setattr__(self, "labels", labels)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Semigroup) and self.array.tobytes() == other.array.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
+
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.array)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The table as a read-only (n, n) array of the smallest unsigned dtype holding n-1.
-
-        Built on first access and kept on the instance; it is not a field, so
-        equality and hashing see only ``table``.  The compact dtype keeps the
-        cache small: arithmetic on it wraps, so callers widen before adding.
-        """
-        return _read_only(self.table)
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a tuple of tuples of ints, built on first use and kept on the instance."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def elements(self) -> range:
-        return range(len(self.table))
+        return range(self.size)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -114,13 +121,6 @@ def memo_on_object(compute):
     return memoised
 
 
-def _read_only(table) -> np.ndarray:
-    """A read-only copy of an n x n table in the smallest unsigned dtype holding n-1."""
-    a = np.array(table, dtype=np.min_scalar_type(len(table) - 1))
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class Morphism:
     """A map A+ -> target, determined freely by one image per letter."""
@@ -129,7 +129,7 @@ class Morphism:
     target: Semigroup
 
     def __post_init__(self):
-        images = tuple(map(int, self.images))
+        images = tuple(map(operator.index, self.images))
         object.__setattr__(self, "images", images)
         if not images:
             raise ValueError("a morphism needs at least one letter")
@@ -208,12 +208,12 @@ def power(S: Semigroup, x: int, e: int) -> int:
 
 def distinguished_elements(S: Semigroup) -> DistinguishedElements:
     """Idempotents, the zero element and the neutral element (when they exist)."""
-    t = S.table
-    n = S.size
-    idem = frozenset(x for x in range(n) if t[x][x] == x)
-    zero = next((z for z in range(n) if all(t[z][x] == z == t[x][z] for x in range(n))), None)
-    neutral = next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
-    return DistinguishedElements(idem, zero, neutral)
+    T = S.array
+    x = np.arange(S.size)
+    z = (T == x[:, None]).all(axis=1) & (T == x).all(axis=0)  # row z and column z hold only z
+    e = (T == x).all(axis=1) & (T == x[:, None]).all(axis=0)  # row e and column e are the identity
+    zero, neutral = (int(m.argmax()) if m.any() else None for m in (z, e))
+    return DistinguishedElements(frozenset(np.flatnonzero(T.diagonal() == x).tolist()), zero, neutral)
 
 
 def monogenic_orders(S: Semigroup) -> tuple[tuple[int, ...], int]:
@@ -241,19 +241,15 @@ def sub_semigroup(S: Semigroup, elements) -> tuple[Semigroup, tuple[int, ...]]:
         raise ValueError("need at least one element")
     if elems[0] < 0 or elems[-1] >= S.size:
         raise IndexError(f"elements must lie in 0..{S.size - 1}")
-    index = {x: i for i, x in enumerate(elems)}
-    t = S.table
-    rows = []
-    for x in elems:
-        row = []
-        for y in elems:
-            p = t[x][y]
-            if p not in index:
-                raise ValueError(f"set is not closed: {x}*{y} = {p} escapes")
-            row.append(index[p])
-        rows.append(tuple(row))
+    E = np.array(elems)
+    block = S.array[np.ix_(E, E)]
+    index = np.searchsorted(E, block)
+    escapes = E.take(index, mode="clip") != block
+    if escapes.any():
+        i, j = np.unravel_index(int(escapes.argmax()), escapes.shape)
+        raise ValueError(f"set is not closed: {elems[i]}*{elems[j]} = {block[i, j]} escapes")
     labels = tuple(S.labels[x] for x in elems) if S.labels is not None else None
-    return Semigroup(tuple(rows), labels), tuple(elems)
+    return Semigroup(index, labels), tuple(elems)
 
 
 def local_monoid(S: Semigroup, e: int) -> tuple[Semigroup, tuple[int, ...]]:
@@ -262,13 +258,12 @@ def local_monoid(S: Semigroup, e: int) -> tuple[Semigroup, tuple[int, ...]]:
     Returns (M, elems) where elems[i] is the element of S represented by
     index i of M.
     """
-    t = S.table
-    n = S.size
-    if not 0 <= e < n:
-        raise IndexError(f"element {e} out of range 0..{n - 1}")
-    if t[e][e] != e:
+    T = S.array
+    if not 0 <= e < S.size:
+        raise IndexError(f"element {e} out of range 0..{S.size - 1}")
+    if T[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
-    return sub_semigroup(S, {t[t[e][x]][e] for x in range(n)})
+    return sub_semigroup(S, T[T[e], e].tolist())
 
 
 def subsemigroup_closure(S: Semigroup, gens) -> frozenset[int]:

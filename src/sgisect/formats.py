@@ -31,10 +31,10 @@ Range checks belong to the value types (``Semigroup`` for table entries,
 ``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
 line number to their errors and checks only counts and block structure.  A
 TABLE block ends at its END line, so a block short of rows is reported at
-its TABLE line, as ``parse_table_text`` reports a short table.  A
-table's rows are converted in one pass into one integer array, which
-``Semigroup`` checks with one ``min`` and one ``max``; rows are read one by
-one only to report a ragged row or a non-integer token at its line.
+its TABLE line, as ``parse_table_text`` reports a short table.  A table's
+rows become one integer array in one pass, which ``Semigroup`` checks with one
+``min`` and one ``max`` and keeps as its table; rows are read one by one only
+to report a ragged row or a non-integer token at its line.
 
 A batch of reduced instances repeats a few tables many times, so
 ``parse_instance`` interns TABLE blocks that pass the row checks: a block
@@ -169,7 +169,7 @@ def parse_table_text(text: str) -> Semigroup:
 
 def serialize_table_text(S: Semigroup) -> str:
     token = [str(v) for v in range(S.size)].__getitem__  # each entry's text, built once per table
-    return "".join(" ".join(map(token, row)) + "\n" for row in S.table)
+    return "".join(" ".join(map(token, row.tolist())) + "\n" for row in S.array)
 
 
 _table_rows = memo_on_object(serialize_table_text)

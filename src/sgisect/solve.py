@@ -33,6 +33,7 @@ holding its witness.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class Constraint:
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "accept", frozenset(map(int, self.accept)))
+        object.__setattr__(self, "accept", frozenset(map(operator.index, self.accept)))
         n = self.morphism.target.size
         for x in self.accept:
             if not 0 <= x < n:

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from sgisect.core import (ASSOC_BLOCK_CELLS, AssociativityError, Morphism, Semig
 from sgisect import families
 from sgisect.families import (build_family, cyclic, leftzero, mincap, nilinterval, rightzero,
                               trivial)
+from sgisect.formats import parse_instance, parse_table_text, serialize_instance, serialize_table_text
+from sgisect.reductions import CnfFormula, reduce_nilpotent
+from sgisect.solve import Constraint, li_solve
 from sgisect.varieties import is_li, is_nilpotent
 
 from _oracles import FAMILY_REFERENCES, direct_product_definitional, first_nonassociative_triple, fold
@@ -121,7 +125,31 @@ class TestArray:
         assert S.table == ((0, 1), (1, 1)) and S.array[0, 0] == 0
 
     def test_tuple_built_stays_lazy(self):
-        assert "array" not in Semigroup(((0, 1), (1, 1))).__dict__
+        S = Semigroup(((0, 1), (1, 1)))
+        assert "table" not in vars(S)
+        assert S.table == ((0, 1), (1, 1)) and "table" in vars(S)
+
+    def test_whole_table_work_builds_no_tuples(self, fresh_table_intern):
+        S = check_associative([[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+        P = parse_table_text(serialize_table_text(S))
+        T, _ = sub_semigroup(P, {0, 1})
+        D, _ = direct_product([S, P, T])
+        formula = CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3}), frozenset({-1, -3})))
+        instance = parse_instance(serialize_instance(reduce_nilpotent(formula)))
+        assert li_solve(instance).satisfiable
+        for U in (S, P, T, D, *(c.semigroup for c in instance.constraints)):
+            assert "table" not in vars(U)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Semigroup([[0.9, 1.7], [1, 1]]),
+        lambda: Semigroup(np.array([[0.0, 1.0], [1.0, 1.0]])),
+        lambda: Semigroup([["0", "1"], ["1", "1"]]),
+        lambda: Morphism((0.5, 1), mincap(2)),
+        lambda: Constraint(Morphism((0, 1), mincap(2)), {0.9}),
+    ], ids=["float-rows", "float-array", "str-rows", "float-image", "float-accept"])
+    def test_value_types_take_integers_only(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     @pytest.mark.parametrize("table, message", [
         ([[0, 1], [2, 0]], "entry 2 at (1, 0) out of range 0..1"),
@@ -353,11 +381,16 @@ class TestDirectProduct:
         assert direct_product([mincap(4)] * 2, cap=256)[0].size == 16
         with pytest.raises(ValueError, match="cap 255"):
             direct_product([mincap(4)] * 2, cap=255)
-        # rows of ints, so each factor's array is built only when read
-        factors = [Semigroup(mincap(100).table) for _ in range(3)]  # 10**6 elements, 10**12 cells
-        with pytest.raises(ValueError, match="cap"):
-            direct_product(factors)
-        assert all("array" not in f.__dict__ for f in factors)  # no factor array was built
+        # the cap raises before any cell of the product is allocated
+        factors = [mincap(100)] * 3  # 10**6 elements, 10**12 cells
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                direct_product(factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one int64 index over the 10**6 elements alone is 8 MB
 
     def test_matches_definitional_product(self, family_pool):
         cases = [[a, b] for a in family_pool for b in family_pool]

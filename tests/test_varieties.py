@@ -165,7 +165,7 @@ class TestLiDegreeOncePerObject:
         S, T = Semigroup(mincap(5).table), Semigroup(mincap(5).table)
         li_degree(S)
         assert S == T and hash(S) == hash(T)
-        assert [f.name for f in dataclasses.fields(S)] == ["table", "labels"]
+        assert [f.name for f in dataclasses.fields(S)] == ["array", "labels"]
         ref = weakref.ref(S)
         del S
         gc.collect()
