@@ -21,9 +21,11 @@ per gate, with each gate's inputs in CSR form.  The outputs are wire ids too.
 Each gadget is a fixed pattern apart from its operand wires and the id of
 its first gate, so lowering builds each pattern once (lazily, in a bounded
 cache), places a copy per gadget with one offset and one gather, and joins
-all gadgets at the end.  Every gate carries its level, the longest path to
-it, so evaluation takes one numpy step per level and op instead of one
-Python step per gate: at most 2m + 2 steps for an SLP of size m.
+all gadgets at the end.  Gate ids are an evaluation order: each gadget's
+AND layer reads only input bits and earlier gadgets' outputs, and its OR
+layer only that AND layer.  So evaluation walks the gates in id order, one
+numpy step per gadget layer instead of one Python step per gate: two steps
+per gadget.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import Morphism, Semigroup
 from .slp import Slp, is_var_ref, ref_target, _topo_reachable
 
 OPS = ("AND", "OR")  # BooleanCircuit.op holds an index into this
-AND, OR = 0, 1  # a gadget's gates sit at its operands' depth + 1 + op
+AND, OR = 0, 1
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -54,10 +56,11 @@ class BooleanCircuit:
     Wire ids: input bit i is wire i, the constant-0 wire is ``input_count``
     and gate g is wire ``input_count + 1 + g``.  Gate g applies
     ``OPS[op[g]]`` to the wires ``src[indptr[g]:indptr[g + 1]]``, each
-    negated where ``neg`` is set, and sits at ``level[g]``, its longest path
-    from the inputs.  ``outputs`` are wire ids, most significant bit first:
-    unnegated OR gates, or the constant wire for a one-element target.  The
-    arrays are read-only; ``==`` and ``hash`` compare the netlist.
+    negated where ``neg`` is set.  Gate ids are an evaluation order: each
+    maximal run of one op reads only wires before its first gate.
+    ``outputs`` are wire ids, most significant bit first: unnegated OR
+    gates, or the constant wire for a one-element target.  The arrays are
+    read-only; ``==`` and ``hash`` compare the netlist.
     """
 
     n: int
@@ -66,7 +69,6 @@ class BooleanCircuit:
     outputs: tuple[int, ...]
     depth: int
     op: np.ndarray
-    level: np.ndarray
     indptr: np.ndarray
     src: np.ndarray
     neg: np.ndarray
@@ -194,22 +196,21 @@ def slp_to_circuit(G: Slp, h: Morphism) -> BooleanCircuit:
     bits = _bit_width(n)
     if bits == 0:
         # no input bits, so the constant wire is wire 0
-        return BooleanCircuit(n, m, 0, (0,), 0, op=_frozen((), np.uint8),
-                              level=_frozen((), np.intp), indptr=_frozen((0,), np.intp),
+        return BooleanCircuit(n, m, 0, (0,), 0, op=_frozen((), np.uint8), indptr=_frozen((0,), np.intp),
                               src=_frozen((), np.intp), neg=_frozen((), bool))
 
     first_gate = (n * n + m) * bits + 1  # wire id of gate 0
-    placed: list[tuple[_Pattern, int]] = []  # (pattern, depth of its operands)
+    placed: list[_Pattern] = []
     env: list[int] = []  # every gadget's env, one after another
     env_starts: list[int] = []
     count = 0  # gates placed so far
 
-    def place(pattern: _Pattern, operands: list[int], d: int) -> list[int]:
+    def place(pattern: _Pattern, operands: list[int]) -> list[int]:
         nonlocal count
         base = first_gate + count
         env_starts.append(len(env))
         env.extend((0, base, *operands))
-        placed.append((pattern, d))
+        placed.append(pattern)
         count += len(pattern.op)
         return list(range(base + len(pattern.op) - bits, base + len(pattern.op)))
 
@@ -220,29 +221,24 @@ def slp_to_circuit(G: Slp, h: Morphism) -> BooleanCircuit:
             if is_var_ref(sym):
                 wires, d = values[ref_target(sym)]
             else:
-                wires, d = place(_lookup_pattern(n, m, bits, sym), [], 0), 2
+                wires, d = place(_lookup_pattern(n, m, bits, sym), []), 2
             if acc is None:
                 acc = (wires, d)
             else:
-                d = max(acc[1], d)
-                acc = (place(_product_pattern(n, bits), acc[0] + wires, d), d + 2)
+                acc = (place(_product_pattern(n, bits), acc[0] + wires), max(acc[1], d) + 2)
         values[v] = acc
 
     # one offset and one gather for all gadgets: input j of a gadget placed with
     # env e reads wire offset[j] + e[slot[j]]
-    patterns = [p for p, _ in placed]
-    slot = np.concatenate([p.slot for p in patterns]) + np.repeat(env_starts, [len(p.slot) for p in patterns])
-    src = np.concatenate([p.offset for p in patterns]) + np.array(env, dtype=np.intp)[slot]
-    op = np.concatenate([p.op for p in patterns])
-    depths = np.repeat([d for _, d in placed], [len(p.op) for p in patterns])
-    lens = np.concatenate([p.lens for p in patterns])
+    slot = np.concatenate([p.slot for p in placed]) + np.repeat(env_starts, [len(p.slot) for p in placed])
+    src = np.concatenate([p.offset for p in placed]) + np.array(env, dtype=np.intp)[slot]
+    lens = np.concatenate([p.lens for p in placed])
     out_wires, depth = values[G.start]
     return BooleanCircuit(n, m, bits, tuple(out_wires), depth,
-                          op=_frozen(op, np.uint8),
-                          level=_frozen(depths + 1 + op, np.intp),
+                          op=_frozen(np.concatenate([p.op for p in placed]), np.uint8),
                           indptr=_frozen(np.concatenate(([0], np.cumsum(lens))), np.intp),
                           src=_frozen(src, np.intp),
-                          neg=_frozen(np.concatenate([p.neg for p in patterns]), bool))
+                          neg=_frozen(np.concatenate([p.neg for p in placed]), bool))
 
 
 def circuit_size_bound(slp_size: int, n: int, alphabet_size: int) -> int:
@@ -259,11 +255,12 @@ def _check_bits(kind: str, values: list, expected: int) -> None:
 
 
 def circuit_eval(C: BooleanCircuit, table_bits, image_bits) -> int:
-    """Evaluate level by level and decode the output bits as an element index.
+    """Evaluate in gate order and decode the output bits as an element index.
 
-    Gates are grouped by (level, op); each group is one gather of its input
-    wires, one XOR with the negation flags, one ``reduceat`` over the gates'
-    input runs and one scatter into the wire values.
+    Each maximal run of one op is one gadget layer and reads only wires
+    before its first gate, so it is one gather of its input wires, one XOR
+    with the negation flags, one ``reduceat`` over the gates' input runs and
+    one contiguous write into the wire values.
     """
     table_bits = list(table_bits)
     image_bits = list(image_bits)
@@ -273,18 +270,12 @@ def circuit_eval(C: BooleanCircuit, table_bits, image_bits) -> int:
     values = np.zeros(first_gate + C.size, dtype=bool)  # the constant wire stays 0
     values[:first_gate - 1] = table_bits + image_bits
 
-    # gates in (level, op) order, and their inputs in that order
-    key = C.level * len(OPS) + C.op
-    order = np.argsort(key, kind="stable")
-    lens = np.diff(C.indptr)[order]
-    starts = np.concatenate(([0], np.cumsum(lens)))
-    entry = np.repeat(C.indptr[:-1][order] - starts[:-1], lens) + np.arange(starts[-1])
-    src, neg = C.src[entry], C.neg[entry]
-    firsts = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist()
+    firsts = np.flatnonzero(np.diff(C.op, prepend=-1)).tolist()
     for lo, hi in zip(firsts, firsts[1:] + [C.size]):
-        reduce = np.logical_and if C.op[order[lo]] == AND else np.logical_or
-        ins = values[src[starts[lo]:starts[hi]]] ^ neg[starts[lo]:starts[hi]]
-        values[first_gate + order[lo:hi]] = reduce.reduceat(ins, starts[lo:hi] - starts[lo])
+        reduce = np.logical_and if C.op[lo] == AND else np.logical_or
+        start, stop = C.indptr[lo], C.indptr[hi]
+        ins = values[C.src[start:stop]] ^ C.neg[start:stop]
+        values[first_gate + lo:first_gate + hi] = reduce.reduceat(ins, C.indptr[lo:hi] - start)
 
     result = 0
     for wire in C.outputs:

@@ -8,10 +8,11 @@ A ``Semigroup`` holds its table once, as ``array``: a read-only numpy array in
 the smallest unsigned dtype holding n-1 (arithmetic on it wraps, so callers
 widen before adding).  That dtype depends on n alone, so the array's bytes are
 canonical and define ``==`` and ``hash``.  Whole-table code (the associativity
-check, ``varieties``, the BFS engine, ``formats``) reads the array.  Loops over
-one word at a time read ``table``, a tuple of tuples of ints built from the
-array on first use and kept on the instance, since indexing Python tuples
-beats indexing numpy one element at a time.
+check, ``varieties``, the BFS engine, ``formats``) reads the array, and
+``monogenic_orders`` one column of it at a time.  Loops over one word at a
+time read ``table``, a tuple of tuples of ints built from the array on first
+use and kept on the instance, since indexing Python tuples beats indexing
+numpy one element at a time.
 Functions of a table alone (``li_degree`` and ``classify`` in ``varieties``,
 the serialized rows in ``formats``) are memoised on the instance the same way,
 through ``memo_on_object``.  Threads racing on a first access may compute a
@@ -218,14 +219,14 @@ def distinguished_elements(S: Semigroup) -> DistinguishedElements:
 
 def monogenic_orders(S: Semigroup) -> tuple[tuple[int, ...], int]:
     """Cardinality of the subsemigroup generated by each element, and the maximum."""
-    t = S.table
     orders = []
     for s in range(S.size):
+        column = S.array[:, s].tolist()
         seen = set()
         cur = s
         while cur not in seen:
             seen.add(cur)
-            cur = t[cur][s]
+            cur = column[cur]
         orders.append(len(seen))
     return tuple(orders), max(orders)
 

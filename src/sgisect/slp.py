@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,11 +99,13 @@ def canonical_slp(word, alphabet_size: int) -> Slp:
     return Slp(alphabet_size, (tuple(word),), 0)
 
 
-def _topo_reachable(G: Slp) -> list[int]:
-    """Variables reachable from start, children before parents; detects cycles."""
+def _topo_reachable(G: Slp, roots: Sequence[int] | None = None) -> list[int]:
+    """Variables reachable from roots (default: start), children before parents; detects cycles.
+
+    The roots share one visited state, so each variable is searched once."""
     order: list[int] = []
     state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[int, int]] = [(G.start, 0)]
+    stack: list[tuple[int, int]] = [(v, 0) for v in reversed((G.start,) if roots is None else roots)]
     path: list[int] = []
     while stack:
         v, i = stack.pop()
@@ -137,9 +140,8 @@ def _topo_reachable(G: Slp) -> list[int]:
 def validate_slp(alphabet_size: int, rhs, start: int) -> Slp:
     """Build an SLP from raw productions, rejecting cycles and dangling symbols."""
     G = Slp(alphabet_size, tuple(tuple(body) for body in rhs), start)
-    for v in range(G.variable_count):
-        # report cycles even through variables unreachable from start
-        _topo_reachable(Slp(alphabet_size, G.rhs, v))
+    # report cycles even through variables unreachable from start
+    _topo_reachable(G, range(G.variable_count))
     return G
 
 

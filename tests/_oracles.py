@@ -245,12 +245,17 @@ class Gate:
     inputs: tuple  # ((wire, negated), ...)
 
 
-def gate_depths(R) -> list[int]:
-    """Longest path over R.gates to each gate; inputs and CONST0 sit at depth 0."""
-    depths: list[int] = []
-    for gate in R.gates:
-        depths.append(1 + max((depths[w[1]] for w, _ in gate.inputs if w[0] == "g"), default=0))
-    return depths
+def runs_read_earlier_wires(C) -> bool:
+    """Whether each maximal run of one op in a ``BooleanCircuit`` reads only
+    wires below its first gate's wire, gate by gate."""
+    op, src, ptr = C.op.tolist(), C.src.tolist(), C.indptr.tolist()
+    first = 0  # first gate of the current run
+    for g in range(C.size):
+        if op[g] != op[first]:
+            first = g
+        if any(w >= C.input_count + 1 + first for w in src[ptr[g]:ptr[g + 1]]):
+            return False
+    return True
 
 
 def circuit_depth(C) -> int:
@@ -530,6 +535,20 @@ def random_slp(rng, alphabet_size: int, max_size: int):
         pool = list(range(alphabet_size)) + [var_ref(j) for j in range(i + 1, v)]
         rhs.append(tuple(rng.choice(pool) for _ in range(sizes[i])))
     return Slp(alphabet_size, tuple(rhs), 0)
+
+
+def validate_slp_cycle_reference(alphabet_size: int, rhs, start: int):
+    """The cycle ``validate_slp`` reports, or None: one search from each
+    variable in turn, each starting afresh."""
+    from sgisect.slp import Slp, SlpCycleError, _topo_reachable
+
+    G = Slp(alphabet_size, tuple(map(tuple, rhs)), start)
+    for v in range(G.variable_count):
+        try:
+            _topo_reachable(Slp(alphabet_size, G.rhs, v))
+        except SlpCycleError as exc:
+            return exc.cycle
+    return None
 
 
 def random_formula(rng, max_vars: int, max_clauses: int):

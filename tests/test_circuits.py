@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -15,9 +16,9 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, t
 from sgisect.formats import serialize_circuit_text
 from sgisect.slp import canonical_slp, power_slp, slp_image, slp_stats
 
-from _oracles import (circuit_depth, circuit_eval_reference, gate_depths, image_bits_reference,
-                      random_morphism, random_slp, serialize_circuit_reference, slp_to_circuit_reference,
-                      table_bits_reference)
+from _oracles import (circuit_depth, circuit_eval_reference, image_bits_reference, random_morphism,
+                      random_slp, runs_read_earlier_wires, serialize_circuit_reference,
+                      slp_to_circuit_reference, table_bits_reference)
 
 
 def _eval_on(G, h):
@@ -71,7 +72,7 @@ class TestRepresentation:
 
     def test_arrays_read_only(self):
         C = slp_to_circuit(self.G, self.h)
-        for name in ("op", "level", "indptr", "src", "neg"):
+        for name in ("op", "indptr", "src", "neg"):
             array = getattr(C, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
@@ -125,6 +126,25 @@ class TestGoldenNetlists:
         assert (C.size, C.depth) == (size, depth)
 
 
+class TestGateOrder:
+    # circuit_eval writes each run of one op in one step, so a run must not
+    # read its own or a later gate
+    @pytest.mark.parametrize("G, images, S", [
+        (canonical_slp((0, 1), 2), (0, 0), mincap(3)),
+        (power_slp(canonical_slp((0, 1, 0), 2), 5), (1, 3), cyclic(4)),
+        (power_slp(canonical_slp((1, 0), 3), 3), (1, 2, 0), nilinterval(2)),
+        (canonical_slp((0, 1), 2), (0, 0), trivial()),
+    ], ids=["mincap3", "cyclic4-power", "nilinterval2-power", "trivial"])
+    def test_pinned_netlists_run_on_earlier_wires(self, G, images, S):
+        assert runs_read_earlier_wires(slp_to_circuit(G, Morphism(images, S)))
+
+    def test_checker_flags_a_run_reading_its_own_gate(self):
+        C = slp_to_circuit(canonical_slp((0, 1), 2), Morphism((0, 0), mincap(3)))
+        src = C.src.copy()
+        src[C.indptr[-2]] = C.input_count + C.size  # the last OR reads the last gate, itself
+        assert not runs_read_earlier_wires(dataclasses.replace(C, src=src))
+
+
 class TestRandomAgreement:
     def test_eval_matches_image_within_bounds(self):
         rng = random.Random(31415)
@@ -140,7 +160,7 @@ class TestRandomAgreement:
             assert C.size <= circuit_size_bound(size, S.size, m)
             assert C.depth <= 2 * size + 2
             assert C.depth == circuit_depth(C)
-            assert C.size == len(C.indptr) - 1 == len(C.level)
+            assert C.size == len(C.indptr) - 1 == len(C.op)
             got = circuit_eval(C, semigroup_table_bits(S), morphism_image_bits(h))
             assert got == slp_image(G, h)
 
@@ -190,7 +210,7 @@ class TestReferenceAgreement:
             # the text holds every gate's op, inputs and negations, and the outputs
             assert serialize_circuit_text(C) == serialize_circuit_reference(R)
             assert (C.size, C.depth) == (R.size, R.depth)
-            assert C.level.tolist() == gate_depths(R)
+            assert runs_read_earlier_wires(C)
             table_bits, image_bits = semigroup_table_bits(S), morphism_image_bits(h)
             assert circuit_eval(C, table_bits, image_bits) == circuit_eval_reference(R, table_bits, image_bits)
             for _ in range(2):

@@ -17,7 +17,7 @@ from sgisect.families import (build_family, cyclic, leftzero, mincap, nilinterva
 from sgisect.formats import parse_instance, parse_table_text, serialize_instance, serialize_table_text
 from sgisect.reductions import CnfFormula, reduce_nilpotent
 from sgisect.solve import Constraint, li_solve
-from sgisect.varieties import is_li, is_nilpotent
+from sgisect.varieties import classify, is_li, is_nilpotent
 
 from _oracles import FAMILY_REFERENCES, direct_product_definitional, first_nonassociative_triple, fold
 
@@ -138,6 +138,7 @@ class TestArray:
         instance = parse_instance(serialize_instance(reduce_nilpotent(formula)))
         assert li_solve(instance).satisfiable
         for U in (S, P, T, D, *(c.semigroup for c in instance.constraints)):
+            classify(U)
             assert "table" not in vars(U)
 
     @pytest.mark.parametrize("build", [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from sgisect.families import cyclic, leftzero, mincap, nilinterval
 from sgisect.slp import (Slp, SlpCycleError, SlpLimitError, canonical_slp, enumerate_slps,
                          power_slp, slp_eval_word, slp_image, slp_stats, validate_slp, var_ref)
 
-from _oracles import canonical_bodies_by_filter, random_slp
+from _oracles import canonical_bodies_by_filter, random_slp, validate_slp_cycle_reference
 
 
 def _memo_summary(alphabet_size, sizes):
@@ -40,6 +41,40 @@ class TestValidate:
         # X0 is fine but X1 loops on itself
         with pytest.raises(SlpCycleError):
             validate_slp(1, [(0,), (var_ref(1),)], 0)
+
+    def test_one_pass_reports_the_per_variable_cycle(self):
+        # the reference searches from each variable afresh; validate_slp
+        # shares finished variables across its roots
+        rng = random.Random(4242)
+        cycles = off_start = 0
+        for _ in range(600):
+            k = rng.randint(1, 8)
+            pool = [0, 1] * 4 + [var_ref(j) for j in range(k)]
+            rhs = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))) for _ in range(k)]
+            start = rng.randrange(k)
+            expected = validate_slp_cycle_reference(2, rhs, start)
+            try:
+                validate_slp(2, rhs, start)
+            except SlpCycleError as exc:
+                assert exc.cycle == expected
+                cycles += 1
+                try:
+                    slp_stats(Slp(2, tuple(rhs), start))
+                except SlpCycleError:
+                    continue
+                off_start += 1
+            else:
+                assert expected is None
+        assert 200 <= cycles <= 450 and off_start >= 100
+
+    def test_long_chain_validates_in_one_pass(self):
+        # X_i = X_{i+1} X_{i+1}: a search per variable takes quadratic time
+        n = 20_000
+        rhs = [(var_ref(i + 1), var_ref(i + 1)) for i in range(n - 1)] + [(0,)]
+        started = time.perf_counter()
+        G = validate_slp(1, rhs, 0)
+        assert time.perf_counter() - started < 5.0
+        assert G.variable_count == n
 
     @pytest.mark.parametrize("evaluate", [
         lambda G: slp_to_circuit(G, Morphism((0,), mincap(3))),
