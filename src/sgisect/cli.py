@@ -190,7 +190,7 @@ def _cmd_power_slp(args) -> int:
 def _cmd_emit_circuit(args) -> int:
     instance = _load(args.instance, parse_instance)
     G, _ = _load(args.slp, parse_slp_text, instance.letter_names)
-    if not 0 <= args.constraint < len(instance.constraints):
+    if not 0 <= args.constraint < len(instance.names):
         raise ValueError(f"constraint index {args.constraint} out of range")
     circuit = slp_to_circuit(G, instance.constraints[args.constraint].morphism)
     _write_out(serialize_circuit_text(circuit), args.output)
@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
     else:
         witness = Witness.from_slp(_load(args.slp, parse_slp_text, instance.letter_names)[0], "cli")
     result = verify_witness(instance, witness)
-    names = [instance.constraint_name(i) for i in range(len(instance.constraints))]
+    names = [instance.constraint_name(i) for i in range(len(instance.names))]
     if args.json:
         print(json.dumps({
             "ok": result.ok,

@@ -27,10 +27,13 @@ not start with ``X`` (``Instance`` checks all of these), so each name reads
 back as one token of the NAMES line and as one letter in a word and in an
 SLP file.
 
-Range checks belong to the value types (``Semigroup`` for table entries,
-``Morphism`` for images, ``Constraint`` for accept sets); the parser adds the
-line number to their errors and checks only counts and block structure.  A
-TABLE block ends at its END line, so a block short of rows is reported at
+Range errors take their messages from the value types (``Semigroup`` for
+table entries, ``Morphism`` for images, ``Constraint`` for accept sets),
+which the parser builds only to report them, at their line.  It checks
+block structure, and each IMAGES and ACCEPT line's range with one ``min``
+and one ``max``, as it reads, so the first fault in the document is the
+one reported; the constraints become ``Instance`` columns.
+A TABLE block ends at its END line, so a block short of rows is reported at
 its TABLE line, as ``parse_table_text`` reports a short table.  A table's
 rows become one integer array in one pass, which ``Semigroup`` checks with one
 ``min`` and one ``max`` and keeps as its table; rows are read one by one only
@@ -201,7 +204,8 @@ def parse_instance(text: str) -> Instance:
         names = tuple(tokens[1:])
 
     tables: dict[str, Semigroup] = {}
-    constraints: list[Constraint] = []
+    constraints: list[tuple] = []  # (table, images, accept set, name) of each
+    accept_sets: dict[str, frozenset[int]] = {}  # equal ACCEPT lines share one set
     for lineno, tokens in it:
         if tokens[0] == "TABLE":
             if len(tokens) != 3:
@@ -228,7 +232,7 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"constraint references undeclared table {tname!r}", lineno)
             S = tables[tname]
             cname = None
-            morphism = None
+            images = None
             accept = None
             seen: set[str] = set()
             for blineno, btokens in it:
@@ -245,19 +249,22 @@ def parse_instance(text: str) -> Instance:
                     images = _ints(btokens[1:], "image index", blineno)
                     if len(images) != m:
                         raise FormatError(f"IMAGES needs {m} indices, got {len(images)}", blineno)
-                    morphism = _at_line(blineno, Morphism, images, S)
+                    if min(images) < 0 or max(images) >= S.size:
+                        _at_line(blineno, Morphism, images, S)  # raises the range error
                 elif btokens[0] == "ACCEPT":
-                    accept = _ints(btokens[1:], "accept index", blineno)
-                    accept_line = blineno
+                    accept = frozenset(_ints(btokens[1:], "accept index", blineno))
+                    if accept and (min(accept) < 0 or max(accept) >= S.size):
+                        _at_line(blineno, Constraint, Morphism([0] * m, S), accept)  # raises the range error
+                    accept = accept_sets.setdefault(" ".join(btokens), accept)
                 else:
                     raise FormatError(f"unexpected token {btokens[0]!r} in CONSTRAINT block", blineno)
             else:
                 raise FormatError("unexpected end of file")
-            if morphism is None:
+            if images is None:
                 raise FormatError("CONSTRAINT block lacks IMAGES", lineno)
             if accept is None:
                 raise FormatError("CONSTRAINT block lacks ACCEPT", lineno)
-            constraints.append(_at_line(accept_line, Constraint, morphism, accept, cname))
+            constraints.append((S, images, accept, cname))
         else:
             raise FormatError(f"unexpected token {tokens[0]!r}", lineno)
 
@@ -265,36 +272,37 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("instance declares no constraints")
     if names_line is None:  # built only now: each IMAGES line held m tokens, so the text bounds m
         names = default_letter_names(m)
-    return _at_line(names_line, Instance, names, tuple(constraints))
+    targets, rows, accepts, cnames = zip(*constraints)
+    images = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * m).reshape(-1, m)
+    return _at_line(names_line, Instance.from_columns, names, targets, images, accepts, cnames)
 
 
 def serialize_instance(instance: Instance) -> str:
     """Canonical form: tables deduplicated by content, constraints in order.
 
-    Tables are named T0, T1, ... in order of first appearance.  Constraints
-    mostly share Semigroup objects, so each is looked up by identity.  A
-    table's row block is memoised on its object and is its dedup key: equal
-    texts are equal tables, and a ``str`` caches its hash.
+    Tables are named T0, T1, ... in order of first appearance.  A table's
+    row block is memoised on its object and is its dedup key: equal texts
+    are equal tables, and a ``str`` caches its hash.
     """
     lines = ["SGI 1", f"ALPHABET {instance.alphabet_size}",
              "NAMES " + " ".join(instance.letter_names)]
-    names: dict[int, str] = {}  # table name per Semigroup object
-    by_table: dict[str, str] = {}  # equal tables share a name
-    for c in instance.constraints:
-        S = c.semigroup
-        if id(S) not in names:
-            rows = _table_rows(S)
-            fresh = f"T{len(by_table)}"
-            names[id(S)] = by_table.setdefault(rows, fresh)
-            if names[id(S)] == fresh:
-                lines.append(f"TABLE {fresh} {S.size}\n{rows}END")
-    for c in instance.constraints:
-        lines.append(f"CONSTRAINT {names[id(c.semigroup)]}")
-        if c.name is not None:
-            lines.append(f"NAME {c.name}")
-        lines.append("IMAGES " + " ".join(map(str, c.morphism.images)))
-        accept = " ".join(map(str, sorted(c.accept)))
-        lines.append("ACCEPT" + (" " + accept if accept else ""))
+    by_rows: dict[str, str] = {}  # equal tables share a name
+    heads = []  # the CONSTRAINT line of each of instance.tables
+    for S in instance.tables:
+        rows = _table_rows(S)
+        fresh = f"T{len(by_rows)}"
+        name = by_rows.setdefault(rows, fresh)
+        if name == fresh:
+            lines.append(f"TABLE {fresh} {S.size}\n{rows}END")
+        heads.append(f"CONSTRAINT {name}")
+    token = [str(v) for v in range(max(S.size for S in instance.tables))].__getitem__
+    for j, name, images, accept in zip(instance.table_index.tolist(), instance.names,
+                                       instance.images.tolist(), instance.accepts):
+        lines.append(heads[j])
+        if name is not None:
+            lines.append(f"NAME {name}")
+        lines.append("IMAGES " + " ".join(map(token, images)))
+        lines.append("ACCEPT" + "".join(" " + token(x) for x in sorted(accept)))
         lines.append("END")
     return "".join(line + "\n" for line in lines)
 

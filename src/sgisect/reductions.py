@@ -16,12 +16,14 @@ literals to zero and accepts only zero.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
-from .core import Morphism
+import numpy as np
+
 from .families import mincap, nilinterval
-from .solve import Constraint, Instance
+from .solve import Instance
 
 SAT_EXHAUSTIVE_CAP = 24
 
@@ -36,9 +38,10 @@ class CnfFormula:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "variable_count", operator.index(self.variable_count))
         if self.variable_count < 0:
             raise ValueError("variable count must be >= 0")
-        clauses = tuple(frozenset(int(l) for l in c) for c in self.clauses)
+        clauses = tuple(frozenset(map(operator.index, c)) for c in self.clauses)
         object.__setattr__(self, "clauses", clauses)
         for idx, clause in enumerate(clauses):
             if not clause:
@@ -59,7 +62,7 @@ class Assignment:
     bits: tuple[int, ...]  # bits[i] is the value of variable i+1
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(map(operator.index, self.bits))
         if any(b not in (0, 1) for b in bits):
             raise ValueError("assignment bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
@@ -137,8 +140,12 @@ def reduction_alphabet(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, k + 1)) + tuple(f"nx{i}" for i in range(1, k + 1))
 
 
-def _letter_literal(letter: int, k: int) -> int:
-    return letter + 1 if letter < k else -(letter - k + 1)
+def _literal_cells(formula: CnfFormula, first_row: int) -> list[int]:
+    """The flat positions, in a row-major image matrix of 2k columns, of every
+    clause literal's letter, clause j (from 0) on row first_row + j."""
+    k = formula.variable_count
+    return [(first_row + j) * 2 * k + (lit - 1 if lit > 0 else k - lit - 1)
+            for j, clause in enumerate(formula.clauses) for lit in clause]
 
 
 def reduce_unbounded(formula: CnfFormula) -> Instance:
@@ -148,24 +155,19 @@ def reduce_unbounded(formula: CnfFormula) -> Instance:
     The g0 constraint accepts value k (so witnesses have length exactly k),
     each gi doubles the weight of x_i and nx_i and accepts value k+1 (exactly
     one of the pair occurs), and each clause constraint doubles the weight of
-    its literals and accepts {k+1, k+2} (some literal occurs).
+    its literals and accepts {k+1, k+2} (some literal occurs).  Element v-1
+    is value v, so weight 1 is element 0 and weight 2 element 1.
     """
     k = formula.variable_count
     if k < 1:
         raise ValueError("need at least one variable")
-    S = mincap(k + 2)
-    literals = [_letter_literal(a, k) for a in range(2 * k)]
-
-    def morphism(weight2):
-        """Weight 2 for the letters carrying a literal in ``weight2``, 1 for the rest."""
-        return Morphism(tuple([1 if lit in weight2 else 0 for lit in literals]), S)
-
-    constraints = [Constraint(morphism(()), frozenset({k - 1}), "g0")]
-    for i in range(1, k + 1):
-        constraints.append(Constraint(morphism((i, -i)), frozenset({k}), f"g{i}"))
-    for j, clause in enumerate(formula.clauses, start=1):
-        constraints.append(Constraint(morphism(clause), frozenset({k, k + 1}), f"h{j}"))
-    return Instance(reduction_alphabet(k), tuple(constraints))
+    n = formula.clause_count
+    images = np.zeros((1 + k + n, 2 * k), dtype=np.intp)
+    pairs = [(1 + i) * 2 * k + i + letter for i in range(k) for letter in (0, k)]  # x_i and nx_i in gi
+    images.put(pairs + _literal_cells(formula, 1 + k), 1)
+    accepts = (frozenset({k - 1}),) + (frozenset({k}),) * k + (frozenset({k, k + 1}),) * n
+    names = ("g0", *(f"g{i}" for i in range(1, k + 1)), *(f"h{j}" for j in range(1, n + 1)))
+    return Instance.from_columns(reduction_alphabet(k), [mincap(k + 2)] * len(names), images, accepts, names)
 
 
 def reduce_nilpotent(formula: CnfFormula) -> Instance:
@@ -175,22 +177,20 @@ def reduce_nilpotent(formula: CnfFormula) -> Instance:
     constraint maps both letters of variable i to the interval (i,i) and
     accepts only (1,k), forcing witnesses of the shape l_1...l_k; each clause
     constraint additionally sends its literals to zero and accepts only zero.
+    Element c+1 is the c-th interval (i,j), in order of i, then j (see
+    ``nilinterval``), so (i,i) is element 1 + (i-1)k - (i-1)(i-2)/2 and
+    (1,k) element k.
     """
     k = formula.variable_count
     if k < 1:
         raise ValueError("need at least one variable")
-    S = nilinterval(k)
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
-    pair_index = {p: c + 1 for c, p in enumerate(pairs)}
-    literals = [_letter_literal(a, k) for a in range(2 * k)]
-    diagonal = [pair_index[(abs(lit), abs(lit))] for lit in literals]
-
-    g = Morphism(tuple(diagonal), S)
-    constraints = [Constraint(g, frozenset({pair_index[(1, k)]}), "g")]
-    for j, clause in enumerate(formula.clauses, start=1):
-        images = tuple([0 if lit in clause else d for lit, d in zip(literals, diagonal)])
-        constraints.append(Constraint(Morphism(images, S), frozenset({0}), f"h{j}"))
-    return Instance(reduction_alphabet(k), tuple(constraints))
+    n = formula.clause_count
+    images = np.empty((1 + n, 2 * k), dtype=np.intp)
+    images[:] = [1 + i * k - i * (i - 1) // 2 for i in range(k)] * 2  # (i+1,i+1) for both letters of i+1
+    images.put(_literal_cells(formula, 1), 0)
+    accepts = (frozenset({k}),) + (frozenset({0}),) * n
+    names = ("g", *(f"h{j}" for j in range(1, n + 1)))
+    return Instance.from_columns(reduction_alphabet(k), [nilinterval(k)] * len(names), images, accepts, names)
 
 
 def assignment_to_word(assignment: Assignment) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,8 +68,10 @@ class Slp:
     start: int
 
     def __post_init__(self):
-        rhs = tuple(tuple(int(s) for s in body) for body in self.rhs)
+        rhs = tuple(tuple(map(operator.index, body)) for body in self.rhs)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "alphabet_size", operator.index(self.alphabet_size))
+        object.__setattr__(self, "start", operator.index(self.start))
         if self.alphabet_size < 1:
             raise ValueError("alphabet must be non-empty")
         if not rhs:

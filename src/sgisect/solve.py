@@ -1,10 +1,11 @@
 """Deciding intersection non-emptiness of languages recognized by finite semigroups.
 
 An instance is a shared alphabet plus constraints (morphism into a semigroup,
-accepting element set).  The brute-force solver runs a breadth-first search
-over tuples of per-constraint images, never materializing the direct product;
-it returns the shortest witness, ties broken by lexicographically least letter
-sequence.  ``li_solve`` and ``comli_solve`` are class checks in front of that
+accepting element set), held as columns (see ``Instance``) that the solvers
+and ``verify_witness`` read once per distinct table.  The brute-force solver
+runs a breadth-first search over tuples of per-constraint images, never
+materializing the direct product; it returns the shortest witness, ties
+broken by lexicographically least letter sequence.  ``li_solve`` and ``comli_solve`` are class checks in front of that
 same closed search, with no depth cap.  A locally trivial target of degree k
 never needs a witness longer than 2k, so the search closes by depth 2k on its
 own; that bound is checked on every result, not used as a cap.
@@ -36,11 +37,12 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Morphism, apply_morphism
-from .slp import Slp, first_words, slp_image
+from .core import Morphism, Semigroup, apply_morphism
+from .slp import Slp, _topo_reachable, first_words, is_var_ref, ref_target
 from .varieties import is_commutative, li_degree
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -96,19 +98,44 @@ class Constraint:
         return self.morphism.target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
-    letter_names: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
+    """A shared alphabet plus constraints, held as columns: ``tables``, the
+    distinct Semigroup objects in order of first use; ``table_index``, each
+    constraint's table among them; ``images``, one read-only (constraints,
+    letters) intp matrix; ``accepts`` and ``names``, each constraint's accept
+    set and name.  ``from_columns`` and ``Instance(letter_names, constraints)``
+    run one check, the ranges in bulk against the smallest table; only a value
+    past it is checked constraint by constraint, to name the first bad one.
+    ``constraints`` holds ``Constraint`` views, built on first read without
+    their own checks; ``==`` and ``hash`` compare those.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "letter_names", tuple(str(s) for s in self.letter_names))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not self.letter_names:
+    letter_names: tuple[str, ...]
+    tables: tuple[Semigroup, ...]
+    table_index: np.ndarray
+    images: np.ndarray
+    accepts: tuple[frozenset[int], ...]
+    names: tuple[str | None, ...]
+
+    def __init__(self, letter_names, constraints):
+        constraints = tuple(constraints)
+        self._fill(letter_names, [c.semigroup for c in constraints], [c.morphism.images for c in constraints],
+                   [c.accept for c in constraints], [c.name for c in constraints])
+
+    @classmethod
+    def from_columns(cls, letter_names, tables, images, accepts, names) -> Instance:
+        """Constraint i has table ``tables[i]``, images ``images[i]`` of an integer
+        array, accept set ``accepts[i]`` (a frozenset of ints) and name ``names[i]``."""
+        return object.__new__(cls)._fill(letter_names, tables, images, accepts, names)
+
+    def _fill(self, letter_names, targets, images, accepts, names):
+        letter_names, accepts, names = tuple(str(s) for s in letter_names), tuple(accepts), tuple(names)
+        if not letter_names:
             raise ValueError("alphabet must be non-empty")
         # a name must read back as one letter in a word and in an SLP file
         seen = set()
-        for name in self.letter_names:
+        for name in letter_names:
             if name.split() != [name] or "#" in name:
                 raise ValueError(f"letter name {name!r} is not one token without whitespace or '#'")
             if name in seen:
@@ -116,20 +143,60 @@ class Instance:
             seen.add(name)
             if name.startswith("X"):
                 raise ValueError(f"letter name {name!r} starts with 'X', the SLP variable prefix")
-        if not self.constraints:
+        if not accepts:
             raise ValueError("an instance has at least one constraint")
-        for i, c in enumerate(self.constraints):
-            if c.morphism.alphabet_size != len(self.letter_names):
-                raise ValueError(
-                    f"constraint {i} has {c.morphism.alphabet_size} letter images, "
-                    f"alphabet has {len(self.letter_names)}")
+        m = len(letter_names)
+        for i, row in enumerate(() if isinstance(images, np.ndarray) else images):  # rows may be ragged
+            if len(row) != m:
+                raise ValueError(f"constraint {i} has {len(row)} letter images, alphabet has {m}")
+        images = np.asarray(images).astype(np.intp, casting="same_kind")  # TypeError for floats
+        if images.shape != (len(accepts), m) or not len(targets) == len(names) == len(accepts):
+            raise ValueError(f"{images.shape} images, {len(targets)} tables and {len(names)} names "
+                             f"for {len(accepts)} constraints over {m} letters")
+        tables = tuple({id(S): S for S in targets}.values())  # in order of first use
+        position = {id(S): j for j, S in enumerate(tables)}
+        table_index = np.array([position[id(S)] for S in targets], dtype=np.intp)
+        smallest, elements = min(S.size for S in tables), frozenset().union(*accepts)
+        if images.min() < 0 or images.max() >= smallest or elements and (
+                min(elements) < 0 or max(elements) >= smallest):
+            for i, (row, j) in enumerate(zip(images.tolist(), table_index.tolist())):
+                try:
+                    Constraint(Morphism(row, tables[j]), accepts[i])
+                except ValueError as exc:
+                    raise ValueError(f"constraint {i}: {exc}") from None
+        table_index.flags.writeable = images.flags.writeable = False
+        vars(self).update(letter_names=letter_names, tables=tables, table_index=table_index, images=images,
+                          accepts=accepts, names=names)
+        return self
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Instance) and (self.letter_names, self.constraints) == (
+            other.letter_names, other.constraints)
+
+    def __hash__(self) -> int:
+        return hash((self.letter_names, self.constraints))
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """``Constraint`` views of the columns, built on first read without their own checks."""
+        new, put, views = object.__new__, object.__setattr__, []
+        for row, j, accept, name in zip(self.images.tolist(), self.table_index.tolist(),
+                                        self.accepts, self.names):
+            h, c = new(Morphism), new(Constraint)
+            put(h, "images", tuple(row))
+            put(h, "target", self.tables[j])
+            put(c, "morphism", h)
+            put(c, "accept", accept)
+            put(c, "name", name)
+            views.append(c)
+        return tuple(views)
 
     @property
     def alphabet_size(self) -> int:
         return len(self.letter_names)
 
     def constraint_name(self, i: int) -> str:
-        name = self.constraints[i].name
+        name = self.names[i]
         return name if name is not None else f"c{i}"
 
 
@@ -145,7 +212,7 @@ class Witness:
         if (self.word is None) == (self.slp is None):
             raise ValueError("exactly one of word and slp must be set")
         if self.word is not None:
-            object.__setattr__(self, "word", tuple(int(a) for a in self.word))
+            object.__setattr__(self, "word", tuple(map(operator.index, self.word)))
             if not self.word:
                 raise ValueError("witness words are non-empty")
 
@@ -364,9 +431,9 @@ def _tables(instance: Instance):
     (live, masks, allowed_after, table, base, empty).
 
     Each constraint's element-times-letter table is filled with one gather
-    per distinct Semigroup object, for all the constraints that share it
-    (reduction gadgets share one among all their constraints), and the
-    commutation matrix is read off that semigroup's table once.  ``live``
+    per distinct table, for all the constraints over it (reduction gadgets
+    have one table), straight from the instance's image matrix, and the
+    commutation matrix is read off that table once.  ``live``
     marks the live rows among every constraint's elements, each constraint
     followed by its empty-word row: the closure runs one round over every
     row, then rounds over the rows still dead only, which on the nilpotent
@@ -379,9 +446,8 @@ def _tables(instance: Instance):
     ``allowed_after`` holds the letters allowed after a word ending in each
     letter, and ``empty`` is the empty word's row.
     """
-    cons = instance.constraints
     A = instance.alphabet_size
-    sizes = np.array([c.semigroup.size for c in cons], dtype=np.intp)
+    sizes = np.array([S.size for S in instance.tables], dtype=np.intp).take(instance.table_index)
 
     # Every constraint's elements, plus one row for the empty word, stacked:
     # row x of constraint i holds x times each letter image, its empty-word
@@ -393,12 +459,9 @@ def _tables(instance: Instance):
     step_rows = step.view(np.dtype((np.void, step.strides[0])))  # (total, 1): a row as one item
     # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
     forbidden = np.tri(A, k=-1, dtype=bool)
-    groups: dict[int, list[int]] = {}  # constraints by semigroup object
-    for i, c in enumerate(cons):
-        groups.setdefault(id(c.semigroup), []).append(i)
-    for members in groups.values():
-        S = cons[members[0]].semigroup
-        images = np.array([cons[i].morphism.images for i in members], dtype=np.intp)  # (g, A)
+    for j, S in enumerate(instance.tables):
+        members = np.flatnonzero(instance.table_index == j)
+        images = instance.images[members]  # (g, A)
         # x times y, then a row for the empty word times y, which is y
         times = np.vstack([S.array, np.arange(S.size, dtype=step.dtype)])
         block = times.take(images, axis=1)  # (n + 1, g, A), C order, so each row is one item
@@ -406,11 +469,11 @@ def _tables(instance: Instance):
         commutes = (S.array == S.array.T).ravel()
         # chunks of constraints, so that no (chunk, A, A) block is larger than step
         chunk = max(1, step.size // (A * A))
-        for lo in range(0, len(members), chunk):
+        for lo in range(0, len(images), chunk):
             part = images[lo:lo + chunk]
             forbidden &= commutes.take(part[:, :, None] * S.size + part[:, None, :]).all(axis=0)
     accept = np.zeros(total, dtype=bool)
-    accept[[base + x for base, c in zip(offsets.tolist(), cons) for x in c.accept]] = True
+    accept[[base + x for base, xs in zip(offsets.tolist(), instance.accepts) for x in xs]] = True
     # the table's successors as row numbers; intp, since take would convert it every round
     succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
     # backward closure of the accept sets, at most max(sizes) rounds: one over
@@ -442,7 +505,7 @@ def _tables(instance: Instance):
 
     starts = _cells(sizes.tolist())
     values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
-    if len(starts) < len(cons):  # else each cell is one constraint, whose rows step and masks hold
+    if len(starts) < len(sizes):  # else each cell is one constraint, whose rows step and masks hold
         step, masks = _merge_cells(step, masks, sizes, starts)
     counts = values + 1
     base = np.cumsum(counts) - counts  # each cell's first row
@@ -502,9 +565,9 @@ def _li_bfs(instance: Instance, state_cap: int, provenance: str) -> SolveResult:
     Every word longer than 2k has the images of its length-k prefix followed
     by its length-k suffix, so no search goes deeper than 2k.
     """
-    degrees = [li_degree(c.semigroup) for c in instance.constraints]
+    degrees = [li_degree(S) for S in instance.tables]
     if None in degrees:
-        raise PreconditionError("is_li", degrees.index(None))
+        raise PreconditionError("is_li", instance.table_index.tolist().index(degrees.index(None)))
     result = _bfs(instance, None, state_cap, provenance)
     if result.stats.max_depth > 2 * max(degrees):
         raise AssertionError(f"search reached depth {result.stats.max_depth}, "
@@ -520,18 +583,14 @@ def li_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveRes
 def comli_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Complete solver for commutative locally trivial constraints.
 
-    Each distinct semigroup is checked where it first occurs, commutativity
+    Each distinct table is checked where it is first used, commutativity
     before local triviality; then the instance takes the ``li_solve`` path.
     """
-    seen = set()
-    for i, c in enumerate(instance.constraints):
-        S = c.semigroup
-        if id(S) not in seen:
-            seen.add(id(S))
-            if not is_commutative(S):
-                raise PreconditionError("is_commutative", i)
-            if li_degree(S) is None:
-                raise PreconditionError("is_li", i)
+    for j, S in enumerate(instance.tables):
+        if not is_commutative(S):
+            raise PreconditionError("is_commutative", instance.table_index.tolist().index(j))
+        if li_degree(S) is None:
+            raise PreconditionError("is_li", instance.table_index.tolist().index(j))
     return _li_bfs(instance, state_cap, "comli")
 
 
@@ -564,10 +623,11 @@ def enum_slp_solve(instance: Instance, size_bound: int) -> SolveResult:
         raise ValueError(f"size bound {size_bound} outside 0..{DEFAULT_ENUM_SIZE_CAP}")
     t0 = time.perf_counter()
     tests = []
-    for c in instance.constraints:
-        accept = np.zeros(c.semigroup.size, dtype=bool)
-        accept[list(c.accept)] = True
-        tests.append((np.asarray(c.morphism.images, dtype=np.intp), c.semigroup.array, accept))
+    for images, j, accept in zip(instance.images, instance.table_index.tolist(), instance.accepts):
+        S = instance.tables[j]
+        mask = np.zeros(S.size, dtype=bool)
+        mask[list(accept)] = True
+        tests.append((images, S.array, mask))
     tried = 0
     for size in range(1, size_bound + 1):
         words = first_words(instance.alphabet_size, size)
@@ -600,15 +660,34 @@ class VerifyResult:
 
 
 def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
-    """Check a witness against every constraint; polynomial even for SLPs."""
-    images = []
-    failing = []
-    for i, c in enumerate(instance.constraints):
-        if witness.word is not None:
-            img = apply_morphism(c.morphism, witness.word)
-        else:
-            img = slp_image(witness.slp, c.morphism)
-        images.append(img)
-        if img not in c.accept:
-            failing.append(i)
-    return VerifyResult(not failing, tuple(images), tuple(failing))
+    """Check a witness against every constraint; polynomial even for SLPs.
+
+    A word is read as the one production of an SLP.  The constraints over
+    one table are folded together: a variable's value is a list over them,
+    one list comprehension per symbol.
+    """
+    A, G = instance.alphabet_size, witness.slp
+    if G is None:
+        for a in witness.word:
+            if not 0 <= a < A:
+                raise IndexError(f"letter {a} out of range 0..{A - 1}")
+        order, rhs, start = (0,), (witness.word,), 0
+    elif G.alphabet_size != A:
+        raise ValueError(f"alphabet mismatch: SLP has {G.alphabet_size} letters, instance {A}")
+    else:
+        order, rhs, start = _topo_reachable(G), G.rhs, G.start
+    columns, index = instance.images.T.tolist(), instance.table_index.tolist()
+    images = [0] * len(index)
+    for j, S in enumerate(instance.tables):
+        members = [i for i, t in enumerate(index) if t == j]
+        letters, values, t = [[column[i] for i in members] for column in columns], {}, S.table
+        for v in order:
+            acc = None
+            for sym in rhs[v]:
+                val = values[ref_target(sym)] if is_var_ref(sym) else letters[sym]
+                acc = val if acc is None else [t[x][y] for x, y in zip(acc, val)]
+            values[v] = acc
+        for i, x in zip(members, values[start]):
+            images[i] = x
+    failing = tuple(i for i, (x, accept) in enumerate(zip(images, instance.accepts)) if x not in accept)
+    return VerifyResult(not failing, tuple(images), failing)

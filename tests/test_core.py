@@ -15,8 +15,9 @@ from sgisect import families
 from sgisect.families import (build_family, cyclic, leftzero, mincap, nilinterval, rightzero,
                               trivial)
 from sgisect.formats import parse_instance, parse_table_text, serialize_instance, serialize_table_text
-from sgisect.reductions import CnfFormula, reduce_nilpotent
-from sgisect.solve import Constraint, li_solve
+from sgisect.reductions import Assignment, CnfFormula, reduce_nilpotent
+from sgisect.slp import Slp
+from sgisect.solve import Constraint, Instance, Witness, li_solve
 from sgisect.varieties import classify, is_li, is_nilpotent
 
 from _oracles import FAMILY_REFERENCES, direct_product_definitional, first_nonassociative_triple, fold
@@ -147,7 +148,13 @@ class TestArray:
         lambda: Semigroup([["0", "1"], ["1", "1"]]),
         lambda: Morphism((0.5, 1), mincap(2)),
         lambda: Constraint(Morphism((0, 1), mincap(2)), {0.9}),
-    ], ids=["float-rows", "float-array", "str-rows", "float-image", "float-accept"])
+        lambda: Witness.from_word([0.9, 1.7]),
+        lambda: Slp(2, ((0.7, 1.2),), 0),
+        lambda: CnfFormula(2, [[1.5, -2]]),
+        lambda: Assignment((True, 1.0)),
+        lambda: Instance.from_columns(("a", "b"), [mincap(2)], np.array([[0.0, 1.0]]), [frozenset()], [None]),
+    ], ids=["float-rows", "float-array", "str-rows", "float-image", "float-accept", "float-witness-word",
+            "float-slp-symbol", "float-literal", "float-assignment-bit", "float-image-column"])
     def test_value_types_take_integers_only(self, build):
         with pytest.raises(TypeError):
             build()

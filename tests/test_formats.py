@@ -14,7 +14,7 @@ from sgisect.formats import (FormatError, parse_instance, parse_slp_text, parse_
                              serialize_table_text)
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
 from sgisect.slp import canonical_slp, power_slp, slp_eval_word
-from sgisect.solve import Constraint, Instance, brute_force_solve
+from sgisect.solve import Constraint, Instance, brute_force_solve, li_solve, verify_witness
 
 from _oracles import random_instance, serialize_table_text_reference
 
@@ -214,6 +214,87 @@ class TestReductionSerialization:
         text = serialize_instance(reduce(_seeded_formula(k)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert serialize_instance(parse_instance(text)) == text
+
+
+def _columns(I: Instance) -> tuple:
+    """The instance's columns, arrays as lists and tables by value."""
+    return (I.letter_names, I.tables, I.table_index.tolist(), I.images.tolist(), I.accepts, I.names)
+
+
+class TestColumnarInstance:
+    """A reduction, ``parse_instance`` and ``Instance(names, constraints)``
+    build the same columns, and the pipeline reads them without building
+    ``Constraint`` views."""
+
+    @pytest.mark.parametrize("reduce, formula", [(reduce_nilpotent, NIL8), (reduce_unbounded, UNB6)],
+                             ids=["nilpotent", "unbounded"])
+    def test_three_construction_paths_agree(self, reduce, formula):
+        reduced = reduce(formula)
+        text = serialize_instance(reduced)
+        parsed = parse_instance(text)
+        assert "constraints" not in vars(reduced) and "constraints" not in vars(parsed)
+        rebuilt = Instance(reduced.letter_names, reduced.constraints)
+        for I in (parsed, rebuilt):
+            assert I == reduced and hash(I) == hash(reduced)
+            assert _columns(I) == _columns(reduced)
+            assert serialize_instance(I) == text
+
+    def test_pipeline_builds_no_views(self, fresh_table_intern):
+        parsed = parse_instance(serialize_instance(reduce_nilpotent(NIL8)))
+        result = li_solve(parsed)
+        assert result.satisfiable and verify_witness(parsed, result.witness).ok
+        assert "constraints" not in vars(parsed)
+        assert parsed.constraints[1].morphism.images == tuple(parsed.images[1].tolist())
+        assert "constraints" in vars(parsed)
+
+    def test_columns_are_read_only(self):
+        I = reduce_unbounded(UNB6)
+        for column in (I.images, I.table_index):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        with pytest.raises(AttributeError):
+            I.images = I.images.copy()
+
+    def test_equal_tables_as_distinct_objects(self):
+        # equality and text compare tables by value; the columns keep each object
+        I = _mixed_instance()
+        assert len(I.tables) == 3 and I.table_index.tolist() == [0, 1, 2, 1]
+        parsed = parse_instance(serialize_instance(I))
+        assert len(parsed.tables) == 2 and parsed.table_index.tolist() == [0, 1, 0, 1]
+        assert parsed == I and hash(parsed) == hash(I)
+        assert serialize_instance(parsed) == serialize_instance(I)
+
+
+_FOUR = "".join(f"CONSTRAINT T0\nNAME c{i}\nIMAGES 0 1\nACCEPT 2\nEND\n" for i in range(1, 5))
+
+
+class TestConstraintErrorOrder:
+    """Range errors on IMAGES and ACCEPT lines are raised at their line, so
+    the first fault in the document is the one reported."""
+
+    @pytest.mark.parametrize("bad, error", [
+        ("IMAGES 0 7", "image 7 of letter 1 out of range 0..2"),
+        ("ACCEPT 2 3", "accepting element 3 out of range 0..2"),
+    ], ids=["IMAGES", "ACCEPT"])
+    def test_range_error_before_a_later_structural_fault(self, bad, error):
+        blocks = _FOUR.split("CONSTRAINT")
+        keyword = bad.split()[0]
+        good = "IMAGES 0 1" if keyword == "IMAGES" else "ACCEPT 2"
+        blocks[2] = blocks[2].replace(good, bad)  # constraint 2
+        blocks[4] = blocks[4].replace("ACCEPT 2", "ACCEPT 2\nBOGUS")  # constraint 4
+        text = _HEAD + _GOOD_ROWS + "END\n" + "CONSTRAINT".join(blocks)
+        lineno = 1 + text.splitlines().index(bad)
+        with pytest.raises(FormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == f"line {lineno}: {error}" and exc.value.line == lineno
+        # with constraint 2 mended, the structural fault is reported
+        with pytest.raises(FormatError, match=r"unexpected token 'BOGUS'"):
+            parse_instance(text.replace(bad, good))
+
+    def test_accept_range_error_before_a_fault_later_in_its_block(self):
+        text = (_HEAD + _GOOD_ROWS + _TAIL).replace("ACCEPT 2\n", "ACCEPT 5\nIMAGES 0 1\n")
+        with pytest.raises(FormatError, match=r"^line 10: accepting element 5 out of range 0\.\.2$"):
+            parse_instance(text)
 
 
 class TestSlpFormat:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,7 @@ from sgisect.core import Morphism, Semigroup, apply_morphism, direct_product
 from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero, trivial
 from sgisect import slp, solve, varieties
 from sgisect.reductions import CnfFormula, reduce_nilpotent, reduce_unbounded
-from sgisect.slp import slp_eval_word, slp_stats
+from sgisect.slp import canonical_slp, power_slp, slp_eval_word, slp_stats
 from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapError, Witness,
                            bounded_solve, brute_force_solve, comli_solve, enum_slp_solve,
                            li_solve, li_witness_shorten, verify_witness)
@@ -834,6 +835,26 @@ class TestVerify:
         r = verify_witness(GADGET_SAT, Witness.from_slp(canonical_slp((0,), 2)))
         assert r.ok and r.images == (0, 1, 1)
 
+    def test_folds_each_table_as_apply_morphism_does(self, family_pool):
+        # several constraints per table, equal tables as distinct objects, words up to 40 letters
+        rng = random.Random(5)
+        for _ in range(40):
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 3))]
+            semis += [rng.choice(semis) for _ in range(3)] + [Semigroup(semis[0].array)]
+            I = random_instance(rng, semis, rng.randint(1, 3), allow_empty_accept=True)
+            word = tuple(rng.randrange(I.alphabet_size) for _ in range(rng.randint(1, 40)))
+            images = tuple(apply_morphism(c.morphism, word) for c in I.constraints)
+            r = verify_witness(I, Witness.from_word(word))
+            assert r.images == images
+            assert r.failing == tuple(i for i, c in enumerate(I.constraints) if images[i] not in c.accept)
+            cubed = Witness.from_slp(power_slp(canonical_slp(word, I.alphabet_size), 3))
+            assert verify_witness(I, cubed).images == tuple(apply_morphism(c.morphism, word * 3)
+                                                            for c in I.constraints)
+
+    def test_letter_out_of_range(self):
+        with pytest.raises(IndexError, match=r"^letter 2 out of range 0\.\.1$"):
+            verify_witness(GADGET_SAT, Witness.from_word((0, 2)))
+
     def test_witness_must_be_word_or_slp(self):
         with pytest.raises(ValueError):
             Witness("x")
@@ -867,6 +888,24 @@ class TestInstanceValidation:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             Instance(("a", "b"), (Constraint(Morphism((0,), mincap(3)), frozenset({0})),))
+
+    @pytest.mark.parametrize("images, accepts, error", [
+        ([[0, 1], [2, 0]], [{0}, {1}], "constraint 1: image 2 of letter 0 out of range 0..1"),
+        ([[0, 1], [1, -1]], [{0}, {1}], "constraint 1: image -1 of letter 1 out of range 0..1"),
+        ([[0, 1], [1, 1]], [{0}, {1, 2}], "constraint 1: accepting element 2 out of range 0..1"),
+        ([[0, 1], [1, 5]], [{9}, {1}], "constraint 0: accepting element 9 out of range 0..1"),
+    ], ids=["image", "negative-image", "accept", "first-constraint-first"])
+    def test_bulk_check_names_the_first_bad_constraint(self, images, accepts, error):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+            Instance.from_columns(("a", "b"), [mincap(2)] * 2, np.array(images),
+                                  list(map(frozenset, accepts)), [None] * 2)
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="constraints over 2 letters"):
+            Instance.from_columns(("a", "b"), [mincap(2)], np.zeros((1, 3), dtype=int), [frozenset()], [None])
+        with pytest.raises(ValueError, match="constraints over 2 letters"):
+            Instance.from_columns(("a", "b"), [mincap(2)] * 2, np.zeros((1, 2), dtype=int), [frozenset()],
+                                  [None])
 
     def test_no_constraints(self):
         with pytest.raises(ValueError):
