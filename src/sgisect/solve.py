@@ -12,16 +12,20 @@ own; that bound is checked on every result, not used as a cap.
 ``bounded_solve`` is the one caller of the engine's depth cap.
 
 The search drops every tuple from which no word can finish in every accept
-set, stores a tuple as a row of byte cells that is its own exact key, and
-never extends a word ending in l by a smaller letter commuting with l, so it
-builds only the lexicographic normal forms of trace theory.  None of the
-three devices changes the witness, the states or the depth (``_bfs`` says
-why): the answer is the shortest, lexicographically least word the plain
-search finds.  On the counting gadget of random 3-CNF at 4.2 clauses
-per variable, ``li_solve`` takes 0.12-0.13 s and 66 MB at k=8, 0.87-0.94 s
-and 245 MB at k=9, and 5.3-6.0 s and 1.3 GB at k=10 (4,697,873 states),
-against 0.31 s and 93 MB, 2.3-2.6 s and 418 MB, and 18 s and 2.3 GB with
-int32 rows and uint64 keys (2-vCPU VM whose speed drifts between runs).
+set, and every tuple whose components share no length at which words can
+finish them; it stores a tuple as a row of byte cells that is its own exact
+key, and never extends a word ending in l by a smaller letter commuting
+with l, so it builds only the lexicographic normal forms of trace theory.
+No device changes a status or a witness (``_bfs`` says why): the answer is
+the shortest, lexicographically least word the plain search finds.  The
+length rule removes states and can close an EMPTY search earlier;
+``li_solve`` and ``comli_solve`` apply it up to twice the largest degree,
+where it is exact, and the other solvers not at all.  On the counting
+gadget of random 3-CNF at 4.2 clauses per variable, ``li_solve`` takes
+0.01 s and 33 MB at k=8, 0.11-0.16 s and 60 MB at k=10 (58,027 states) and
+1.0-1.6 s and 340 MB at k=12, against 0.12 s and 68 MB, and 4.7 s and
+1.3 GB (4,697,873 states) without the length rule, which runs out of
+memory under 2 GiB at k=11 (2-vCPU VM whose speed drifts between runs).
 
 ``enum_slp_solve`` is separate from the BFS: it returns the first canonical
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
@@ -41,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Morphism, Semigroup, apply_morphism
+from .core import Morphism, Semigroup, apply_morphism, memo_on_object
 from .slp import Slp, _topo_reachable, first_words, is_var_ref, ref_target
 from .varieties import is_commutative, li_degree
 
@@ -230,14 +234,16 @@ class SolveStats:
     states_explored: int
     max_depth: int
     wall_time: float
-    candidates: int = 0  # BFS (row, letter) pairs generated over all depths; 0 for SLP enumeration
+    # BFS: keys that reached the visited set over all depths, the (row, letter)
+    # pairs generated that the length rule kept; 0 for SLP enumeration
+    candidates: int = 0
     # BFS: (candidates, new states, seconds) for each depth, plus a last
     # round that found no new state, if the search closed on one.  Empty
     # for SLP enumeration.
     layers: tuple[tuple[int, int, float], ...] = ()
     # BFS: seconds in set-up (``_tables``); 0.0 for SLP enumeration.  A BFS's wall_time is
     # setup_s, plus the layer seconds, plus the final round that stops before recording a
-    # layer (on an accepting row, the depth cap or no live pair), which no layer records.
+    # layer (on an accepting row, the depth cap or no kept candidate), which no layer records.
     setup_s: float = 0.0
 
 
@@ -306,14 +312,14 @@ def _merge_cells(step, masks, sizes, starts):
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
-         provenance: str) -> SolveResult:
+         provenance: str, horizon: int) -> SolveResult:
     """Shared BFS engine over tuples of per-constraint images.
 
     Candidate successors are generated parent-major and letter-minor with both
     orders ascending, and first discovery wins, so the first accepting state in
     a layer corresponds to the lexicographically least among shortest words.
 
-    Three devices keep the layers small and cheap without changing that word:
+    Four devices keep the layers small and cheap without changing that word:
 
     - Liveness pruning.  An element is live when some product of letter
       images, possibly empty, takes it into its constraint's accept set.  A
@@ -324,6 +330,20 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       the unpruned search.  When no letter is live the answer is EMPTY at
       depth 0; when a layer has no new live tuple the search has closed and
       EMPTY is conclusive.
+    - Length profiles.  Bit t < ``horizon`` of an element's profile says
+      some word of length t takes it into its accept set, and bit
+      ``horizon`` that some word of length >= ``horizon`` does.  Every
+      component's profile shows the length of a tuple's accepting
+      extension, so a candidate whose cells share no profile bit has none:
+      it is dropped before deduplication like a dead one, and by the same
+      argument the witness is unchanged.  The rule is sound at any horizon,
+      and at 0 it drops nothing, since bit 0 is then liveness.  Locally
+      trivial targets of degree at most k reach the same images at every
+      length >= 2k (a longer word has the image of its first k letters
+      followed by its last k), so at a horizon of 2k each profile is
+      exactly its element's set of completion lengths.  Unlike the other
+      devices, this one removes states and can close an EMPTY search at a
+      smaller depth.
     - Rows are their own keys.  Consecutive constraints are grouped into
       cells (see ``_cells``); a cell value is the mixed-radix number of its
       constraints' elements, and one more value stands for the empty word.
@@ -349,17 +369,16 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       quarters of the candidates go.
 
     Set-up is ``_tables``, timed as ``SolveStats.setup_s``.  From its
-    tables, one AND-reduce over a layer's cells gives each row's live letters
-    and its accept bit, and the candidates are one gather from the flattened
-    successor table.  A ``MemoryError`` in the depth loop comes out as a
-    ``SearchMemoryError`` that says how far the search got.
+    tables, one AND-reduce over a candidate's cells gives its length bits,
+    and, carried into the next round, its live letters and its accept bit;
+    the candidates are one gather from the flattened successor table.  A
+    ``MemoryError`` in the depth loop comes out as a ``SearchMemoryError``
+    that says how far the search got.
     """
     t0 = time.perf_counter()
-    _, masks, allowed_after, table, base, empty = _tables(instance)
+    _, masks, allowed_after, table, base, empty, length_bits = _tables(instance, horizon)
     A = instance.alphabet_size
     G = table.size // A
-    accept_word, bit = divmod(A, 8 * masks.itemsize)
-    accept_bit = masks.dtype.type(1 << bit)
     row_bytes = np.dtype((np.void, empty.nbytes))
 
     visited: set[bytes] = set()
@@ -378,38 +397,40 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates, tuple(layers), setup_s)
         return SolveResult(status, witness, complete, stats)
 
-    layer = empty[None]  # (rows, cells): the empty word
+    rows = (empty + base)[None]  # (rows, cells) intp row numbers: the empty word
+    bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
     last = np.array([A])  # each row's last letter, A for the empty word
     depth = candidates = 0
     tick = time.perf_counter()
     setup_s = tick - t0
     try:
         while True:
-            rows = layer + base  # intp row numbers
-            bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
-            hits = (bits[:, accept_word] & accept_bit).nonzero()[0]
+            # flags[:, a]: letter a's successor is live in every component and
+            # keeps the word a normal form; flags[:, A]: the row accepts
+            bits &= allowed_after.take(last, axis=0)
+            flags = np.unpackbits(bits.view(np.uint8), axis=1, count=A + 1, bitorder="little")
+            hits = flags[:, A].nonzero()[0]
             if hits.size:
                 return done(int(hits[0]), depth, True)
             if depth_cap is not None and depth >= depth_cap:
                 return done(None, depth, False)
-            # (row, letter) pairs whose successor is live in every component and
-            # whose word stays a normal form
-            bits &= allowed_after.take(last, axis=0)
-            live_pairs = np.unpackbits(bits.view(np.uint8), axis=1, count=A, bitorder="little")
-            parents, letters = np.divmod(live_pairs.ravel().nonzero()[0], A)
-            if parents.size == 0:
-                return done(None, depth, True)
-            candidates += parents.size
+            parents, letters = flags[:, :A].nonzero()
             index = rows.take(parents, axis=0)
             index += (letters * G)[:, None]
             cand = table.take(index)  # (candidates, cells)
-            del rows, index  # a round's largest arrays, dropped before visited grows
+            rows = cand + base
+            del index  # a round's largest array, dropped before visited grows
+            bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)
+            keep = np.bitwise_or.reduce(bits & length_bits, axis=1).nonzero()[0]  # some length in every cell
             packed = cand.view(row_bytes).ravel().tolist()
             # one walk in candidate order: a key not yet visited is added on the
             # spot, so each tuple keeps its first discovery
-            new = [i for i, key in enumerate(packed) if not (key in visited or visited.add(key))]
+            new = [i for i in keep.tolist() if not ((key := packed[i]) in visited or visited.add(key))]
+            candidates += keep.size
+            if not keep.size:
+                return done(None, depth, True)
             now = time.perf_counter()
-            layers.append((parents.size, len(new), now - tick))
+            layers.append((keep.size, len(new), now - tick))
             tick = now
             if not new:
                 return done(None, depth, True)
@@ -418,33 +439,38 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
                 raise StateCapError(state_cap, depth, len(visited))
             if len(new) < parents.size:
                 new = np.array(new, dtype=np.intp)
-                parents, letters, cand = parents[new], letters[new], cand.take(new, axis=0)
-            del packed, new
+                parents, letters = parents[new], letters[new]
+                rows, bits = rows.take(new, axis=0), bits.take(new, axis=0)
+            del cand, packed, new
             trail.append((parents, letters))
-            layer, last = cand, letters
+            last = letters
     except MemoryError as exc:
         raise SearchMemoryError(exc, depth, len(visited)) from exc
 
 
-def _tables(instance: Instance):
+def _tables(instance: Instance, horizon: int):
     """Everything ``_bfs`` builds before its first layer, as
-    (live, masks, allowed_after, table, base, empty).
+    (profile, masks, allowed_after, table, base, empty, length_bits).
 
     Each constraint's element-times-letter table is filled with one gather
     per distinct table, for all the constraints over it (reduction gadgets
     have one table), straight from the instance's image matrix, and the
-    commutation matrix is read off that table once.  ``live``
-    marks the live rows among every constraint's elements, each constraint
-    followed by its empty-word row: the closure runs one round over every
-    row, then rounds over the rows still dead only, which on the nilpotent
-    gadget are those of one constraint.  For every cell value there is then
-    its successor by each letter (``table``, at letter times the cell rows
-    plus row; ``base`` holds each cell's first row) and one mask word
-    (``masks``): a bit per letter whose successor is live in every
-    component, and one bit for "every component accepts".  When each cell
-    holds one constraint, these are the per-constraint tables as they stand.
-    ``allowed_after`` holds the letters allowed after a word ending in each
-    letter, and ``empty`` is the empty word's row.
+    commutation matrix is read off that table once.  ``profile`` holds the
+    length profile (see ``_length_profile``) of every constraint's elements,
+    each constraint followed by its empty-word row.  A profile depends only
+    on the table, the letter images as a set, the accept set and the
+    horizon, so each distinct one is computed once per table object and
+    gathered into the constraints' rows by one inverse index; this replaces
+    a liveness closure per instance, since a row is live when its profile is
+    not 0.  For every cell value there is then its successor by each letter
+    (``table``, at letter times the cell rows plus row; ``base`` holds each
+    cell's first row) and its mask words (``masks``): a bit per letter whose
+    successor is live in every component, one bit for "every component
+    accepts", and the profile bits every component has, which
+    ``length_bits`` selects.  When each cell holds one constraint, these are
+    the per-constraint tables as they stand.  ``allowed_after`` holds the
+    letters allowed after a word ending in each letter, and ``empty`` is the
+    empty word's row.
     """
     A = instance.alphabet_size
     sizes = np.array([S.size for S in instance.tables], dtype=np.intp).take(instance.table_index)
@@ -456,52 +482,52 @@ def _tables(instance: Instance):
     offsets = np.cumsum(counts) - counts
     total = int(counts.sum())
     step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max() - 1))
-    step_rows = step.view(np.dtype((np.void, step.strides[0])))  # (total, 1): a row as one item
+    # Mask bits of each row: bit a says letter a's successor is live, bit A
+    # that the row accepts (the empty-word rows never do), then the profile
+    # and the row's own live flag, which no mask test reads.  After the
+    # rows: the profile bits alone, then for each letter l the letters
+    # allowed after a word ending in l, and last those allowed after the
+    # empty word, all with the accept bit passing.  A reduce over cells is
+    # several times slower on two words than on one, so the bits share
+    # words, and each row of bits fills whole words, so packing it flat
+    # gives the same words as packing row by row.
+    nbytes = (A + horizon + 2) // 8 + 1
+    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
+    bits = np.zeros((total + A + 2, 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)), dtype=bool)
     # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
-    forbidden = np.tri(A, k=-1, dtype=bool)
+    forbidden = np.arange(A)[:, None] > np.arange(A)
     for j, S in enumerate(instance.tables):
-        members = np.flatnonzero(instance.table_index == j)
+        members = (instance.table_index == j).nonzero()[0]
         images = instance.images[members]  # (g, A)
-        # x times y, then a row for the empty word times y, which is y
-        times = np.vstack([S.array, np.arange(S.size, dtype=step.dtype)])
-        block = times.take(images, axis=1)  # (n + 1, g, A), C order, so each row is one item
-        step_rows[np.arange(S.size + 1)[:, None] + offsets[members]] = block.view(step_rows.dtype)
-        commutes = (S.array == S.array.T).ravel()
+        rows = offsets[members][:, None] + np.arange(S.size + 1)  # (g, n + 1)
+        times, commutes = _successors(S)
+        step[rows.T] = times.take(images, axis=1)  # (n + 1, g, A)
         # chunks of constraints, so that no (chunk, A, A) block is larger than step
         chunk = max(1, step.size // (A * A))
         for lo in range(0, len(images), chunk):
             part = images[lo:lo + chunk]
             forbidden &= commutes.take(part[:, :, None] * S.size + part[:, None, :]).all(axis=0)
-    accept = np.zeros(total, dtype=bool)
-    accept[[base + x for base, xs in zip(offsets.tolist(), instance.accepts) for x in xs]] = True
-    # the table's successors as row numbers; intp, since take would convert it every round
+        # a constraint's flags depend on its set of letter images and its
+        # accept set: each distinct pair is looked up once in a memo kept on S
+        used = np.zeros((len(members), S.size), dtype=bool)
+        used[np.arange(len(members))[:, None], images] = True
+        sets = np.packbits(used, axis=1).view(np.dtype((np.void, -(-S.size // 8)))).ravel().tolist()
+        slot: dict = {}
+        inverse = [slot.setdefault((key, instance.accepts[i], horizon), len(slot))
+                   for key, i in zip(sets, members.tolist())]
+        memo = vars(S).setdefault("_length_profiles", {})
+        for s, key in enumerate(slot):
+            if key not in memo:
+                memo[key] = _length_profile(S, images[inverse.index(s)], key[1], horizon)
+        bits[rows, A:A + horizon + 3] = np.array([memo[key] for key in slot]).take(inverse, axis=0)
+    # the table's successors as row numbers
     succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
-    # backward closure of the accept sets, at most max(sizes) rounds: one over
-    # every row, then rounds over the rows it left dead until none turns live
-    live = accept | accept.take(succ).any(axis=0)
-    dead = np.flatnonzero(~live)
-    dead_succ, grown = succ[:, dead], 0
-    while True:
-        now_live = live.take(dead_succ).any(axis=0)  # never loses a row, since live only grows
-        if np.count_nonzero(now_live) == grown:
-            break
-        live[dead] = now_live
-        grown = np.count_nonzero(now_live)
-
-    # Mask words: bit a says letter a's successor is live, bit A that the row
-    # accepts (the empty-word rows never do).  Each row of flags fills whole
-    # words, so packing it flat gives the same words as packing row by row.
-    nbytes = A // 8 + 1
-    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
-    nbits = 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)
-    flags = np.zeros((total, nbits), dtype=bool)
-    flags[:, :A] = live.take(succ).T
-    flags[:, A] = accept
-    masks = np.packbits(flags.ravel(), bitorder="little").view(mask_dtype).reshape(total, -1)
-    # row l: the letters allowed after a word ending in l; row A: after the empty word
-    allowed = np.zeros((A + 1, nbits), dtype=bool)
-    allowed[:, :A] = ~np.vstack([forbidden, np.zeros(A, dtype=bool)])
-    allowed_after = np.packbits(allowed.ravel(), bitorder="little").view(mask_dtype).reshape(A + 1, -1)
+    bits[:total, :A] = bits[:total, A + horizon + 2].take(succ).T
+    bits[total, A + 1:A + horizon + 2] = True
+    bits[total + 1:-1, :A] = ~forbidden
+    bits[-1, :A] = bits[total + 1:, A] = True
+    masks = np.packbits(bits.ravel(), bitorder="little").view(mask_dtype).reshape(len(bits), -1)
+    masks, length_bits, allowed_after = masks[:total], masks[total], masks[total + 1:]
 
     starts = _cells(sizes.tolist())
     values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
@@ -511,12 +537,51 @@ def _tables(instance: Instance):
     base = np.cumsum(counts) - counts  # each cell's first row
     dtype = np.min_scalar_type(values.max())
     table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times the cell rows plus row
-    return live, masks, allowed_after, table, base, values.astype(dtype)
+    profile = bits[:total, A + 1:A + horizon + 2]
+    return profile, masks, allowed_after, table, base, values.astype(dtype), length_bits
+
+
+@memo_on_object
+def _successors(S: Semigroup) -> tuple[np.ndarray, np.ndarray]:
+    """S's table with a row for the empty word below it (x times y, then y),
+    and the flattened flags of which elements commute; read-only, kept on S."""
+    times = np.vstack([S.array, np.arange(S.size, dtype=S.array.dtype)])
+    commutes = (S.array == S.array.T).ravel()
+    times.flags.writeable = commutes.flags.writeable = False
+    return times, commutes
+
+
+def _length_profile(S: Semigroup, images: np.ndarray, accept: frozenset[int], horizon: int) -> np.ndarray:
+    """Flags of S's elements, then of the empty word, under letter images
+    ``images`` and accept set ``accept``: (n + 1, horizon + 3) bools, the
+    accept flag, the length profile and the live flag.
+
+    Bit t < ``horizon`` of a row's profile says some word of length t takes
+    it into the accept set, and bit ``horizon`` that some word of length >=
+    ``horizon`` does: some word of length ``horizon`` takes it to a live
+    element.  The empty word's row steps to the images and never accepts.
+    """
+    succ = np.vstack([S.array.take(images, axis=1), images])  # (n + 1, images)
+    accepted = np.zeros(S.size + 1, dtype=bool)
+    accepted[list(accept)] = True
+    columns, reach = [accepted], accepted
+    for _ in range(horizon):
+        columns.append(reach)
+        reach = reach.take(succ).any(axis=1)
+    live, grown = accepted, accepted | accepted.take(succ).any(axis=1)
+    while not np.array_equal(live, grown):
+        live, grown = grown, grown | grown.take(succ).any(axis=1)
+    beyond = live
+    for _ in range(horizon):
+        beyond = beyond.take(succ).any(axis=1)
+    flags = np.stack(columns + [beyond, live], axis=1)
+    flags.flags.writeable = False  # shared by every instance over S
+    return flags
 
 
 def brute_force_solve(instance: Instance, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Exact BFS oracle; the cap bounds visited image tuples, not the raw product."""
-    return _bfs(instance, None, state_cap, "brute")
+    return _bfs(instance, None, state_cap, "brute", 0)
 
 
 def bounded_solve(instance: Instance, depth_cap: int,
@@ -528,7 +593,7 @@ def bounded_solve(instance: Instance, depth_cap: int,
     """
     if depth_cap < 1:
         raise ValueError("depth cap must be >= 1")
-    return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})")
+    return _bfs(instance, depth_cap, state_cap, f"bounded({depth_cap})", 0)
 
 
 def li_witness_shorten(morphisms, word, k: int | None = None) -> tuple[int, ...]:
@@ -568,7 +633,7 @@ def _li_bfs(instance: Instance, state_cap: int, provenance: str) -> SolveResult:
     degrees = [li_degree(S) for S in instance.tables]
     if None in degrees:
         raise PreconditionError("is_li", instance.table_index.tolist().index(degrees.index(None)))
-    result = _bfs(instance, None, state_cap, provenance)
+    result = _bfs(instance, None, state_cap, provenance, 2 * max(degrees))
     if result.stats.max_depth > 2 * max(degrees):
         raise AssertionError(f"search reached depth {result.stats.max_depth}, "
                              f"past twice the degree {max(degrees)}")

@@ -100,20 +100,47 @@ def live_elements(instance: Instance) -> list[set[int]]:
     return lives
 
 
-def bfs_reference(instance: Instance, depth_cap: int | None = None):
+def length_sets(instance: Instance, horizon: int) -> list[list[set[int]]]:
+    """Each constraint's completion lengths, by the definition: for each
+    element x, then the empty word, the lengths t < ``horizon`` of the words
+    that take it into the accept set, plus ``horizon`` when some word of
+    length >= ``horizon`` does.  The set of elements that words of length t
+    reach from x is grown one letter at a time; from ``horizon`` on, it runs
+    until it repeats, since each set fixes the next."""
+    out = []
+    for c in instance.constraints:
+        t, imgs, n = c.semigroup.table, set(c.morphism.images), c.semigroup.size
+        per = []
+        for x in range(n + 1):  # n: the empty word, an identity adjoined
+            reach, lengths, seen, length = frozenset({x}), set(), set(), 0
+            while length < horizon or reach not in seen:
+                if length >= horizon:
+                    seen.add(reach)
+                if reach & c.accept:
+                    lengths.add(min(length, horizon))
+                reach = frozenset(a if y == n else t[y][a] for y in reach for a in imgs)
+                length += 1
+            per.append(lengths)
+        out.append(per)
+    return out
+
+
+def bfs_reference(instance: Instance, depth_cap: int | None = None, horizon: int = 0):
     """The engine's search as a plain tuple BFS, with no commutation rule.
 
-    Liveness pruning and first discovery as in ``solve._bfs``, every live
-    (tuple, letter) pair generated in parent-major, letter-minor order, and
-    nothing else.  Returns (status, word, states, depth, complete,
-    candidates, new states per depth) with the meanings of ``SolveResult``
-    and ``SolveStats``; ``candidates`` counts every live pair, so it is the
-    engine's count with no pair dropped by the commutation rule.
+    Pruning and first discovery as in ``solve._bfs``, every (tuple, letter)
+    pair whose successor's components share a completion length (see
+    ``length_sets``; at horizon 0, whose components are all live) generated
+    in parent-major, letter-minor order, and nothing else.  Returns (status,
+    word, states, depth, complete, candidates, new states per depth) with
+    the meanings of ``SolveResult`` and ``SolveStats``; ``candidates``
+    counts every such pair, so it is the engine's count with no pair
+    dropped by the commutation rule.
     """
     A = instance.alphabet_size
     tables = [c.semigroup.table for c in instance.constraints]
     images = [c.morphism.images for c in instance.constraints]
-    lives = live_elements(instance)
+    lengths = length_sets(instance, horizon)
 
     def succ_of(tup, a):
         if tup is None:
@@ -129,7 +156,7 @@ def bfs_reference(instance: Instance, depth_cap: int | None = None):
         for tup, word in layer:
             for a in range(A):
                 succ = succ_of(tup, a)
-                if all(s in live for s, live in zip(succ, lives)):
+                if set.intersection(*(per[s] for s, per in zip(succ, lengths))):
                     candidates += 1
                     if succ not in visited:
                         visited.add(succ)

@@ -46,9 +46,9 @@ def derived_pool(family_pool):
 
 @pytest.fixture
 def memory_error_at_depth_2(monkeypatch):
-    """``np.unpackbits``, which the BFS calls once per round after the accept
-    test, raises ``MemoryError`` on its third call: in the round after depth
-    2.  Nothing large is allocated."""
+    """``np.unpackbits``, which the BFS calls once per round, just before
+    the accept test, raises ``MemoryError`` on its third call: in the round
+    after depth 2.  Nothing large is allocated."""
     unpack, calls = np.unpackbits, []
 
     def unpackbits(*args, **kwargs):

@@ -18,8 +18,8 @@ from sgisect.solve import (Constraint, Instance, PreconditionError, StateCapErro
                            li_solve, li_witness_shorten, verify_witness)
 from sgisect.varieties import is_commutative, is_li, li_degree
 
-from _oracles import (bfs_reference, commuting_letter_pairs, first_enumerated_slp, live_elements,
-                      random_instance, random_morphism, solve_by_word_enumeration)
+from _oracles import (bfs_reference, commuting_letter_pairs, first_enumerated_slp, length_sets,
+                      live_elements, random_instance, random_morphism, solve_by_word_enumeration)
 
 
 def _single(S, images, accept, names=None) -> Instance:
@@ -36,12 +36,23 @@ def _summary(r):
             r.stats.max_depth, r.complete)
 
 
-def _agree_with_reference(I, depth_cap=None):
+def _answer(r):
+    return r.status, r.witness and r.witness.word, r.complete
+
+
+def _agree_with_reference(I, depth_cap=None, solver=None):
     """The engine against ``bfs_reference``: equal answers, equal new states
     at every depth, and equal candidates unless the commutation rule can
-    drop some."""
-    ref = bfs_reference(I, depth_cap)
-    r = brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
+    drop some.  With ``solver`` (``li_solve`` or ``comli_solve``) in place
+    of brute force, the reference prunes at the solver's horizon, twice the
+    largest degree, and the status, witness and completeness must also be
+    brute force's."""
+    if solver is None:
+        horizon, r = 0, brute_force_solve(I) if depth_cap is None else bounded_solve(I, depth_cap)
+    else:
+        horizon, r = 2 * max(li_degree(S) for S in I.tables), solver(I)
+        assert _answer(r) == _answer(brute_force_solve(I))
+    ref = bfs_reference(I, depth_cap, horizon)
     assert _summary(r) == ref[:5]
     if commuting_letter_pairs(I):
         assert r.stats.candidates <= ref[5]
@@ -241,11 +252,14 @@ class TestBatchedSetup:
 
     @staticmethod
     def _same_search(I, oracle_len, capped=None):
-        """brute_force_solve against li_solve (or bounded_solve at a cap past
-        the search, for non-LI tables) and the word-enumeration oracle."""
+        """brute_force_solve against li_solve and ``bfs_reference`` at its
+        horizon (or bounded_solve at a cap past the search, for non-LI
+        tables), and the word-enumeration oracle."""
         brute = brute_force_solve(I)
-        other = bounded_solve(I, capped) if capped else li_solve(I)
-        assert _summary(other) == _summary(brute)
+        if capped:
+            assert _summary(bounded_solve(I, capped)) == _summary(brute)
+        else:
+            _agree_with_reference(I, solver=li_solve)
         word = brute.witness.word if brute.satisfiable else None
         expected = solve_by_word_enumeration(I, oracle_len)
         assert word == expected or (expected is None and len(word) > oracle_len)
@@ -384,13 +398,18 @@ class TestCells:
 
 
 class TestLiveness:
-    """``_tables`` closes the accept sets with one round over every row and
-    then rounds over the rows still dead; its live rows must be the live
-    elements of the definition (``_oracles.live_elements``)."""
+    """A row of ``_tables`` is live when its length profile is not 0, at
+    any horizon; its live rows must be the live elements of the definition
+    (``_oracles.live_elements``)."""
 
     @staticmethod
     def _same_live_rows(I):
-        live = solve._tables(I)[0]
+        for horizon in (0, 3):
+            TestLiveness._live_rows_at(I, horizon)
+
+    @staticmethod
+    def _live_rows_at(I, horizon):
+        live = solve._tables(I, horizon)[0].any(axis=1)
         row = 0
         for c, expected in zip(I.constraints, live_elements(I)):
             n = c.semigroup.size
@@ -418,8 +437,7 @@ class TestLiveness:
 
     def test_nilpotent_gadget(self):
         # every clause constraint accepts the zero, which some letter maps
-        # to, so the first round settles it; the constraint accepting k needs
-        # k + 1 rounds
+        # to; the constraint accepting k needs words of k letters to get there
         rng = random.Random(1617)
         for k in (5, 6, 7):
             for _ in range(2):
@@ -427,8 +445,44 @@ class TestLiveness:
                                 for _ in range(round(4.2 * k)))
                 I = reduce_nilpotent(CnfFormula(k, clauses))
                 self._same_live_rows(I)
-                r, _ = _agree_with_reference(I)
-                assert _summary(li_solve(I)) == _summary(r)
+                _agree_with_reference(I)
+                _agree_with_reference(I, solver=li_solve)
+
+
+class TestLengthProfile:
+    """Bit t < H of a row's profile in ``_tables`` says some word of length
+    t takes it into its accept set, bit H that some word of length >= H
+    does; every row must match ``_oracles.length_sets``."""
+
+    @staticmethod
+    def _same_profiles(I, horizon):
+        profile = solve._tables(I, horizon)[0]
+        assert profile.shape[1] == horizon + 1
+        rows = [set(np.flatnonzero(bits).tolist()) for bits in profile]
+        assert rows == [lengths for per in length_sets(I, horizon) for lengths in per]
+
+    def test_family_pool(self, family_pool):
+        rng = random.Random(2424)
+        for _ in range(300):
+            semis = [rng.choice(family_pool) for _ in range(rng.randint(1, 4))]
+            I = random_instance(rng, semis, rng.randint(1, 4), allow_empty_accept=True)
+            self._same_profiles(I, rng.randint(0, 9))
+
+    @pytest.mark.parametrize("reduce", [reduce_unbounded, reduce_nilpotent])
+    def test_gadgets(self, reduce):
+        # at twice the degree each profile is exact: the reachable images,
+        # and so the completion lengths, are the same at every length >= 2k
+        rng = random.Random(2425)
+        for k in (3, 4, 5, 6):
+            clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, k + 1), 3))
+                            for _ in range(round(4.2 * k)))
+            I = reduce(CnfFormula(k, clauses))
+            horizon = 2 * li_degree(I.tables[0])
+            for h in (0, horizon - 1, horizon):
+                self._same_profiles(I, h)
+            for per in length_sets(I, horizon + 3):
+                for lengths in per:
+                    assert len(lengths & set(range(horizon, horizon + 4))) in (0, 4)
 
 
 class TestOutOfMemory:
@@ -462,8 +516,9 @@ class TestTraceNormalForm:
                 A = I.alphabet_size
                 assert len(commuting_letter_pairs(I)) == A * (A - 1) // 2
                 r, ref = _agree_with_reference(I)
-                assert _summary(li_solve(I)) == _summary(r)
                 assert r.stats.candidates == r.stats.states_explored < ref[5]
+                pruned, _ = _agree_with_reference(I, solver=li_solve)
+                assert pruned.stats.candidates == pruned.stats.states_explored <= r.stats.states_explored
 
     def test_family_pool(self, family_pool):
         rng = random.Random(1313)
@@ -676,7 +731,7 @@ class TestLiSolve:
         for _ in range(40):
             semis = [rng.choice(li_pool) for _ in range(rng.randint(1, 2))]
             I = random_instance(rng, semis, rng.randint(1, 3), allow_empty_accept=True)
-            assert _summary(li_solve(I)) == _summary(brute_force_solve(I))
+            _agree_with_reference(I, solver=li_solve)
             # the 2k bound never exceeds the size-based bound 2N+2
             total = sum(S.size for S in semis)
             assert 2 * max(li_degree(S) for S in semis) <= 2 * total + 2
@@ -709,7 +764,7 @@ class TestComli:
         for _ in range(40):
             semis = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
             I = random_instance(rng, semis, rng.randint(1, 3), allow_empty_accept=True)
-            assert _summary(comli_solve(I)) == _summary(brute_force_solve(I))
+            _agree_with_reference(I, solver=comli_solve)
 
 
 class TestEnumSlp:
