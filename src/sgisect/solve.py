@@ -5,27 +5,27 @@ accepting element set), held as columns (see ``Instance``) that the solvers
 and ``verify_witness`` read once per distinct table.  The brute-force solver
 runs a breadth-first search over tuples of per-constraint images, never
 materializing the direct product; it returns the shortest witness, ties
-broken by lexicographically least letter sequence.  ``li_solve`` and ``comli_solve`` are class checks in front of that
-same closed search, with no depth cap.  A locally trivial target of degree k
-never needs a witness longer than 2k, so the search closes by depth 2k on its
-own; that bound is checked on every result, not used as a cap.
-``bounded_solve`` is the one caller of the engine's depth cap.
+broken by lexicographically least letter sequence.  ``li_solve`` and
+``comli_solve`` are class checks in front of that same closed search, with
+no depth cap.  A locally trivial target of degree k never needs a witness
+longer than 2k, so the search closes by depth 2k on its own; that bound is
+checked on every result, not used as a cap.  ``bounded_solve`` is the one
+caller of the engine's depth cap.
 
-The search drops every tuple from which no word can finish in every accept
-set, and every tuple whose components share no length at which words can
-finish them; it stores a tuple as a row of byte cells that is its own exact
-key, and never extends a word ending in l by a smaller letter commuting
-with l, so it builds only the lexicographic normal forms of trace theory.
-No device changes a status or a witness (``_bfs`` says why): the answer is
-the shortest, lexicographically least word the plain search finds.  The
-length rule removes states and can close an EMPTY search earlier;
-``li_solve`` and ``comli_solve`` apply it up to twice the largest degree,
-where it is exact, and the other solvers not at all.  On the counting
-gadget of random 3-CNF at 4.2 clauses per variable, ``li_solve`` takes
-0.01 s and 33 MB at k=8, 0.11-0.16 s and 60 MB at k=10 (58,027 states) and
-1.0-1.6 s and 340 MB at k=12, against 0.12 s and 68 MB, and 4.7 s and
-1.3 GB (4,697,873 states) without the length rule, which runs out of
-memory under 2 GiB at k=11 (2-vCPU VM whose speed drifts between runs).
+The search starts from the one-letter words, since a semigroup has no
+empty product.  It drops every tuple from which no word can finish in
+every accept set, and every tuple whose components share no length at
+which words can finish them; it stores a tuple as a row of byte cells that
+is its own exact key, and never extends a word ending in l by a smaller
+letter commuting with l, so it builds only the lexicographic normal forms
+of trace theory.  No device changes a status or a witness (``_bfs`` says
+why): the answer is the shortest, lexicographically least word the plain
+search finds.  The length rule removes states and can close an EMPTY
+search earlier; ``li_solve`` and ``comli_solve`` apply it up to twice the
+largest degree, where it is exact, and the other solvers not at all.  On
+the counting gadget of random 3-CNF at 4.2 clauses per variable,
+``li_solve`` decides k=10 in 0.1-0.2 s and 57 MB and k=13 in about 4 s
+and 821 MB (README.md has the table).
 
 ``enum_slp_solve`` is separate from the BFS: it returns the first canonical
 SLP, in the order of ``enumerate_slps``, whose word every constraint accepts.
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Morphism, Semigroup, apply_morphism, memo_on_object
+from .core import Morphism, Semigroup, apply_morphism
 from .slp import Slp, _topo_reachable, first_words, is_var_ref, ref_target
 from .varieties import is_commutative, li_degree
 
@@ -262,62 +262,65 @@ class SolveResult:
 def _cells(sizes) -> list[int]:
     """The first constraint of each cell of ``_bfs``'s rows.
 
-    Consecutive constraints share a cell while the product of their sizes,
-    plus one value for the empty word, stays <= 256, so that the cell's
-    values fit one byte; a constraint with more than 255 elements is a cell
-    of its own.
+    Consecutive constraints share a cell while the product of their sizes
+    stays <= 256, so that the cell's values fit one byte; a constraint with
+    more than 256 elements is a cell of its own.
     """
-    starts, values = [], 256
+    starts, values = [], 257
     for i, n in enumerate(sizes):
         values *= n
-        if values >= 256:
+        if values > 256:
             starts.append(i)
             values = n
     return starts
 
 
-def _merge_cells(step, masks, sizes, starts):
-    """The successor and mask rows of ``_bfs``'s cells, from those of their constraints.
+def _merge_cells(step, masks, first, sizes, starts):
+    """The successor and mask rows of ``_bfs``'s cells, and the cell values
+    of its one-letter words, from those of their constraints.
 
-    ``step`` and ``masks`` stack each constraint's rows: its elements, then
-    its empty-word row.  A cell's values number its constraints' element
-    tuples in mixed radix, the first constraint most significant, and its
-    empty value comes last.  Horner's rule builds both tables one constraint
-    at a time: a longer tuple's successor is its prefix's successor times
-    the constraint's size plus the constraint's own successor, and its mask
-    is the AND of theirs.  Each run of consecutive cells whose constraints
-    have the same sizes goes through it as one batch.  A cell of several
-    constraints has fewer than 256 values, so the sums stay in step's dtype.
+    ``step`` and ``masks`` stack each constraint's element rows, and
+    ``first`` holds each letter's image in each constraint.  A cell's values
+    number its constraints' element tuples in mixed radix, the first
+    constraint most significant.  Horner's rule builds all three one
+    constraint at a time: a longer tuple's successor is its prefix's
+    successor times the constraint's size plus the constraint's own
+    successor, its mask is the AND of theirs, and a letter's value is its
+    prefix's value times the size plus its image.  Each run of consecutive
+    cells whose constraints have the same sizes goes through it as one
+    batch.  A cell of several constraints has at most 256 values, and
+    step's dtype holds every size, so the sums stay in that dtype.
     """
     A, W = step.shape[1], masks.shape[1]
     sizes = sizes.tolist()
-    offsets = np.cumsum([0] + [n + 1 for n in sizes])
+    offsets = np.cumsum([0] + sizes)
     shapes = [tuple(sizes[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
-    succ_parts, mask_parts = [], []
+    succ_parts, mask_parts, first_parts = [], [], []
     for shape, run in itertools.groupby(zip(shapes, starts), key=lambda cell: cell[0]):
-        first = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
+        heads = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
         for i, n in enumerate(shape):
-            o = offsets[first + i]  # the cells' i-th constraints' first rows
-            rows = o[:, None] + np.arange(n)
+            rows = offsets[heads + i][:, None] + np.arange(n)  # the cells' i-th constraints' rows
             if i == 0:
-                succ, mask, empty_succ, empty_mask = step[rows], masks[rows], step[o + n], masks[o + n]
-            else:  # (cells, values so far times n, A), and (cells, A) for the empty value
-                succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(first), -1, A)
-                mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(first), -1, W)
-                empty_succ = empty_succ * n + step[o + n]
-                empty_mask = empty_mask & masks[o + n]
-        succ_parts.append(np.concatenate([succ, empty_succ[:, None]], axis=1).reshape(-1, A))
-        mask_parts.append(np.concatenate([mask, empty_mask[:, None]], axis=1).reshape(-1, W))
-    return np.concatenate(succ_parts), np.concatenate(mask_parts)
+                succ, mask, letter = step[rows], masks[rows], first[:, heads]
+            else:  # (cells, values so far times n, A), and (A, cells) for the letters
+                succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(heads), -1, A)
+                mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(heads), -1, W)
+                letter = letter * n + first[:, heads + i]
+        succ_parts.append(succ.reshape(-1, A))
+        mask_parts.append(mask.reshape(-1, W))
+        first_parts.append(letter)
+    return np.concatenate(succ_parts), np.concatenate(mask_parts), np.concatenate(first_parts, axis=1)
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
          provenance: str, horizon: int) -> SolveResult:
     """Shared BFS engine over tuples of per-constraint images.
 
-    Candidate successors are generated parent-major and letter-minor with both
-    orders ascending, and first discovery wins, so the first accepting state in
-    a layer corresponds to the lexicographically least among shortest words.
+    The first layer is the one-letter words, in letter order.  Later
+    candidate successors are generated parent-major and letter-minor with
+    both orders ascending, and first discovery wins, so the first accepting
+    state in a layer corresponds to the lexicographically least among
+    shortest words.
 
     Four devices keep the layers small and cheap without changing that word:
 
@@ -346,40 +349,39 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
       smaller depth.
     - Rows are their own keys.  Consecutive constraints are grouped into
       cells (see ``_cells``); a cell value is the mixed-radix number of its
-      constraints' elements, and one more value stands for the empty word.
-      A row is one value per cell in the narrowest unsigned dtype, and its
-      bytes are the key, exact and not a hash.  One walk over a layer's keys
-      in candidate order keeps each key not yet in ``visited`` and adds it
-      on the spot, so each tuple keeps its first discovery, whether its
-      repeat comes later in the same layer or in a later one.
+      constraints' elements.  A row is one value per cell in the narrowest
+      unsigned dtype, and its bytes are the key, exact and not a hash.  One
+      walk over a layer's keys in candidate order keeps each key not yet in
+      ``visited`` and adds it on the spot, so each tuple keeps its first
+      discovery, whether its repeat comes later in the same layer or in a
+      later one.
     - Trace normal forms.  Letters a and b commute when h_i(a)h_i(b) ==
       h_i(b)h_i(a) in every constraint; swapping adjacent commuting letters
       changes no image.  A row whose word ends in l never continues with a
-      letter b < l that commutes with l (the empty word continues with any
-      letter), so only lexicographic normal forms are built (Anisimov and
-      Knuth 1979).  The state is still the image tuple alone.  The least
-      shortest word z reaching a tuple is a normal form, since a swap would
-      give a smaller word with the same images.  Each prefix of z is the
-      least shortest word reaching its own tuple, so by induction first
-      discovery keeps that prefix, and its last letter allows the next
-      letter of z.  So every tuple is found at the same depth, through the
-      same word, as without the rule: the states, depths and witness are
-      unchanged, and only ``candidates`` counts fewer pairs.  On the
-      counting gadget, where every two letters commute, about three
-      quarters of the candidates go.
+      letter b < l that commutes with l, so only lexicographic normal forms
+      are built (Anisimov and Knuth 1979).  The state is still the image
+      tuple alone.  The least shortest word z reaching a tuple is a normal
+      form, since a swap would give a smaller word with the same images.
+      Each prefix of z is the least shortest word reaching its own tuple,
+      so by induction first discovery keeps that prefix, and its last
+      letter allows the next letter of z.  So every tuple is found at the
+      same depth, through the same word, as without the rule: the states,
+      depths and witness are unchanged, and only ``candidates`` counts
+      fewer pairs.  On the counting gadget, where every two letters
+      commute, about three quarters of the candidates go.
 
-    Set-up is ``_tables``, timed as ``SolveStats.setup_s``.  From its
-    tables, one AND-reduce over a candidate's cells gives its length bits,
-    and, carried into the next round, its live letters and its accept bit;
-    the candidates are one gather from the flattened successor table.  A
-    ``MemoryError`` in the depth loop comes out as a ``SearchMemoryError``
-    that says how far the search got.
+    Set-up is ``_tables``, timed as ``SolveStats.setup_s``; it gives the
+    first layer's cell values, and each later layer is one gather from the
+    flattened successor table.  One AND-reduce over a candidate's cells
+    gives its length bits and, carried past deduplication, its live letters
+    and its accept bit.  A ``MemoryError`` in the depth loop comes out as a
+    ``SearchMemoryError`` that says how far the search got.
     """
     t0 = time.perf_counter()
-    _, masks, allowed_after, table, base, empty, length_bits = _tables(instance, horizon)
+    _, masks, allowed_after, table, base, first, length_bits = _tables(instance, horizon)
     A = instance.alphabet_size
     G = table.size // A
-    row_bytes = np.dtype((np.void, empty.nbytes))
+    row_bytes = np.dtype((np.void, first[0].nbytes))
 
     visited: set[bytes] = set()
     trail: list[tuple[np.ndarray, np.ndarray]] = []  # per depth: parent row, letter
@@ -397,30 +399,15 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
         stats = SolveStats(len(visited), depth, time.perf_counter() - t0, candidates, tuple(layers), setup_s)
         return SolveResult(status, witness, complete, stats)
 
-    rows = (empty + base)[None]  # (rows, cells) intp row numbers: the empty word
-    bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (rows, words)
-    last = np.array([A])  # each row's last letter, A for the empty word
+    cand = first  # (candidates, cells) cell values
+    parents = letters = np.arange(A)  # a one-letter word's parent is never read
     depth = candidates = 0
     tick = time.perf_counter()
     setup_s = tick - t0
     try:
         while True:
-            # flags[:, a]: letter a's successor is live in every component and
-            # keeps the word a normal form; flags[:, A]: the row accepts
-            bits &= allowed_after.take(last, axis=0)
-            flags = np.unpackbits(bits.view(np.uint8), axis=1, count=A + 1, bitorder="little")
-            hits = flags[:, A].nonzero()[0]
-            if hits.size:
-                return done(int(hits[0]), depth, True)
-            if depth_cap is not None and depth >= depth_cap:
-                return done(None, depth, False)
-            parents, letters = flags[:, :A].nonzero()
-            index = rows.take(parents, axis=0)
-            index += (letters * G)[:, None]
-            cand = table.take(index)  # (candidates, cells)
-            rows = cand + base
-            del index  # a round's largest array, dropped before visited grows
-            bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)
+            rows = cand + base  # intp row numbers
+            bits = np.bitwise_and.reduce(masks.take(rows, axis=0), axis=1)  # (candidates, words)
             keep = np.bitwise_or.reduce(bits & length_bits, axis=1).nonzero()[0]  # some length in every cell
             packed = cand.view(row_bytes).ravel().tolist()
             # one walk in candidate order: a key not yet visited is added on the
@@ -437,71 +424,83 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
             depth += 1
             if len(visited) > state_cap:
                 raise StateCapError(state_cap, depth, len(visited))
-            if len(new) < parents.size:
+            if len(new) < letters.size:
                 new = np.array(new, dtype=np.intp)
                 parents, letters = parents[new], letters[new]
                 rows, bits = rows.take(new, axis=0), bits.take(new, axis=0)
             del cand, packed, new
             trail.append((parents, letters))
-            last = letters
+            # flags[:, a]: letter a's successor is live in every component and
+            # keeps the word a normal form; flags[:, A]: the row accepts
+            bits &= allowed_after.take(letters, axis=0)
+            flags = np.unpackbits(bits.view(np.uint8), axis=1, count=A + 1, bitorder="little")
+            hits = flags[:, A].nonzero()[0]
+            if hits.size:
+                return done(int(hits[0]), depth, True)
+            if depth_cap is not None and depth >= depth_cap:
+                return done(None, depth, False)
+            parents, letters = flags[:, :A].nonzero()
+            index = rows.take(parents, axis=0)
+            del rows, bits, flags  # only the candidates' parents and letters go on
+            index += (letters * G)[:, None]
+            cand = table.take(index)  # (candidates, cells)
+            del index  # a round's largest array, dropped before the candidates' masks
     except MemoryError as exc:
         raise SearchMemoryError(exc, depth, len(visited)) from exc
 
 
 def _tables(instance: Instance, horizon: int):
     """Everything ``_bfs`` builds before its first layer, as
-    (profile, masks, allowed_after, table, base, empty, length_bits).
+    (profile, masks, allowed_after, table, base, first, length_bits).
 
     Each constraint's element-times-letter table is filled with one gather
     per distinct table, for all the constraints over it (reduction gadgets
     have one table), straight from the instance's image matrix, and the
     commutation matrix is read off that table once.  ``profile`` holds the
-    length profile (see ``_length_profile``) of every constraint's elements,
-    each constraint followed by its empty-word row.  A profile depends only
-    on the table, the letter images as a set, the accept set and the
-    horizon, so each distinct one is computed once per table object and
-    gathered into the constraints' rows by one inverse index; this replaces
-    a liveness closure per instance, since a row is live when its profile is
-    not 0.  For every cell value there is then its successor by each letter
-    (``table``, at letter times the cell rows plus row; ``base`` holds each
-    cell's first row) and its mask words (``masks``): a bit per letter whose
-    successor is live in every component, one bit for "every component
-    accepts", and the profile bits every component has, which
-    ``length_bits`` selects.  When each cell holds one constraint, these are
-    the per-constraint tables as they stand.  ``allowed_after`` holds the
-    letters allowed after a word ending in each letter, and ``empty`` is the
-    empty word's row.
+    length profile (see ``_length_profile``) of every constraint's
+    elements.  A profile depends only on the table, the letter images as a
+    set, the accept set and the horizon, so each distinct one is computed
+    once per table object and gathered into the constraints' rows by one
+    inverse index; this replaces a liveness closure per instance, since an
+    element is live when its profile is not 0.  For every cell value there
+    is then its successor by each letter (``table``, at letter times the
+    cell rows plus row; ``base`` holds each cell's first row) and its mask
+    words (``masks``): a bit per letter whose successor is live in every
+    component, one bit for "every component accepts", and the profile bits
+    every component has, which ``length_bits`` selects.  When each cell
+    holds one constraint, these are the per-constraint tables as they
+    stand.  ``first`` holds each one-letter word's cell values, and
+    ``allowed_after`` the letters allowed after a word ending in each
+    letter.
     """
     A = instance.alphabet_size
     sizes = np.array([S.size for S in instance.tables], dtype=np.intp).take(instance.table_index)
 
-    # Every constraint's elements, plus one row for the empty word, stacked:
-    # row x of constraint i holds x times each letter image, its empty-word
-    # row the images themselves, all as the constraint's own element ids.
-    counts = sizes + 1
-    offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max() - 1))
+    # Every constraint's elements stacked: row x of constraint i holds x
+    # times each letter image, as the constraint's own element ids, in a
+    # dtype that holds every size, since ``_merge_cells`` multiplies by one.
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max()))
     # Mask bits of each row: bit a says letter a's successor is live, bit A
-    # that the row accepts (the empty-word rows never do), then the profile
-    # and the row's own live flag, which no mask test reads.  After the
-    # rows: the profile bits alone, then for each letter l the letters
-    # allowed after a word ending in l, and last those allowed after the
-    # empty word, all with the accept bit passing.  A reduce over cells is
-    # several times slower on two words than on one, so the bits share
-    # words, and each row of bits fills whole words, so packing it flat
-    # gives the same words as packing row by row.
+    # that the row accepts, then the profile and the row's own live flag,
+    # which no mask test reads.  After the rows: the profile bits alone,
+    # then for each letter l the letters allowed after a word ending in l,
+    # with the accept bit passing.  A reduce over cells is several times
+    # slower on two words than on one, so the bits share words, and each
+    # row of bits fills whole words, so packing it flat gives the same
+    # words as packing row by row.
     nbytes = (A + horizon + 2) // 8 + 1
     mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
-    bits = np.zeros((total + A + 2, 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)), dtype=bool)
+    bits = np.zeros((total + 1 + A, 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)), dtype=bool)
     # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
     forbidden = np.arange(A)[:, None] > np.arange(A)
     for j, S in enumerate(instance.tables):
         members = (instance.table_index == j).nonzero()[0]
         images = instance.images[members]  # (g, A)
-        rows = offsets[members][:, None] + np.arange(S.size + 1)  # (g, n + 1)
-        times, commutes = _successors(S)
-        step[rows.T] = times.take(images, axis=1)  # (n + 1, g, A)
+        rows = offsets[members][:, None] + np.arange(S.size)  # (g, n)
+        step[rows.T] = S.array.take(images, axis=1)  # (n, g, A)
+        commutes = (S.array == S.array.T).ravel()
         # chunks of constraints, so that no (chunk, A, A) block is larger than step
         chunk = max(1, step.size // (A * A))
         for lo in range(0, len(images), chunk):
@@ -521,48 +520,38 @@ def _tables(instance: Instance, horizon: int):
                 memo[key] = _length_profile(S, images[inverse.index(s)], key[1], horizon)
         bits[rows, A:A + horizon + 3] = np.array([memo[key] for key in slot]).take(inverse, axis=0)
     # the table's successors as row numbers
-    succ = np.add(step.T, np.repeat(offsets, counts), dtype=np.intp, order="C")
+    succ = np.add(step.T, np.repeat(offsets, sizes), dtype=np.intp, order="C")
     bits[:total, :A] = bits[:total, A + horizon + 2].take(succ).T
     bits[total, A + 1:A + horizon + 2] = True
-    bits[total + 1:-1, :A] = ~forbidden
-    bits[-1, :A] = bits[total + 1:, A] = True
+    bits[total + 1:, :A] = ~forbidden
+    bits[total + 1:, A] = True
     masks = np.packbits(bits.ravel(), bitorder="little").view(mask_dtype).reshape(len(bits), -1)
     masks, length_bits, allowed_after = masks[:total], masks[total], masks[total + 1:]
 
     starts = _cells(sizes.tolist())
-    values = np.multiply.reduceat(sizes, starts)  # each cell's real values; also its empty value
+    first = instance.images.T  # (A, constraints): each letter's images
     if len(starts) < len(sizes):  # else each cell is one constraint, whose rows step and masks hold
-        step, masks = _merge_cells(step, masks, sizes, starts)
-    counts = values + 1
-    base = np.cumsum(counts) - counts  # each cell's first row
-    dtype = np.min_scalar_type(values.max())
+        step, masks, first = _merge_cells(step, masks, first, sizes, starts)
+    values = np.multiply.reduceat(sizes, starts)  # each cell's values
+    base = np.cumsum(values) - values  # each cell's first row
+    dtype = np.min_scalar_type(values.max() - 1)
     table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times the cell rows plus row
     profile = bits[:total, A + 1:A + horizon + 2]
-    return profile, masks, allowed_after, table, base, values.astype(dtype), length_bits
-
-
-@memo_on_object
-def _successors(S: Semigroup) -> tuple[np.ndarray, np.ndarray]:
-    """S's table with a row for the empty word below it (x times y, then y),
-    and the flattened flags of which elements commute; read-only, kept on S."""
-    times = np.vstack([S.array, np.arange(S.size, dtype=S.array.dtype)])
-    commutes = (S.array == S.array.T).ravel()
-    times.flags.writeable = commutes.flags.writeable = False
-    return times, commutes
+    return profile, masks, allowed_after, table, base, np.ascontiguousarray(first, dtype=dtype), length_bits
 
 
 def _length_profile(S: Semigroup, images: np.ndarray, accept: frozenset[int], horizon: int) -> np.ndarray:
-    """Flags of S's elements, then of the empty word, under letter images
-    ``images`` and accept set ``accept``: (n + 1, horizon + 3) bools, the
-    accept flag, the length profile and the live flag.
+    """Flags of S's elements under letter images ``images`` and accept set
+    ``accept``: (n, horizon + 3) bools, the accept flag, the length profile
+    and the live flag.
 
-    Bit t < ``horizon`` of a row's profile says some word of length t takes
-    it into the accept set, and bit ``horizon`` that some word of length >=
-    ``horizon`` does: some word of length ``horizon`` takes it to a live
-    element.  The empty word's row steps to the images and never accepts.
+    Bit t < ``horizon`` of an element's profile says some word of length t
+    takes it into the accept set, and bit ``horizon`` that some word of
+    length >= ``horizon`` does: some word of length ``horizon`` takes it to
+    a live element.
     """
-    succ = np.vstack([S.array.take(images, axis=1), images])  # (n + 1, images)
-    accepted = np.zeros(S.size + 1, dtype=bool)
+    succ = S.array.take(images, axis=1)  # (n, images)
+    accepted = np.zeros(S.size, dtype=bool)
     accepted[list(accept)] = True
     columns, reach = [accepted], accepted
     for _ in range(horizon):
@@ -602,10 +591,14 @@ def li_witness_shorten(morphisms, word, k: int | None = None) -> tuple[int, ...]
     Every target must be locally trivial of degree at most k; then the
     shortened word has the same image under every morphism (checked).  With
     k None it is the largest ``li_degree`` of the targets, and a target that
-    is not locally trivial raises ``PreconditionError("is_li", i)``.  Words
-    of length <= 2k are returned unchanged.
+    is not locally trivial raises ``PreconditionError("is_li", i)``.  No
+    morphism, or an empty word, raises ``ValueError``, and a letter out of
+    range ``IndexError``, at any length.  Words of length <= 2k are returned
+    unchanged.
     """
     morphisms = list(morphisms)
+    if not morphisms:
+        raise ValueError("at least one morphism required")
     degrees = [li_degree(h.target) for h in morphisms]
     if k is None:
         if None in degrees:
@@ -615,11 +608,12 @@ def li_witness_shorten(morphisms, word, k: int | None = None) -> tuple[int, ...]
         if d is None or d > k:
             raise PreconditionError(f"li_degree <= {k}", i)
     word = tuple(word)
+    images = [apply_morphism(h, word) for h in morphisms]  # checks the word at any length
     if len(word) <= 2 * k:
         return word
     short = word[:k] + word[-k:]
-    for i, h in enumerate(morphisms):
-        if apply_morphism(h, short) != apply_morphism(h, word):
+    for i, (h, x) in enumerate(zip(morphisms, images)):
+        if apply_morphism(h, short) != x:
             raise AssertionError(f"image changed under morphism {i}; target not of degree {k}")
     return short
 

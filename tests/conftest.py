@@ -46,14 +46,14 @@ def derived_pool(family_pool):
 
 @pytest.fixture
 def memory_error_at_depth_2(monkeypatch):
-    """``np.unpackbits``, which the BFS calls once per round, just before
-    the accept test, raises ``MemoryError`` on its third call: in the round
-    after depth 2.  Nothing large is allocated."""
+    """``np.unpackbits``, which the BFS calls once per stored layer, just
+    before its accept test, raises ``MemoryError`` on its second call: at
+    depth 2.  Nothing large is allocated."""
     unpack, calls = np.unpackbits, []
 
     def unpackbits(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise MemoryError("Unable to allocate 1.00 MiB")
         return unpack(*args, **kwargs)
 

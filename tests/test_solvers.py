@@ -319,9 +319,9 @@ class TestBatchedSetup:
 
 class TestCells:
     """``_bfs`` packs consecutive constraints into cells of at most 256
-    values, one of them for the empty word, and gives a constraint of more
-    than 255 elements a cell of its own; a row is one value per cell.  Every
-    layout must search exactly as ``bfs_reference`` does."""
+    values and gives a constraint of more than 256 elements a cell of its
+    own; a row is one value per cell.  Every layout must search exactly as
+    ``bfs_reference`` does."""
 
     @staticmethod
     def _agree_on(seed, semis, cells, count, caps=(), share=1.0):
@@ -347,12 +347,23 @@ class TestCells:
         semis = [one] * 12 + [mincap(4)] + [one] * 12 + [cyclic(3)] + [one] * 6
         assert 0 < self._agree_on(1, semis, [0], 12, (2,), 0.5) < 12
 
-    def test_product_255_fits_one_cell_and_256_does_not(self):
-        assert solve._cells([15, 17, 1]) == [0] and solve._cells([16, 16]) == [0, 1]
-        assert solve._cells([17, 15, 2]) == [0, 2] and solve._cells([2, 127, 2]) == [0, 2]
-        for semis, cells in (([mincap(15), mincap(17)], [0]), ([cyclic(15), mincap(17)], [0]),
-                             ([mincap(16), cyclic(16)], [0, 1])):
-            assert 0 < self._agree_on(15 * 17, semis, cells, 10, (3,), 0.5) < 10
+    def test_product_256_fits_one_cell_and_257_does_not(self):
+        assert solve._cells([16, 16]) == [0] and solve._cells([16, 17]) == [0, 1]
+        assert solve._cells([1, 256, 1]) == [0] and solve._cells([2, 128, 2]) == [0, 2]
+        for semis, cells in (([mincap(16), cyclic(16)], [0]), ([cyclic(15), mincap(17)], [0]),
+                             ([mincap(16), mincap(17)], [0, 1])):
+            assert 0 < self._agree_on(16 * 16, semis, cells, 10, (3,), 0.5) < 10
+        # 256 elements fill a one-byte cell; a size-1 constraint before them
+        # shares it, so Horner's rule multiplies by 256.  The one letter
+        # steps through all of Z_256, so the search meets every cell value.
+        C = cyclic(256)
+        for semis, cells in (([C], [0]), ([trivial(), C], [0]), ([mincap(2), C], [0, 1])):
+            assert solve._cells([S.size for S in semis]) == cells
+            I = Instance(("a",), tuple(Constraint(Morphism((S.size - 1,), S), frozenset(range(S.size)))
+                                       for S in semis[:-1]) + (Constraint(Morphism((1,), C), frozenset({255})),))
+            assert solve._tables(I, 0)[3].dtype == np.uint8
+            assert _agree_with_reference(I)[0].witness.word == (0,) * 255
+            _agree_with_reference(I, 254)
 
     def test_mixed_sizes_split_a_cell_mid_run(self):
         # 3 * 5 * 7 * 2 = 210 values fit, times 4 would not: the second cell
@@ -386,9 +397,8 @@ class TestCells:
 
     def test_row_numbers_times_letters_pass_16_bits(self):
         # 220 letters into cyclic(300), a 16-bit cell: a value of 298 or
-        # more (300 is the empty word) times |A|, and a letter of 218 or more
-        # times the 301 rows, pass 65,535, so an index computed in the cell
-        # dtype would wrap
+        # more times |A|, and a letter of 219 or more times the 300 rows,
+        # pass 65,535, so an index computed in the cell dtype would wrap
         rng = random.Random(220)
         S = cyclic(300)
         for accept in ({299}, {0, 150}, {7}):
@@ -414,9 +424,7 @@ class TestLiveness:
         for c, expected in zip(I.constraints, live_elements(I)):
             n = c.semigroup.size
             assert set(np.flatnonzero(live[row:row + n]).tolist()) == expected
-            # the empty word's row steps to the letter images
-            assert live[row + n] == any(y in expected for y in c.morphism.images)
-            row += n + 1
+            row += n
         assert row == live.size
 
     def test_family_pool(self, family_pool):
@@ -459,7 +467,8 @@ class TestLengthProfile:
         profile = solve._tables(I, horizon)[0]
         assert profile.shape[1] == horizon + 1
         rows = [set(np.flatnonzero(bits).tolist()) for bits in profile]
-        assert rows == [lengths for per in length_sets(I, horizon) for lengths in per]
+        # length_sets ends each constraint's list with the empty word's lengths
+        assert rows == [lengths for per in length_sets(I, horizon) for lengths in per[:-1]]
 
     def test_family_pool(self, family_pool):
         rng = random.Random(2424)
@@ -564,15 +573,15 @@ class TestTraceNormalForm:
         assert partial >= 25
 
     def test_more_letters_than_global_rows(self):
-        # with more letters than the constraints have elements plus empty-word
-        # rows, each constraint is its own chunk of the commutation gather
+        # with more letters than the constraints have elements, each
+        # constraint is its own chunk of the commutation gather
         rng = random.Random(1316)
         semis = [mincap(2), leftzero(2), cyclic(2), rightzero(2)]
         for _ in range(30):
             chosen = rng.sample(semis, rng.randint(2, 3))
             A = rng.randint(3 * len(chosen) + 1, 11)
             I = random_instance(rng, chosen, A)
-            assert A > sum(S.size + 1 for S in chosen)
+            assert A > sum(S.size for S in chosen)
             _agree_with_reference(I)
         # every letter commutes in the first chunk, only equal images in the
         # second; the word must start with a7 and have length 2
@@ -639,6 +648,24 @@ class TestShorten:
         hs = [Morphism((0,), mincap(4)), Morphism((0,), mincap(6))]  # degrees 2 and 3
         assert li_witness_shorten(hs, (0,) * 9) == (0,) * 6
         assert li_witness_shorten(hs, (0,) * 6) == (0,) * 6
+
+    def test_rejects_no_morphisms(self):
+        for k in (None, 2):
+            with pytest.raises(ValueError, match="at least one morphism"):
+                li_witness_shorten([], (0,) * 5, k)
+
+    def test_rejects_empty_word(self):
+        h = Morphism((0,), mincap(4))
+        with pytest.raises(ValueError, match="no empty word"):
+            li_witness_shorten([h], (), 2)
+
+    def test_checks_letters_at_any_length(self):
+        # a short word comes back unchanged, but only after the same check
+        # as a long one
+        hs = [Morphism((0, 1), mincap(4)), Morphism((1, 0), mincap(4))]
+        for word in ((0, 5), (0, 1, 0, 1, 5), (-1,)):
+            with pytest.raises(IndexError, match="out of range 0..1"):
+                li_witness_shorten(hs, word, 2)
 
     def test_default_degree_rejects_non_locally_trivial_target(self):
         hs = [Morphism((0,), mincap(4)), Morphism((0,), cyclic(2))]
