@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from .varieties import is_commutative, li_degree
 
 DEFAULT_STATE_CAP = 1 << 24
 DEFAULT_ENUM_SIZE_CAP = 6
+MEMO_CELLS = 1 << 20  # array cells each table keeps of length profiles and blocks
+LAYOUTS = 64  # row layouts _layout keeps
+_STORE_LOCK = threading.Lock()  # one store at a time, so that each memo's cell count is exact
 
 SATISFIABLE = "satisfiable"
 EMPTY = "empty"
@@ -153,7 +157,7 @@ class Instance:
         for i, row in enumerate(() if isinstance(images, np.ndarray) else images):  # rows may be ragged
             if len(row) != m:
                 raise ValueError(f"constraint {i} has {len(row)} letter images, alphabet has {m}")
-        images = np.asarray(images).astype(np.intp, casting="same_kind")  # TypeError for floats
+        images = np.asarray(images).astype(np.intp, order="C", casting="same_kind")  # TypeError for floats
         if images.shape != (len(accepts), m) or not len(targets) == len(names) == len(accepts):
             raise ValueError(f"{images.shape} images, {len(targets)} tables and {len(names)} names "
                              f"for {len(accepts)} constraints over {m} letters")
@@ -241,9 +245,10 @@ class SolveStats:
     # round that found no new state, if the search closed on one.  Empty
     # for SLP enumeration.
     layers: tuple[tuple[int, int, float], ...] = ()
-    # BFS: seconds in set-up (``_tables``); 0.0 for SLP enumeration.  A BFS's wall_time is
-    # setup_s, plus the layer seconds, plus the final round that stops before recording a
-    # layer (on an accepting row, the depth cap or no kept candidate), which no layer records.
+    # BFS: seconds in set-up (``_tables``), which builds only the blocks its tables' memos
+    # miss, so a constraint seen before costs less; 0.0 for SLP enumeration.  A BFS's
+    # wall_time is setup_s, plus the layer seconds, plus the final round that stops before
+    # recording a layer (on an accepting row, the depth cap or no kept candidate).
     setup_s: float = 0.0
 
 
@@ -275,41 +280,65 @@ def _cells(sizes) -> list[int]:
     return starts
 
 
-def _merge_cells(step, masks, first, sizes, starts):
+@lru_cache(maxsize=LAYOUTS)
+def _layout(sizes: tuple[int, ...], A: int, horizon: int):
+    """What ``_tables`` needs of an instance's shape alone, as (base, dtype,
+    length_bits, runs): each cell's first row and the dtype of its values,
+    the mask words that select the profile bits, and ``_merge_cells``' plan
+    (per run of consecutive cells whose constraints have the same sizes,
+    per position in the cells: the size, the constraints there and their
+    rows), or None when each cell is one constraint.  A row's mask words
+    hold a bit per letter for "its successor is live", one for "the row
+    accepts", the profile bits and the live flag, which no mask test reads;
+    a reduce over cells is several times slower on two words than on one,
+    so they share words.
+    """
+    starts = _cells(sizes)
+    values = np.multiply.reduceat(np.array(sizes, dtype=np.intp), starts)
+    base = np.cumsum(values) - values
+    nbytes = (A + horizon + 2) // 8 + 1
+    words = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
+    bits = np.zeros(8 * words.itemsize * -(-nbytes // words.itemsize), dtype=bool)
+    bits[A + 1:A + horizon + 2] = True
+    length_bits = np.packbits(bits, bitorder="little").view(words)
+    offsets, runs, shared = np.cumsum((0,) + sizes), [], [base, length_bits]
+    shapes = [sizes[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
+    for shape, run in itertools.groupby(zip(shapes, starts), key=lambda cell: cell[0]):
+        heads = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
+        runs.append(tuple((n, heads + i, offsets[heads + i][:, None] + np.arange(n)) for i, n in enumerate(shape)))
+        shared += [a for _, members, rows in runs[-1] for a in (members, rows)]
+    for a in shared:  # every caller gets these arrays
+        a.flags.writeable = False
+    return base, np.min_scalar_type(values.max() - 1), length_bits, tuple(runs) if len(starts) < len(sizes) else None
+
+
+def _merge_cells(step, masks, first, runs):
     """The successor and mask rows of ``_bfs``'s cells, and the cell values
     of its one-letter words, from those of their constraints.
 
-    ``step`` and ``masks`` stack each constraint's element rows, and
-    ``first`` holds each letter's image in each constraint.  A cell's values
-    number its constraints' element tuples in mixed radix, the first
-    constraint most significant.  Horner's rule builds all three one
-    constraint at a time: a longer tuple's successor is its prefix's
-    successor times the constraint's size plus the constraint's own
-    successor, its mask is the AND of theirs, and a letter's value is its
-    prefix's value times the size plus its image.  Each run of consecutive
-    cells whose constraints have the same sizes goes through it as one
-    batch.  A cell of several constraints has at most 256 values, and
-    step's dtype holds every size, so the sums stay in that dtype.
+    ``step`` and ``masks`` stack each constraint's element rows, ``first``
+    holds each letter's image in each constraint, and ``runs`` is the plan
+    of ``_layout``.  A cell's values number its constraints' element tuples
+    in mixed radix, the first constraint most significant.  Horner's rule
+    builds all three one constraint at a time: a longer tuple's successor
+    is its prefix's successor times the constraint's size plus the
+    constraint's own successor, its mask is the AND of theirs, and a
+    letter's value is its prefix's value times the size plus its image.
+    Each run of cells goes through it as one batch.  A cell of several
+    constraints has at most 256 values, and step's dtype holds every size,
+    so the sums stay in that dtype.
     """
     A, W = step.shape[1], masks.shape[1]
-    sizes = sizes.tolist()
-    offsets = np.cumsum([0] + sizes)
-    shapes = [tuple(sizes[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
-    succ_parts, mask_parts, first_parts = [], [], []
-    for shape, run in itertools.groupby(zip(shapes, starts), key=lambda cell: cell[0]):
-        heads = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
-        for i, n in enumerate(shape):
-            rows = offsets[heads + i][:, None] + np.arange(n)  # the cells' i-th constraints' rows
-            if i == 0:
-                succ, mask, letter = step[rows], masks[rows], first[:, heads]
-            else:  # (cells, values so far times n, A), and (A, cells) for the letters
-                succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(heads), -1, A)
-                mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(heads), -1, W)
-                letter = letter * n + first[:, heads + i]
-        succ_parts.append(succ.reshape(-1, A))
-        mask_parts.append(mask.reshape(-1, W))
-        first_parts.append(letter)
-    return np.concatenate(succ_parts), np.concatenate(mask_parts), np.concatenate(first_parts, axis=1)
+    parts = []
+    for (_, members, rows), *rest in runs:
+        succ, mask, letter = step[rows], masks[rows], first[:, members]
+        for n, members, rows in rest:  # (cells, values so far times n, A), and (A, cells) for the letters
+            succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(members), -1, A)
+            mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(members), -1, W)
+            letter = letter * n + first[:, members]
+        parts.append((succ.reshape(-1, A), mask.reshape(-1, W), letter))
+    succ, mask, letter = zip(*parts)
+    return np.concatenate(succ), np.concatenate(mask), np.concatenate(letter, axis=1)
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
@@ -451,106 +480,110 @@ def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
 
 def _tables(instance: Instance, horizon: int):
     """Everything ``_bfs`` builds before its first layer, as
-    (profile, masks, allowed_after, table, base, first, length_bits).
+    (rows, masks, allowed_after, table, base, first, length_bits).
 
-    Each constraint's element-times-letter table is filled with one gather
-    per distinct table, for all the constraints over it (reduction gadgets
-    have one table), straight from the instance's image matrix, and the
-    commutation matrix is read off that table once.  ``profile`` holds the
-    length profile (see ``_length_profile``) of every constraint's
-    elements.  A profile depends only on the table, the letter images as a
-    set, the accept set and the horizon, so each distinct one is computed
-    once per table object and gathered into the constraints' rows by one
-    inverse index; this replaces a liveness closure per instance, since an
-    element is live when its profile is not 0.  For every cell value there
-    is then its successor by each letter (``table``, at letter times the
-    cell rows plus row; ``base`` holds each cell's first row) and its mask
-    words (``masks``): a bit per letter whose successor is live in every
-    component, one bit for "every component accepts", and the profile bits
-    every component has, which ``length_bits`` selects.  When each cell
-    holds one constraint, these are the per-constraint tables as they
-    stand.  ``first`` holds each one-letter word's cell values, and
-    ``allowed_after`` the letters allowed after a word ending in each
-    letter.
+    A constraint's *block* (``_blocks``) depends only on its table, letter
+    images in letter order, accept set and the horizon, so each is kept in
+    its table's memo (``_store``), and an instance's misses are built
+    together, one batch per table.  ``rows`` stacks the blocks' mask rows;
+    ``allowed_after`` ORs their words, so after a word ending in l it allows
+    each b >= l and each b failing to commute with l in some constraint.
+    For every cell value there is its successor by each letter (``table``,
+    at letter times the cell rows plus row; ``base`` holds each cell's
+    first row) and its mask words (``masks``): the blocks as they stand
+    when each cell is one constraint, else merged by ``_merge_cells``.
+    ``first`` holds each one-letter word's cell values.
     """
-    A = instance.alphabet_size
-    sizes = np.array([S.size for S in instance.tables], dtype=np.intp).take(instance.table_index)
-
-    # Every constraint's elements stacked: row x of constraint i holds x
-    # times each letter image, as the constraint's own element ids, in a
-    # dtype that holds every size, since ``_merge_cells`` multiplies by one.
-    offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    step = np.empty((total, A), dtype=np.min_scalar_type(sizes.max()))
-    # Mask bits of each row: bit a says letter a's successor is live, bit A
-    # that the row accepts, then the profile and the row's own live flag,
-    # which no mask test reads.  After the rows: the profile bits alone,
-    # then for each letter l the letters allowed after a word ending in l,
-    # with the accept bit passing.  A reduce over cells is several times
-    # slower on two words than on one, so the bits share words, and each
-    # row of bits fills whole words, so packing it flat gives the same
-    # words as packing row by row.
-    nbytes = (A + horizon + 2) // 8 + 1
-    mask_dtype = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
-    bits = np.zeros((total + 1 + A, 8 * mask_dtype.itemsize * -(-nbytes // mask_dtype.itemsize)), dtype=bool)
-    # forbidden[l, b]: b < l and h_i(l)h_i(b) == h_i(b)h_i(l) for every i
-    forbidden = np.arange(A)[:, None] > np.arange(A)
-    for j, S in enumerate(instance.tables):
-        members = (instance.table_index == j).nonzero()[0]
-        images = instance.images[members]  # (g, A)
-        rows = offsets[members][:, None] + np.arange(S.size)  # (g, n)
-        step[rows.T] = S.array.take(images, axis=1)  # (n, g, A)
-        commutes = (S.array == S.array.T).ravel()
-        # chunks of constraints, so that no (chunk, A, A) block is larger than step
-        chunk = max(1, step.size // (A * A))
-        for lo in range(0, len(images), chunk):
-            part = images[lo:lo + chunk]
-            forbidden &= commutes.take(part[:, :, None] * S.size + part[:, None, :]).all(axis=0)
-        # a constraint's flags depend on its set of letter images and its
-        # accept set: each distinct pair is looked up once in a memo kept on S
-        used = np.zeros((len(members), S.size), dtype=bool)
-        used[np.arange(len(members))[:, None], images] = True
-        sets = np.packbits(used, axis=1).view(np.dtype((np.void, -(-S.size // 8)))).ravel().tolist()
-        slot: dict = {}
-        inverse = [slot.setdefault((key, instance.accepts[i], horizon), len(slot))
-                   for key, i in zip(sets, members.tolist())]
-        memo = vars(S).setdefault("_length_profiles", {})
-        for s, key in enumerate(slot):
-            if key not in memo:
-                memo[key] = _length_profile(S, images[inverse.index(s)], key[1], horizon)
-        bits[rows, A:A + horizon + 3] = np.array([memo[key] for key in slot]).take(inverse, axis=0)
-    # the table's successors as row numbers
-    succ = np.add(step.T, np.repeat(offsets, sizes), dtype=np.intp, order="C")
-    bits[:total, :A] = bits[:total, A + horizon + 2].take(succ).T
-    bits[total, A + 1:A + horizon + 2] = True
-    bits[total + 1:, :A] = ~forbidden
-    bits[total + 1:, A] = True
-    masks = np.packbits(bits.ravel(), bitorder="little").view(mask_dtype).reshape(len(bits), -1)
-    masks, length_bits, allowed_after = masks[:total], masks[total], masks[total + 1:]
-
-    starts = _cells(sizes.tolist())
+    A, tables = instance.alphabet_size, instance.tables
+    index, sizes = instance.table_index.tolist(), [S.size for S in tables]
+    base, dtype, length_bits, runs = _layout(tuple(sizes[j] for j in index), A, horizon)
+    images = instance.images.view(np.dtype((np.void, A * instance.images.itemsize))).ravel().tolist()
+    memos = [_memo(S) for S in tables]
+    blocks, missing = [], {}  # missing: for each table, each missing key's constraints
+    for i, (j, key) in enumerate(zip(index, zip(images, instance.accepts, itertools.repeat(horizon)))):
+        blocks.append(memos[j].get(key))
+        if blocks[i] is None:
+            missing.setdefault(j, {}).setdefault(key, []).append(i)
+    for j, keys in missing.items():
+        for block, same in zip(_blocks(tables[j], list(keys), length_bits), keys.values()):
+            for i in same:
+                blocks[i] = block
+    succ, masks, allowed = zip(*blocks)
+    rows = masks = np.concatenate(masks)
+    allowed_after = np.bitwise_or.reduce(np.concatenate(allowed).reshape(len(blocks), A, -1))
     first = instance.images.T  # (A, constraints): each letter's images
-    if len(starts) < len(sizes):  # else each cell is one constraint, whose rows step and masks hold
-        step, masks, first = _merge_cells(step, masks, first, sizes, starts)
-    values = np.multiply.reduceat(sizes, starts)  # each cell's values
-    base = np.cumsum(values) - values  # each cell's first row
-    dtype = np.min_scalar_type(values.max() - 1)
+    if runs is None:
+        step = np.concatenate(succ, dtype=dtype)
+    else:
+        step = np.concatenate(succ, dtype=np.min_scalar_type(max(sizes)))  # holds every size, for Horner's rule
+        step, masks, first = _merge_cells(step, masks, first, runs)
     table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times the cell rows plus row
-    profile = bits[:total, A + 1:A + horizon + 2]
-    return profile, masks, allowed_after, table, base, np.ascontiguousarray(first, dtype=dtype), length_bits
+    return rows, masks, allowed_after, table, base, np.ascontiguousarray(first, dtype=dtype), length_bits
 
 
-def _length_profile(S: Semigroup, images: np.ndarray, accept: frozenset[int], horizon: int) -> np.ndarray:
+def _blocks(S: Semigroup, keys: list, length_bits: np.ndarray) -> list:
+    """The blocks of constraints over S for ``keys`` (letter images as intp
+    bytes, accept set, horizon), each kept in S's memo as read-only (succ,
+    rows, allowed), the words shaped like ``length_bits``: ``succ[x, a]`` is
+    x times a's image; row x of ``rows`` has bit a if that is live, then
+    x's flags from ``_length_profile``; row l of ``allowed`` has bit b if
+    b >= l or h(l)h(b) != h(b)h(l), and bit A.  Misses are built in chunks
+    whose bits, one bool each, fit the memo's cap.
+    """
+    images = np.frombuffer(b"".join(row for row, _, _ in keys), dtype=np.intp).reshape(len(keys), -1)
+    (g, A), n, width, horizon = images.shape, S.size, 8 * length_bits.nbytes, keys[0][2]
+    chunk = max(1, MEMO_CELLS // ((n + A) * width))
+    if g > chunk:
+        return [block for lo in range(0, g, chunk) for block in _blocks(S, keys[lo:lo + chunk], length_bits)]
+    flags = np.array([_length_profile(S, frozenset(row), accept, horizon)
+                      for row, (_, accept, _) in zip(images.tolist(), keys)])  # (g, n, horizon + 3)
+    succ = np.ascontiguousarray(S.array.take(images, axis=1).transpose(1, 0, 2))  # (g, n, A)
+    bits = np.zeros((g, n + A, width), dtype=bool)
+    bits[:, :n, A:A + horizon + 3] = flags
+    bits[:, :n, :A] = np.take_along_axis(flags[:, :, -1:], succ, axis=1)
+    products = S.array[images[:, :, None], images[:, None, :]]  # (g, A, A): h(l)h(b) at [l, b]
+    bits[:, n:, :A] = (products != products.transpose(0, 2, 1)) | (np.arange(A) >= np.arange(A)[:, None])
+    bits[:, n:, A] = True
+    words = np.packbits(bits, axis=2, bitorder="little").view(length_bits.dtype)  # (g, n + A, W)
+    succ.flags.writeable = words.flags.writeable = False
+    blocks = [(succ[i], words[i, :n], words[i, n:]) for i in range(g)]
+    for key, block in zip(keys, blocks):
+        _store(S, key, block, sum(a.size for a in block))
+    return blocks
+
+
+def _memo(S: Semigroup) -> dict:
+    """S's memo of length profiles and blocks; the key None holds its count of array cells."""
+    return vars(S).setdefault("_bfs_memo", {None: 0})
+
+
+def _store(S: Semigroup, key, value, cells: int) -> None:
+    """Keep ``value``, of ``cells`` array cells, in S's memo, which holds at most
+    ``MEMO_CELLS``: it is emptied first if ``value`` would take it past, and a
+    larger value is not kept."""
+    with _STORE_LOCK:
+        memo = _memo(S)
+        if cells <= MEMO_CELLS and key not in memo:
+            if memo[None] + cells > MEMO_CELLS:
+                memo = vars(S)["_bfs_memo"] = {None: 0}
+            memo[key] = value
+            memo[None] += cells
+
+
+def _length_profile(S: Semigroup, images: frozenset[int], accept: frozenset[int], horizon: int) -> np.ndarray:
     """Flags of S's elements under letter images ``images`` and accept set
     ``accept``: (n, horizon + 3) bools, the accept flag, the length profile
-    and the live flag.
+    and the live flag; kept in S's memo.
 
     Bit t < ``horizon`` of an element's profile says some word of length t
     takes it into the accept set, and bit ``horizon`` that some word of
     length >= ``horizon`` does: some word of length ``horizon`` takes it to
     a live element.
     """
-    succ = S.array.take(images, axis=1)  # (n, images)
+    key = (images, accept, horizon)
+    if (flags := _memo(S).get(key)) is not None:
+        return flags
+    succ = S.array.take(list(images), axis=1)  # (n, images)
     accepted = np.zeros(S.size, dtype=bool)
     accepted[list(accept)] = True
     columns, reach = [accepted], accepted
@@ -565,6 +598,7 @@ def _length_profile(S: Semigroup, images: np.ndarray, accept: frozenset[int], ho
         beyond = beyond.take(succ).any(axis=1)
     flags = np.stack(columns + [beyond, live], axis=1)
     flags.flags.writeable = False  # shared by every instance over S
+    _store(S, key, flags, flags.size)
     return flags
 
 

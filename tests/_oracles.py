@@ -104,24 +104,32 @@ def length_sets(instance: Instance, horizon: int) -> list[list[set[int]]]:
     """Each constraint's completion lengths, by the definition: for each
     element x, then the empty word, the lengths t < ``horizon`` of the words
     that take it into the accept set, plus ``horizon`` when some word of
-    length >= ``horizon`` does.  The set of elements that words of length t
-    reach from x is grown one letter at a time; from ``horizon`` on, it runs
-    until it repeats, since each set fixes the next."""
-    out = []
+    length >= ``horizon`` does.
+
+    The words of length t >= 1 take x to x p for each p in P_t, the images
+    of those words, which are the empty word's reach set; P_t is grown one
+    letter at a time, from ``horizon`` on until it repeats, since each set
+    fixes the next.  This is done once per distinct (table, image set,
+    accept set, horizon) in a call, and the lengths of x are read off the
+    elements p with x p accepted."""
+    out, memo = [], {}
     for c in instance.constraints:
-        t, imgs, n = c.semigroup.table, set(c.morphism.images), c.semigroup.size
-        per = []
-        for x in range(n + 1):  # n: the empty word, an identity adjoined
-            reach, lengths, seen, length = frozenset({x}), set(), set(), 0
+        S, images, accept = c.semigroup, frozenset(c.morphism.images), c.accept
+        key = (S, images, accept, horizon)
+        if key not in memo:
+            t, n = S.table, S.size
+            per = [{0} if x in accept else set() for x in range(n)] + [set()]  # n: the empty word
+            into = [{x for x in range(n) if t[x][p] in accept} for p in range(n)]  # x with x p accepted
+            reach, length, seen = images, 1, set()
             while length < horizon or reach not in seen:
                 if length >= horizon:
                     seen.add(reach)
-                if reach & c.accept:
-                    lengths.add(min(length, horizon))
-                reach = frozenset(a if y == n else t[y][a] for y in reach for a in imgs)
+                for x in set().union(*(into[p] for p in reach)) | ({n} if reach & accept else set()):
+                    per[x].add(min(length, horizon))
+                reach = frozenset(t[p][a] for p in reach for a in images)
                 length += 1
-            per.append(lengths)
-        out.append(per)
+            memo[key] = per
+        out.append(memo[key])
     return out
 
 

@@ -63,6 +63,14 @@ def _agree_with_reference(I, depth_cap=None, solver=None):
     return r, ref
 
 
+def _profiles(I, horizon):
+    """Each element row's length profile in ``_tables``: bits A + 1 to
+    A + horizon + 1 of the mask words it gives every constraint's rows."""
+    A = I.alphabet_size
+    rows = np.unpackbits(solve._tables(I, horizon)[0].view(np.uint8), axis=1, bitorder="little")
+    return rows[:, A + 1:A + horizon + 2]
+
+
 def _check_layers(r):
     """``stats.layers`` holds one (candidates, new states, seconds) per round
     that generated candidates: one per depth, plus, when a closed search ends
@@ -317,6 +325,140 @@ class TestBatchedSetup:
         assert 0 < found < 8
 
 
+class TestBlockMemo:
+    """``_tables`` keeps each constraint's block and each length profile in
+    a memo on the table object, keyed by the letter images in letter order
+    (the profile by their set), the accept set and the horizon, and held to
+    ``MEMO_CELLS`` array cells.  A search that reads the memo must equal one
+    over an equal table with an empty memo."""
+
+    @staticmethod
+    def _fresh(I):
+        """I over new, equal tables, whose memos are empty."""
+        copies = [Semigroup(S.array) for S in I.tables]
+        return Instance.from_columns(I.letter_names, [copies[j] for j in I.table_index.tolist()],
+                                     I.images, I.accepts, I.names)
+
+    @staticmethod
+    def _same_as_fresh(I, horizon):
+        for ours, theirs in zip(solve._tables(I, horizon), solve._tables(TestBlockMemo._fresh(I), horizon)):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    @staticmethod
+    def _memo_cells(S):
+        memo = vars(S).get("_bfs_memo", {None: 0})
+        cells = sum(sum(a.size for a in v) if isinstance(v, tuple) else v.size
+                    for k, v in memo.items() if k is not None)
+        assert cells == memo[None]
+        return cells
+
+    def test_letter_order_is_part_of_the_key(self):
+        # one image set in two letter orders: a+a reaches 4 in Z_5 with a -> 2,
+        # and only b+b does with b -> 2; the letters' successor rows differ
+        S = cyclic(5)
+        forward, backward = _single(S, (1, 2), {4}), _single(S, (2, 1), {4})
+        assert brute_force_solve(forward).witness.word == (1, 1)
+        assert brute_force_solve(backward).witness.word == (0, 0)
+        assert not np.array_equal(solve._tables(forward, 0)[3], solve._tables(backward, 0)[3])
+        both = Instance(("a", "b"), (Constraint(Morphism((1, 2), S), frozenset({4})),
+                                     Constraint(Morphism((2, 1), S), frozenset({4}))))
+        for I in (forward, backward, both):
+            self._same_as_fresh(I, 0)
+            _agree_with_reference(I)
+
+    def test_bounded_then_li_on_one_instance(self):
+        # the horizon is part of the key: bounded_solve (horizon 0) fills the
+        # memo that li_solve (horizon 2k) then reads
+        rng = random.Random(2626)
+        for k in (4, 5):
+            clauses = tuple(frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, k + 1), 3))
+                            for _ in range(round(4.2 * k)))
+            for I in (reduce_nilpotent(CnfFormula(k, clauses)), reduce_unbounded(CnfFormula(k, clauses))):
+                I = self._fresh(I)
+                horizon = 2 * li_degree(I.tables[0])
+                for run, h in ((lambda J: bounded_solve(J, k), 0), (li_solve, horizon)):
+                    assert _summary(run(I)) == _summary(run(self._fresh(I)))
+                    self._same_as_fresh(I, h)
+
+    def test_image_matrix_in_column_order(self):
+        # the keys are the rows' bytes, so Instance keeps its matrix in row order
+        S = Semigroup(mincap(4).array)
+        images = np.asfortranarray([[0, 1, 2], [1, 2, 3]])
+        I = Instance.from_columns(("a", "b", "c"), [S, S], images, [frozenset({3})] * 2, [None] * 2)
+        assert I.images.flags.c_contiguous
+        assert _agree_with_reference(I)[0].witness.word == (0, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        I = self._fresh(reduce_nilpotent(CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3})))))
+        li_solve(I)
+        memo = vars(I.tables[0])["_bfs_memo"]
+        arrays = [a for k, v in memo.items() if k is not None for a in (v if isinstance(v, tuple) else (v,))]
+        assert len(arrays) > 3
+        _, _, _, _, base, _, length_bits = solve._tables(I, 0)
+        for a in arrays + [base, length_bits]:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+    def test_many_distinct_constraints_stay_under_the_cap(self, monkeypatch):
+        # a small cap: each instance's misses are built one per chunk, the
+        # memo is emptied whenever it would pass the cap, and a block larger
+        # than the cap is used but not kept
+        monkeypatch.setattr(solve, "MEMO_CELLS", 600)
+        rng = random.Random(2727)
+        S, other = Semigroup(mincap(6).array), Semigroup(leftzero(3).array)
+        memos = []
+        for _ in range(40):
+            A = rng.randint(1, 4)
+            semis = [rng.choice((S, other)) for _ in range(rng.randint(1, 4))]
+            _agree_with_reference(random_instance(rng, semis, A))
+            assert self._memo_cells(S) <= 600 and self._memo_cells(other) <= 600
+            if not memos or vars(S)["_bfs_memo"] is not memos[-1]:
+                memos.append(vars(S)["_bfs_memo"])
+        assert len(memos) > 2  # emptied at least twice
+        wide = _single(S, [rng.randrange(6) for _ in range(120)], {5})  # 6 x 120 successors alone
+        _agree_with_reference(wide)
+        assert (wide.images.tobytes(), frozenset({5}), 0) not in vars(S)["_bfs_memo"]
+        assert self._memo_cells(S) <= 600
+
+    def test_threads_share_one_memo(self, monkeypatch):
+        # four threads fill and empty one table's memo under a small cap; a
+        # lost update to its cell count would leave the count off the sum
+        monkeypatch.setattr(solve, "MEMO_CELLS", 2000)
+        rng = random.Random(2929)
+        S = Semigroup(mincap(6).array)
+        cases = [random_instance(rng, [S] * rng.randint(1, 4), rng.randint(1, 4)) for _ in range(48)]
+        expected = [_summary(brute_force_solve(self._fresh(I))) for I in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                start = threading.Barrier(4, timeout=60)
+
+                def work(k):
+                    start.wait()
+                    return [_summary(brute_force_solve(I)) for I in cases[k::4]]
+
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(work, k) for k in range(4)]
+                    got = [f.result(timeout=60) for f in futures]
+                for k, summaries in enumerate(got):
+                    assert summaries == expected[k::4]
+                assert self._memo_cells(S) <= 2000
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_real_cap_on_one_wide_table(self):
+        # 220 letters into Z_300: a block holds about 69,000 cells, so a few
+        # dozen distinct constraints pass the cap
+        rng = random.Random(2828)
+        S = Semigroup(cyclic(300).array)
+        for _ in range(24):
+            I = _single(S, [rng.randrange(300) for _ in range(220)], {rng.randrange(300)})
+            solve._tables(I, 0)
+            assert self._memo_cells(S) <= solve.MEMO_CELLS
+        self._same_as_fresh(I, 0)
+
+
 class TestCells:
     """``_bfs`` packs consecutive constraints into cells of at most 256
     values and gives a constraint of more than 256 elements a cell of its
@@ -419,7 +561,7 @@ class TestLiveness:
 
     @staticmethod
     def _live_rows_at(I, horizon):
-        live = solve._tables(I, horizon)[0].any(axis=1)
+        live = _profiles(I, horizon).any(axis=1)
         row = 0
         for c, expected in zip(I.constraints, live_elements(I)):
             n = c.semigroup.size
@@ -464,7 +606,7 @@ class TestLengthProfile:
 
     @staticmethod
     def _same_profiles(I, horizon):
-        profile = solve._tables(I, horizon)[0]
+        profile = _profiles(I, horizon)
         assert profile.shape[1] == horizon + 1
         rows = [set(np.flatnonzero(bits).tolist()) for bits in profile]
         # length_sets ends each constraint's list with the empty word's lengths
