@@ -40,10 +40,16 @@ rows become one integer array in one pass, which ``Semigroup`` checks with one
 to report a ragged row or a non-integer token at its line.
 
 A batch of reduced instances repeats a few tables many times, so
-``parse_instance`` interns TABLE blocks that pass the row checks: a block
-seen before returns the same validated ``Semigroup`` object, memos and all.
-Only a block that parsed without error is kept, so every error is raised
-afresh at its line.  The process-wide cache is a ``functools.lru_cache`` of
+``parse_instance`` interns TABLE blocks by their row text: a block seen
+before returns the same validated ``Semigroup`` object, memos and all.
+``parse_instance`` reads logical lines lazily, and when the n raw lines
+after a TABLE line are followed by END, it looks those lines up as they
+stand, before splitting them into tokens; a block with a blank or comment
+line among its rows is looked up by its tokens joined row by row, which
+are its raw lines when it is written canonically.  The cache keeps a
+block only once its text has n rows of n tokens and a valid table, and a
+block that fails is read again token by token, so every error is raised
+at its line.  The process-wide cache is a ``functools.lru_cache`` of
 ``INTERN_TABLES`` tables of at most 64 elements (2**16 cells in all), so
 threads may share it; ``parse_table_text`` does not use it.
 ``serialize_instance`` memoises each table's row block on its object.
@@ -122,9 +128,12 @@ INTERN_TABLES = 16  # TABLE blocks parse_instance keeps
 
 
 @functools.lru_cache(maxsize=INTERN_TABLES)
-def _interned(tokens: str, n: int) -> Semigroup:
-    """The validated semigroup whose n * n entries are ``tokens``, separated by spaces."""
-    return check_associative(np.fromiter(map(_int, tokens.split()), np.int64, n * n).reshape(n, n))
+def _interned(rows: str, n: int) -> Semigroup:
+    """The validated semigroup whose rows are the lines of ``rows``, each of n tokens."""
+    tokens = [line.split() for line in rows.split("\n")]
+    if len(tokens) != n or any(len(row) != n for row in tokens):
+        raise ValueError(f"expected {n} rows of {n} entries")
+    return check_associative(np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n))
 
 
 def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
@@ -133,9 +142,10 @@ def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
     The block's tokens become an (n, n) array in one pass.  Only a ragged row
     or a token that is no int64 sends the rows through one by one, to report
     the first bad row, or to leave a huge int to Semigroup's range check.
-    With ``intern``, a block of n rows of n tokens goes through ``_interned``
-    if the kept tables stay within 2**16 cells (n <= 64); a block that fails
-    there is read again below, to raise its error at its line.
+    With ``intern``, a block of n rows of n tokens goes through ``_interned``,
+    its tokens joined row by row, if the kept tables stay within 2**16 cells
+    (n <= 64); a block that fails there is read again below, to raise its
+    error at its line.
     """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
@@ -143,7 +153,7 @@ def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
     ragged = set(map(len, tokens)) != {n}
     if intern and not ragged and INTERN_TABLES * n * n <= 1 << 16:  # the tokens fix the table
         try:
-            return _interned(" ".join(chain.from_iterable(tokens)), n)
+            return _interned("\n".join(map(" ".join, tokens)), n)
         except (ValueError, OverflowError):
             pass
     try:
@@ -182,8 +192,10 @@ _table_rows = memo_on_object(serialize_table_text)
 
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate an SGI document (associativity included)."""
-    lines = _logical_lines(text)
-    it = iter(lines)  # every block below reads on from where the last one stopped
+    raw = text.splitlines()
+    numbered = enumerate(raw, start=1)  # a TABLE block may skip its rows here, past the logical lines
+    split = (lambda line: line.partition("#")[0].split()) if "#" in text else str.split
+    it = ((lineno, tokens) for lineno, line in numbered if (tokens := split(line)))
 
     lineno, tokens = _take(it)
     if tokens != ["SGI", "1"]:
@@ -197,12 +209,6 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("alphabet must be non-empty", lineno)
 
     names_line = None
-    if len(lines) > 2 and lines[2][1][0] == "NAMES":
-        names_line, tokens = _take(it)
-        if len(tokens) != m + 1:
-            raise FormatError(f"NAMES needs {m} tokens, got {len(tokens) - 1}", names_line)
-        names = tuple(tokens[1:])
-
     tables: dict[str, Semigroup] = {}
     constraints: list[tuple] = []  # (table, images, accept set, name) of each
     accept_sets: dict[str, frozenset[int]] = {}  # equal ACCEPT lines share one set
@@ -216,11 +222,21 @@ def parse_instance(text: str) -> Instance:
             n = _ints(tokens[2:], "table size", lineno)[0]
             if n < 1:
                 raise FormatError("table size must be >= 1", lineno)
-            rows = list(islice(takewhile(lambda line: line[1] != ["END"], it), n))  # stops at END
-            try:
-                tables[name] = _read_table(rows, n, lineno, intern=True)
-            except AssociativityError as exc:
-                raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
+            S = None  # the next n raw lines are the rows if the one after them is END
+            block = raw[lineno:lineno + n + 1] if INTERN_TABLES * n * n <= 1 << 16 else ()
+            if len(block) > n and block[n].split() == ["END"]:
+                try:
+                    S = _interned("\n".join(block[:n]), n)
+                    next(islice(numbered, n, n), None)  # past the rows
+                except (ValueError, OverflowError):
+                    pass
+            if S is None:
+                rows = list(islice(takewhile(lambda line: line[1] != ["END"], it), n))  # stops at END
+                try:
+                    S = _read_table(rows, n, lineno, intern=True)
+                except AssociativityError as exc:
+                    raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
+            tables[name] = S
             elineno, etokens = _take(it)
             if etokens != ["END"]:
                 raise FormatError("expected 'END' closing the TABLE block", elineno)
@@ -231,33 +247,31 @@ def parse_instance(text: str) -> Instance:
             if tname not in tables:
                 raise FormatError(f"constraint references undeclared table {tname!r}", lineno)
             S = tables[tname]
-            cname = None
-            images = None
-            accept = None
-            seen: set[str] = set()
+            size = S.size
+            cname = images = accept = None
             for blineno, btokens in it:
-                if btokens == ["END"]:
-                    break
-                if btokens[0] in seen:
-                    raise FormatError(f"repeated {btokens[0]} in CONSTRAINT block", blineno)
-                seen.add(btokens[0])
-                if btokens[0] == "NAME":
-                    if len(btokens) != 2:
-                        raise FormatError("expected 'NAME <token>'", blineno)
-                    cname = btokens[1]
-                elif btokens[0] == "IMAGES":
+                head = btokens[0]
+                if head == "IMAGES" and images is None:
                     images = _ints(btokens[1:], "image index", blineno)
                     if len(images) != m:
                         raise FormatError(f"IMAGES needs {m} indices, got {len(images)}", blineno)
-                    if min(images) < 0 or max(images) >= S.size:
+                    if min(images) < 0 or max(images) >= size:
                         _at_line(blineno, Morphism, images, S)  # raises the range error
-                elif btokens[0] == "ACCEPT":
+                elif head == "ACCEPT" and accept is None:
                     accept = frozenset(_ints(btokens[1:], "accept index", blineno))
-                    if accept and (min(accept) < 0 or max(accept) >= S.size):
+                    if accept and (min(accept) < 0 or max(accept) >= size):
                         _at_line(blineno, Constraint, Morphism([0] * m, S), accept)  # raises the range error
                     accept = accept_sets.setdefault(" ".join(btokens), accept)
+                elif btokens == ["END"]:
+                    break
+                elif head == "NAME" and cname is None:
+                    if len(btokens) != 2:
+                        raise FormatError("expected 'NAME <token>'", blineno)
+                    cname = btokens[1]
+                elif head in ("IMAGES", "ACCEPT", "NAME"):
+                    raise FormatError(f"repeated {head} in CONSTRAINT block", blineno)
                 else:
-                    raise FormatError(f"unexpected token {btokens[0]!r} in CONSTRAINT block", blineno)
+                    raise FormatError(f"unexpected token {head!r} in CONSTRAINT block", blineno)
             else:
                 raise FormatError("unexpected end of file")
             if images is None:
@@ -265,6 +279,11 @@ def parse_instance(text: str) -> Instance:
             if accept is None:
                 raise FormatError("CONSTRAINT block lacks ACCEPT", lineno)
             constraints.append((S, images, accept, cname))
+        elif tokens[0] == "NAMES" and names_line is None and not tables:  # only right after ALPHABET
+            names_line = lineno
+            if len(tokens) != m + 1:
+                raise FormatError(f"NAMES needs {m} tokens, got {len(tokens) - 1}", names_line)
+            names = tuple(tokens[1:])
         else:
             raise FormatError(f"unexpected token {tokens[0]!r}", lineno)
 

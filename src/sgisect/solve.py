@@ -281,44 +281,58 @@ def _cells(sizes) -> list[int]:
 
 
 @lru_cache(maxsize=LAYOUTS)
-def _layout(sizes: tuple[int, ...], A: int, horizon: int):
-    """What ``_tables`` needs of an instance's shape alone, as (base, dtype,
-    length_bits, runs): each cell's first row and the dtype of its values,
-    the mask words that select the profile bits, and ``_merge_cells``' plan
-    (per run of consecutive cells whose constraints have the same sizes,
-    per position in the cells: the size, the constraints there and their
-    rows), or None when each cell is one constraint.  A row's mask words
-    hold a bit per letter for "its successor is live", one for "the row
-    accepts", the profile bits and the live flag, which no mask test reads;
-    a reduce over cells is several times slower on two words than on one,
-    so they share words.
+def _layout(sizes: tuple[int, ...], index: bytes, A: int, horizon: int):
+    """What ``_tables`` needs of an instance's shape alone, for tables of
+    ``sizes`` and constraints over the tables of ``index`` (intp bytes), as
+    (base, dtype, length_bits, runs, groups, order): each cell's first row
+    and the dtype of its values; the mask words that select the profile
+    bits; ``_merge_cells``' plan (per run of consecutive cells whose
+    constraints have the same sizes, per position in the cells: the size,
+    the constraints there and their rows), or None when each cell is one
+    constraint; each table's constraints (None for the only table); and
+    each row's place among the rows stacked table by table, or None when
+    the constraints come table by table.  A row's mask words hold a bit per
+    letter for "its successor is live", one for "the row accepts", the
+    profile bits and the live flag, which no mask test reads; a reduce over
+    cells is several times slower on two words than on one, so they share
+    words.
     """
-    starts = _cells(sizes)
-    values = np.multiply.reduceat(np.array(sizes, dtype=np.intp), starts)
+    index = np.frombuffer(index, dtype=np.intp)
+    constraint_sizes = np.array(sizes, dtype=np.intp)[index]
+    starts = _cells(constraint_sizes.tolist())
+    values = np.multiply.reduceat(constraint_sizes, starts)
     base = np.cumsum(values) - values
     nbytes = (A + horizon + 2) // 8 + 1
     words = np.dtype(f"<u{min(8, 1 << (nbytes - 1).bit_length())}")
     bits = np.zeros(8 * words.itemsize * -(-nbytes // words.itemsize), dtype=bool)
     bits[A + 1:A + horizon + 2] = True
     length_bits = np.packbits(bits, bitorder="little").view(words)
-    offsets, runs, shared = np.cumsum((0,) + sizes), [], [base, length_bits]
-    shapes = [sizes[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(sizes)])]
+    offsets, runs, shared = np.cumsum(np.append(0, constraint_sizes)), [], [base, length_bits]
+    shapes = [tuple(constraint_sizes[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:] + [len(index)])]
     for shape, run in itertools.groupby(zip(shapes, starts), key=lambda cell: cell[0]):
         heads = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
         runs.append(tuple((n, heads + i, offsets[heads + i][:, None] + np.arange(n)) for i, n in enumerate(shape)))
         shared += [a for _, members, rows in runs[-1] for a in (members, rows)]
+    groups = [np.flatnonzero(index == j) for j in range(len(sizes))] if len(sizes) > 1 else [None]
+    shared += groups if len(sizes) > 1 else []
+    order = None
+    if (np.diff(index) < 0).any():  # the tables interleave
+        order = np.argsort(np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in np.concatenate(groups)]))
+        shared.append(order)
     for a in shared:  # every caller gets these arrays
         a.flags.writeable = False
-    return base, np.min_scalar_type(values.max() - 1), length_bits, tuple(runs) if len(starts) < len(sizes) else None
+    dtype = np.min_scalar_type(values.max() - 1)
+    return base, dtype, length_bits, tuple(runs) if len(starts) < len(index) else None, tuple(groups), order
 
 
 def _merge_cells(step, masks, first, runs):
     """The successor and mask rows of ``_bfs``'s cells, and the cell values
     of its one-letter words, from those of their constraints.
 
-    ``step`` and ``masks`` stack each constraint's element rows, ``first``
-    holds each letter's image in each constraint, and ``runs`` is the plan
-    of ``_layout``.  A cell's values number its constraints' element tuples
+    ``step`` holds each letter's successors of the constraints' element
+    rows, letter-major, ``masks`` the rows' mask words, ``first`` each
+    letter's image in each constraint, and ``runs`` is the plan of
+    ``_layout``.  A cell's values number its constraints' element tuples
     in mixed radix, the first constraint most significant.  Horner's rule
     builds all three one constraint at a time: a longer tuple's successor
     is its prefix's successor times the constraint's size plus the
@@ -328,17 +342,17 @@ def _merge_cells(step, masks, first, runs):
     constraints has at most 256 values, and step's dtype holds every size,
     so the sums stay in that dtype.
     """
-    A, W = step.shape[1], masks.shape[1]
+    A, W = step.shape[0], masks.shape[1]
     parts = []
     for (_, members, rows), *rest in runs:
-        succ, mask, letter = step[rows], masks[rows], first[:, members]
-        for n, members, rows in rest:  # (cells, values so far times n, A), and (A, cells) for the letters
-            succ = (succ[:, :, None] * n + step[rows][:, None]).reshape(len(members), -1, A)
+        succ, mask, letter = step[:, rows], masks[rows], first[:, members]
+        for n, members, rows in rest:  # (A, cells, values so far times n), and (A, cells) for the letters
+            succ = (succ[:, :, :, None] * n + step[:, rows][:, :, None]).reshape(A, len(members), -1)
             mask = (mask[:, :, None] & masks[rows][:, None]).reshape(len(members), -1, W)
             letter = letter * n + first[:, members]
-        parts.append((succ.reshape(-1, A), mask.reshape(-1, W), letter))
+        parts.append((succ.reshape(A, -1), mask.reshape(-1, W), letter))
     succ, mask, letter = zip(*parts)
-    return np.concatenate(succ), np.concatenate(mask), np.concatenate(letter, axis=1)
+    return np.concatenate(succ, axis=1), np.concatenate(mask), np.concatenate(letter, axis=1)
 
 
 def _bfs(instance: Instance, depth_cap: int | None, state_cap: int,
@@ -484,76 +498,97 @@ def _tables(instance: Instance, horizon: int):
 
     A constraint's *block* (``_blocks``) depends only on its table, letter
     images in letter order, accept set and the horizon, so each is kept in
-    its table's memo (``_store``), and an instance's misses are built
-    together, one batch per table.  ``rows`` stacks the blocks' mask rows;
-    ``allowed_after`` ORs their words, so after a word ending in l it allows
-    each b >= l and each b failing to commute with l in some constraint.
-    For every cell value there is its successor by each letter (``table``,
-    at letter times the cell rows plus row; ``base`` holds each cell's
-    first row) and its mask words (``masks``): the blocks as they stand
-    when each cell is one constraint, else merged by ``_merge_cells``.
-    ``first`` holds each one-letter word's cell values.
+    its table's block store for the alphabet size and horizon (``_grow``),
+    and an instance's misses are built together, one batch per table.  Its
+    blocks are three gathers from each table's store.  ``rows`` stacks
+    the blocks' mask rows in constraint order; ``allowed_after`` ORs their
+    words, so after a word ending in l it allows each b >= l and each b
+    failing to commute with l in some constraint.  For every cell value
+    there is its successor by each letter (``table``, at letter times the
+    cell rows plus row; ``base`` holds each cell's first row) and its mask
+    words (``masks``): the blocks as they stand when each cell is one
+    constraint, else merged by ``_merge_cells``.  ``first`` holds each
+    one-letter word's cell values.
     """
     A, tables = instance.alphabet_size, instance.tables
-    index, sizes = instance.table_index.tolist(), [S.size for S in tables]
-    base, dtype, length_bits, runs = _layout(tuple(sizes[j] for j in index), A, horizon)
-    images = instance.images.view(np.dtype((np.void, A * instance.images.itemsize))).ravel().tolist()
-    memos = [_memo(S) for S in tables]
-    blocks, missing = [], {}  # missing: for each table, each missing key's constraints
-    for i, (j, key) in enumerate(zip(index, zip(images, instance.accepts, itertools.repeat(horizon)))):
-        blocks.append(memos[j].get(key))
-        if blocks[i] is None:
-            missing.setdefault(j, {}).setdefault(key, []).append(i)
-    for j, keys in missing.items():
-        for block, same in zip(_blocks(tables[j], list(keys), length_bits), keys.values()):
-            for i in same:
-                blocks[i] = block
-    succ, masks, allowed = zip(*blocks)
-    rows = masks = np.concatenate(masks)
-    allowed_after = np.bitwise_or.reduce(np.concatenate(allowed).reshape(len(blocks), A, -1))
-    first = instance.images.T  # (A, constraints): each letter's images
-    if runs is None:
-        step = np.concatenate(succ, dtype=dtype)
+    sizes = tuple(S.size for S in tables)
+    base, dtype, length_bits, runs, groups, order = _layout(sizes, instance.table_index.tobytes(), A, horizon)
+    succ, masks, allowed = [], [], []
+    for S, members in zip(tables, groups):
+        images, accepts = instance.images, instance.accepts
+        if members is not None:
+            images, accepts = images[members], [accepts[i] for i in members.tolist()]
+        keys = list(zip(images.astype(S.array.dtype).view(f"V{A * S.array.itemsize}").ravel().tolist(), accepts))
+        (_, s, m, a), ids = _rows(S, A, horizon, keys, length_bits)
+        succ.append(s.take(ids, axis=1).reshape(A, -1))
+        masks.append(m.take(ids, axis=0).reshape(-1, length_bits.size))
+        allowed.append(a.take(ids, axis=0))
+    step_dtype = dtype if runs is None else np.min_scalar_type(max(sizes))  # holds every size, for Horner's rule
+    if len(tables) == 1:
+        (step,), (rows,), (allowed,) = succ, masks, allowed
     else:
-        step = np.concatenate(succ, dtype=np.min_scalar_type(max(sizes)))  # holds every size, for Horner's rule
-        step, masks, first = _merge_cells(step, masks, first, runs)
-    table = np.ascontiguousarray(step.T, dtype=dtype).ravel()  # letter times the cell rows plus row
+        step, rows = np.concatenate(succ, axis=1, dtype=step_dtype), np.concatenate(masks)
+        allowed = np.concatenate(allowed)
+    if order is not None:
+        step, rows = step.take(order, axis=1), rows.take(order, axis=0)
+    allowed_after = np.bitwise_or.reduce(allowed)
+    masks, first = rows, instance.images.T  # (A, constraints): each letter's images
+    if runs is not None:
+        step, masks, first = _merge_cells(step.astype(step_dtype, copy=False), masks, first, runs)
+        step = step.astype(dtype)
+    table = step.ravel()  # letter times the cell rows plus row
     return rows, masks, allowed_after, table, base, np.ascontiguousarray(first, dtype=dtype), length_bits
 
 
-def _blocks(S: Semigroup, keys: list, length_bits: np.ndarray) -> list:
-    """The blocks of constraints over S for ``keys`` (letter images as intp
-    bytes, accept set, horizon), each kept in S's memo as read-only (succ,
-    rows, allowed), the words shaped like ``length_bits``: ``succ[x, a]`` is
-    x times a's image; row x of ``rows`` has bit a if that is live, then
-    x's flags from ``_length_profile``; row l of ``allowed`` has bit b if
-    b >= l or h(l)h(b) != h(b)h(l), and bit A.  Misses are built in chunks
-    whose bits, one bool each, fit the memo's cap.
+def _rows(S: Semigroup, A: int, horizon: int, keys: list, length_bits: np.ndarray):
+    """S's block store for (A, horizon) and the row in it of each of ``keys``,
+    (letter images as bytes in S's dtype, accept set), building the misses;
+    if the memo is emptied between the lookup and the store, every block of
+    the instance is built again."""
+    store = _memo(S).get((A, horizon), ({},))
+    try:
+        return store, np.fromiter(map(store[0].get, keys), np.intp, len(keys))
+    except TypeError:  # a key the store lacks gave None
+        pass
+    wanted = list(dict.fromkeys(keys))
+    missing = [key for key in wanted if key not in store[0]]
+    store = _grow(S, (A, horizon), missing, _blocks(S, missing, horizon, length_bits))
+    if any(key not in store[0] for key in wanted):  # the memo was emptied meanwhile
+        store = _grow(S, (A, horizon), wanted, _blocks(S, wanted, horizon, length_bits))
+    return store, np.fromiter(map(store[0].get, keys), np.intp, len(keys))
+
+
+def _blocks(S: Semigroup, keys: list, horizon: int, length_bits: np.ndarray):
+    """The blocks of constraints over S for ``keys`` (letter images as bytes
+    in S's dtype, accept set), stacked as a store holds them, (succ, masks,
+    allowed), the words shaped like ``length_bits``: ``succ[a, i, x]`` is x
+    times a's image under key i; row x of ``masks[i]`` has bit a if that is
+    live, then x's flags from ``_length_profile``; row l of ``allowed[i]``
+    has bit b if b >= l or h(l)h(b) != h(b)h(l), and bit A.  They are built
+    in chunks whose bits, one bool each, fit the memo's cap.
     """
-    images = np.frombuffer(b"".join(row for row, _, _ in keys), dtype=np.intp).reshape(len(keys), -1)
-    (g, A), n, width, horizon = images.shape, S.size, 8 * length_bits.nbytes, keys[0][2]
+    images = np.frombuffer(b"".join(row for row, _ in keys), dtype=S.array.dtype).reshape(len(keys), -1)
+    (g, A), n, width = images.shape, S.size, 8 * length_bits.nbytes
+    succ, words = np.empty((A, g, n), dtype=S.array.dtype), np.empty((g, n + A, length_bits.size), length_bits.dtype)
     chunk = max(1, MEMO_CELLS // ((n + A) * width))
-    if g > chunk:
-        return [block for lo in range(0, g, chunk) for block in _blocks(S, keys[lo:lo + chunk], length_bits)]
-    flags = np.array([_length_profile(S, frozenset(row), accept, horizon)
-                      for row, (_, accept, _) in zip(images.tolist(), keys)])  # (g, n, horizon + 3)
-    succ = np.ascontiguousarray(S.array.take(images, axis=1).transpose(1, 0, 2))  # (g, n, A)
-    bits = np.zeros((g, n + A, width), dtype=bool)
-    bits[:, :n, A:A + horizon + 3] = flags
-    bits[:, :n, :A] = np.take_along_axis(flags[:, :, -1:], succ, axis=1)
-    products = S.array[images[:, :, None], images[:, None, :]]  # (g, A, A): h(l)h(b) at [l, b]
-    bits[:, n:, :A] = (products != products.transpose(0, 2, 1)) | (np.arange(A) >= np.arange(A)[:, None])
-    bits[:, n:, A] = True
-    words = np.packbits(bits, axis=2, bitorder="little").view(length_bits.dtype)  # (g, n + A, W)
-    succ.flags.writeable = words.flags.writeable = False
-    blocks = [(succ[i], words[i, :n], words[i, n:]) for i in range(g)]
-    for key, block in zip(keys, blocks):
-        _store(S, key, block, sum(a.size for a in block))
-    return blocks
+    for lo in range(0, g, chunk):
+        part = images[lo:lo + chunk]
+        flags = np.array([_length_profile(S, frozenset(row), accept, horizon)
+                          for row, (_, accept) in zip(part.tolist(), keys[lo:lo + chunk])])  # (c, n, horizon + 3)
+        step = S.array.take(part, axis=1)  # (n, c, A)
+        succ[:, lo:lo + chunk] = step.transpose(2, 1, 0)
+        bits = np.zeros((len(part), n + A, width), dtype=bool)
+        bits[:, :n, A:A + horizon + 3] = flags
+        bits[:, :n, :A] = np.take_along_axis(flags[:, :, -1:], step.transpose(1, 0, 2), axis=1)
+        products = S.array[part[:, :, None], part[:, None, :]]  # (c, A, A): h(l)h(b) at [l, b]
+        bits[:, n:, :A] = (products != products.transpose(0, 2, 1)) | (np.arange(A) >= np.arange(A)[:, None])
+        bits[:, n:, A] = True
+        words[lo:lo + chunk] = np.packbits(bits, axis=2, bitorder="little").view(length_bits.dtype)
+    return succ, words[:, :n], words[:, n:]
 
 
 def _memo(S: Semigroup) -> dict:
-    """S's memo of length profiles and blocks; the key None holds its count of array cells."""
+    """S's memo of length profiles and block stores; the key None holds its count of array cells."""
     return vars(S).setdefault("_bfs_memo", {None: 0})
 
 
@@ -568,6 +603,54 @@ def _store(S: Semigroup, key, value, cells: int) -> None:
                 memo = vars(S)["_bfs_memo"] = {None: 0}
             memo[key] = value
             memo[None] += cells
+
+
+def _grow(S: Semigroup, slot: tuple[int, int], keys: list, blocks: tuple) -> tuple:
+    """S's store for ``slot`` (A, horizon), with ``blocks``, the stacked
+    blocks of ``keys``, added where it lacks them.
+
+    A store is (ids, succ, masks, allowed): ids maps each key it holds to its
+    row, and the read-only arrays stack the blocks of ``_blocks``, ``succ``
+    letter-major as (A, rows, n), ``masks`` as (rows, n, W) and ``allowed``
+    as (rows, A, W).  They double their capacity as they fill, and the memo
+    counts that capacity.  New rows are written past those in use before
+    their keys go in, and a store with new arrays is swapped in whole, so a
+    store read without the lock is always whole.  A store that would take
+    the memo past ``MEMO_CELLS`` empties it first, and blocks larger than
+    ``MEMO_CELLS`` come back as a store that is not kept.
+    """
+    succ, masks, allowed = blocks
+    (A, _, n), W = succ.shape, masks.shape[2]
+    per_block = A * n + n * W + A * W
+    with _STORE_LOCK:
+        memo = _memo(S)
+        ids, *arrays = memo.get(slot, ({}, None, None, None))
+        new = [i for i, key in enumerate(keys) if key not in ids]
+        used, capacity = len(ids), 0 if arrays[1] is None else len(arrays[1])
+        if used + len(new) > capacity:
+            room = capacity + (MEMO_CELLS - memo[None]) // per_block  # doubling stops at the bound
+            grown = max(used + len(new), min(2 * capacity, room))
+            if grown > room:
+                if len(keys) * per_block > MEMO_CELLS:
+                    return dict(zip(keys, range(len(keys)))), succ, masks, allowed
+                memo = vars(S)["_bfs_memo"] = {None: 0}
+                ids, new, used, capacity, grown = {}, list(range(len(keys))), 0, 0, len(keys)
+            bases = [np.empty((A, grown, n), succ.dtype), np.empty((grown, n, W), masks.dtype),
+                     np.empty((grown, A, W), masks.dtype)]
+            if used:
+                bases[0][:, :used] = arrays[0][:, :used]
+                bases[1][:used], bases[2][:used] = arrays[1][:used], arrays[2][:used]
+            arrays = [a.view() for a in bases]  # read-only views; only this function writes, through .base
+            for a in arrays:
+                a.flags.writeable = False
+            ids = dict(ids)
+            memo[None] += (grown - capacity) * per_block
+        end = used + len(new)
+        arrays[0].base[:, used:end], arrays[1].base[used:end], arrays[2].base[used:end] = (
+            succ[:, new], masks[new], allowed[new])
+        ids.update(zip([keys[i] for i in new], range(used, end)))
+        memo[slot] = store = (ids, *arrays)
+    return store
 
 
 def _length_profile(S: Semigroup, images: frozenset[int], accept: frozenset[int], horizon: int) -> np.ndarray:
@@ -755,9 +838,9 @@ class VerifyResult:
 def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
     """Check a witness against every constraint; polynomial even for SLPs.
 
-    A word is read as the one production of an SLP.  The constraints over
-    one table are folded together: a variable's value is a list over them,
-    one list comprehension per symbol.
+    A word is read as the one production of an SLP.  Each constraint folds
+    the productions on its own, over its row of ``images`` and its table's
+    tuples.
     """
     A, G = instance.alphabet_size, witness.slp
     if G is None:
@@ -769,18 +852,15 @@ def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
         raise ValueError(f"alphabet mismatch: SLP has {G.alphabet_size} letters, instance {A}")
     else:
         order, rhs, start = _topo_reachable(G), G.rhs, G.start
-    columns, index = instance.images.T.tolist(), instance.table_index.tolist()
-    images = [0] * len(index)
-    for j, S in enumerate(instance.tables):
-        members = [i for i, t in enumerate(index) if t == j]
-        letters, values, t = [[column[i] for i in members] for column in columns], {}, S.table
+    tables, images = [S.table for S in instance.tables], []
+    for letters, j in zip(instance.images.tolist(), instance.table_index.tolist()):
+        t, values = tables[j], {}
         for v in order:
             acc = None
             for sym in rhs[v]:
                 val = values[ref_target(sym)] if is_var_ref(sym) else letters[sym]
-                acc = val if acc is None else [t[x][y] for x, y in zip(acc, val)]
+                acc = val if acc is None else t[acc][val]
             values[v] = acc
-        for i, x in zip(members, values[start]):
-            images[i] = x
+        images.append(values[start])
     failing = tuple(i for i, (x, accept) in enumerate(zip(images, instance.accepts)) if x not in accept)
     return VerifyResult(not failing, tuple(images), failing)

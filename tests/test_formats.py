@@ -502,6 +502,25 @@ class TestTableIntern:
             assert exc.value.line == lineno + shift
         assert fresh_table_intern.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("rows", [
+        "0 1 2\n\n1 2 2\n2 2 2\n", "0 1 2\n1 2 2 # row 1\n2 2 2\n", "# rows\n0 1 2\n1 2 2\n2 2 2\n",
+        "0 1 2  \n\t1 2 2\n2  2 2\n", "0 1 2\r\n1 2 2\r\n2 2 2\r\n",
+    ], ids=["blank-line", "comment", "comment-line", "spaces", "crlf"])
+    def test_rows_written_otherwise_give_the_same_table(self, fresh_table_intern, rows):
+        # a block whose raw lines are not just its rows is read from its tokens
+        canonical = parse_instance(_HEAD + _GOOD_ROWS + _TAIL)
+        for _ in range(2):  # the second time from the cache
+            parsed = parse_instance(_HEAD + rows + _TAIL)
+            assert parsed == canonical and self._table(parsed).table == self._table(canonical).table
+        assert parse_instance((_HEAD + _GOOD_ROWS + _TAIL).replace("\n", "\r\n")) == canonical
+
+    def test_rows_and_tokens_share_one_entry(self, fresh_table_intern):
+        # canonical rows are their own tokens joined row by row, so the raw
+        # lines and a commented copy of the block find one cached table
+        S = self._table(parse_instance(_HEAD + _GOOD_ROWS + _TAIL))
+        assert self._table(parse_instance(_HEAD + _GOOD_ROWS.replace("\n", " # c\n") + _TAIL)) is S
+        assert fresh_table_intern.cache_info().currsize == 1
+
     def test_equal_blocks_in_one_document_share_an_object(self, fresh_table_intern):
         text = (_HEAD + _GOOD_ROWS + "END\nTABLE T1 3\n" + _GOOD_ROWS + _TAIL
                 + "CONSTRAINT T1\nIMAGES 1 0\nACCEPT 2\nEND\n")

@@ -326,11 +326,13 @@ class TestBatchedSetup:
 
 
 class TestBlockMemo:
-    """``_tables`` keeps each constraint's block and each length profile in
-    a memo on the table object, keyed by the letter images in letter order
-    (the profile by their set), the accept set and the horizon, and held to
-    ``MEMO_CELLS`` array cells.  A search that reads the memo must equal one
-    over an equal table with an empty memo."""
+    """``_tables`` keeps each constraint's block in a store on the table
+    object, one per alphabet size and horizon, keyed by the letter images in
+    letter order and the accept set, and each length profile in the same
+    memo, keyed by the set of images, the accept set and the horizon; the
+    stores' capacity and the profiles are held to ``MEMO_CELLS`` array
+    cells.  A search that reads the memo must equal one over an equal table
+    with an empty memo."""
 
     @staticmethod
     def _fresh(I):
@@ -347,7 +349,7 @@ class TestBlockMemo:
     @staticmethod
     def _memo_cells(S):
         memo = vars(S).get("_bfs_memo", {None: 0})
-        cells = sum(sum(a.size for a in v) if isinstance(v, tuple) else v.size
+        cells = sum(sum(a.size for a in v[1:]) if isinstance(v, tuple) else v.size
                     for k, v in memo.items() if k is not None)
         assert cells == memo[None]
         return cells
@@ -392,7 +394,7 @@ class TestBlockMemo:
         I = self._fresh(reduce_nilpotent(CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3})))))
         li_solve(I)
         memo = vars(I.tables[0])["_bfs_memo"]
-        arrays = [a for k, v in memo.items() if k is not None for a in (v if isinstance(v, tuple) else (v,))]
+        arrays = [a for k, v in memo.items() if k is not None for a in (v[1:] if isinstance(v, tuple) else (v,))]
         assert len(arrays) > 3
         _, _, _, _, base, _, length_bits = solve._tables(I, 0)
         for a in arrays + [base, length_bits]:
@@ -417,7 +419,7 @@ class TestBlockMemo:
         assert len(memos) > 2  # emptied at least twice
         wide = _single(S, [rng.randrange(6) for _ in range(120)], {5})  # 6 x 120 successors alone
         _agree_with_reference(wide)
-        assert (wide.images.tobytes(), frozenset({5}), 0) not in vars(S)["_bfs_memo"]
+        assert (120, 0) not in vars(S)["_bfs_memo"]
         assert self._memo_cells(S) <= 600
 
     def test_threads_share_one_memo(self, monkeypatch):
@@ -446,6 +448,26 @@ class TestBlockMemo:
                 assert self._memo_cells(S) <= 2000
         finally:
             sys.setswitchinterval(interval)
+
+    def test_interleaved_tables(self):
+        # constraints over three tables in the order S, T, S, U, T, S: each
+        # table's blocks are gathered together and the rows put back in
+        # constraint order, in one-constraint cells (sizes 17, 18 and 16
+        # pack no pair) and in packed ones (sizes 3, 2 and 4)
+        rng = random.Random(3131)
+        for S, T, U in ((mincap(17), leftzero(18), cyclic(16)), (mincap(3), cyclic(2), rightzero(4))):
+            S, T, U = (Semigroup(X.array) for X in (S, T, U))
+            packed = S.size < 17
+            for _ in range(6):
+                I = random_instance(rng, [S, T, S, U, T, S], rng.randint(2, 4))
+                assert I.table_index.tolist() == [0, 1, 0, 2, 1, 0]
+                assert (solve._layout(tuple(X.size for X in I.tables), I.table_index.tobytes(),
+                                      I.alphabet_size, 0)[3] is not None) == packed
+                for _ in range(2):  # building the blocks, then reading them back
+                    self._same_as_fresh(I, 0)
+                    _agree_with_reference(I)
+                horizon = 2 * max(li_degree(X) or 0 for X in I.tables)
+                self._same_as_fresh(I, horizon)
 
     def test_real_cap_on_one_wide_table(self):
         # 220 letters into Z_300: a block holds about 69,000 cells, so a few
