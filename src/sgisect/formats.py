@@ -127,6 +127,11 @@ def _at_line(lineno: int, build, *args):
 INTERN_TABLES = 16  # TABLE blocks parse_instance keeps
 
 
+def _internable(n: int) -> bool:
+    """Whether n-element tables go through ``_interned``: the kept tables stay within 2**16 cells (n <= 64)."""
+    return INTERN_TABLES * n * n <= 1 << 16
+
+
 @functools.lru_cache(maxsize=INTERN_TABLES)
 def _interned(rows: str, n: int) -> Semigroup:
     """The validated semigroup whose rows are the lines of ``rows``, each of n tokens."""
@@ -143,15 +148,14 @@ def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
     or a token that is no int64 sends the rows through one by one, to report
     the first bad row, or to leave a huge int to Semigroup's range check.
     With ``intern``, a block of n rows of n tokens goes through ``_interned``,
-    its tokens joined row by row, if the kept tables stay within 2**16 cells
-    (n <= 64); a block that fails there is read again below, to raise its
-    error at its line.
+    its tokens joined row by row, if ``_internable(n)``; a block that fails
+    there is read again below, to raise its error at its line.
     """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
     tokens = [t for _, t in rows]
     ragged = set(map(len, tokens)) != {n}
-    if intern and not ragged and INTERN_TABLES * n * n <= 1 << 16:  # the tokens fix the table
+    if intern and not ragged and _internable(n):  # the tokens fix the table
         try:
             return _interned("\n".join(map(" ".join, tokens)), n)
         except (ValueError, OverflowError):
@@ -223,7 +227,7 @@ def parse_instance(text: str) -> Instance:
             if n < 1:
                 raise FormatError("table size must be >= 1", lineno)
             S = None  # the next n raw lines are the rows if the one after them is END
-            block = raw[lineno:lineno + n + 1] if INTERN_TABLES * n * n <= 1 << 16 else ()
+            block = raw[lineno:lineno + n + 1] if _internable(n) else ()
             if len(block) > n and block[n].split() == ["END"]:
                 try:
                     S = _interned("\n".join(block[:n]), n)

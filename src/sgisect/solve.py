@@ -42,7 +42,7 @@ import operator
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -284,18 +284,17 @@ def _cells(sizes) -> list[int]:
 def _layout(sizes: tuple[int, ...], index: bytes, A: int, horizon: int):
     """What ``_tables`` needs of an instance's shape alone, for tables of
     ``sizes`` and constraints over the tables of ``index`` (intp bytes), as
-    (base, dtype, length_bits, runs, groups, order): each cell's first row
-    and the dtype of its values; the mask words that select the profile
-    bits; ``_merge_cells``' plan (per run of consecutive cells whose
-    constraints have the same sizes, per position in the cells: the size,
-    the constraints there and their rows), or None when each cell is one
-    constraint; each table's constraints (None for the only table); and
-    each row's place among the rows stacked table by table, or None when
-    the constraints come table by table.  A row's mask words hold a bit per
-    letter for "its successor is live", one for "the row accepts", the
-    profile bits and the live flag, which no mask test reads; a reduce over
-    cells is several times slower on two words than on one, so they share
-    words.
+    (base, dtype, length_bits, runs, spans): each cell's first row and the
+    dtype of its values; the mask words that select the profile bits;
+    ``_merge_cells``' plan (per run of consecutive cells whose constraints
+    have the same sizes, per position in the cells: the size, the
+    constraints there and their rows), or None when each cell is one
+    constraint; and each span, a run of consecutive constraints over one
+    table, as (table, first constraint, end).  A row's mask words hold a
+    bit per letter for "its successor is live", one for "the row accepts",
+    the profile bits and the live flag, which no mask test reads; a reduce
+    over cells is several times slower on two words than on one, so they
+    share words.
     """
     index = np.frombuffer(index, dtype=np.intp)
     constraint_sizes = np.array(sizes, dtype=np.intp)[index]
@@ -313,16 +312,12 @@ def _layout(sizes: tuple[int, ...], index: bytes, A: int, horizon: int):
         heads = np.array([lo for _, lo in run])  # the first constraint of each cell in the run
         runs.append(tuple((n, heads + i, offsets[heads + i][:, None] + np.arange(n)) for i, n in enumerate(shape)))
         shared += [a for _, members, rows in runs[-1] for a in (members, rows)]
-    groups = [np.flatnonzero(index == j) for j in range(len(sizes))] if len(sizes) > 1 else [None]
-    shared += groups if len(sizes) > 1 else []
-    order = None
-    if (np.diff(index) < 0).any():  # the tables interleave
-        order = np.argsort(np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in np.concatenate(groups)]))
-        shared.append(order)
     for a in shared:  # every caller gets these arrays
         a.flags.writeable = False
+    ends = [*(np.flatnonzero(np.diff(index)) + 1).tolist(), len(index)]
+    spans = tuple((int(index[lo]), lo, end) for lo, end in zip([0] + ends, ends))
     dtype = np.min_scalar_type(values.max() - 1)
-    return base, dtype, length_bits, tuple(runs) if len(starts) < len(index) else None, tuple(groups), order
+    return base, dtype, length_bits, tuple(runs) if len(starts) < len(index) else None, spans
 
 
 def _merge_cells(step, masks, first, runs):
@@ -498,41 +493,35 @@ def _tables(instance: Instance, horizon: int):
 
     A constraint's *block* (``_blocks``) depends only on its table, letter
     images in letter order, accept set and the horizon, so each is kept in
-    its table's block store for the alphabet size and horizon (``_grow``),
-    and an instance's misses are built together, one batch per table.  Its
-    blocks are three gathers from each table's store.  ``rows`` stacks
-    the blocks' mask rows in constraint order; ``allowed_after`` ORs their
-    words, so after a word ending in l it allows each b >= l and each b
-    failing to commute with l in some constraint.  For every cell value
-    there is its successor by each letter (``table``, at letter times the
-    cell rows plus row; ``base`` holds each cell's first row) and its mask
-    words (``masks``): the blocks as they stand when each cell is one
-    constraint, else merged by ``_merge_cells``.  ``first`` holds each
-    one-letter word's cell values.
+    its table's block store for the alphabet size and horizon (``_grow``).
+    Each span (``_layout``) builds its misses in one batch and gathers its
+    blocks from the store, so ``rows`` stacks their mask rows in constraint
+    order, and ``allowed_after`` ORs their "allowed after" words: after a
+    word ending in l it allows each b >= l and each b failing to commute
+    with l in some constraint.  ``table`` holds each cell value's successor
+    by each letter, gathered from the tables, at letter times the cell rows
+    plus row (``base`` holds each cell's first row), and ``masks`` its mask
+    words: ``rows`` as they stand when each cell is one constraint, else
+    merged by ``_merge_cells``.  ``first`` holds each one-letter word's
+    cell values.
     """
-    A, tables = instance.alphabet_size, instance.tables
+    A, tables, images, accepts = instance.alphabet_size, instance.tables, instance.images, instance.accepts
     sizes = tuple(S.size for S in tables)
-    base, dtype, length_bits, runs, groups, order = _layout(sizes, instance.table_index.tobytes(), A, horizon)
-    succ, masks, allowed = [], [], []
-    for S, members in zip(tables, groups):
-        images, accepts = instance.images, instance.accepts
-        if members is not None:
-            images, accepts = images[members], [accepts[i] for i in members.tolist()]
-        keys = list(zip(images.astype(S.array.dtype).view(f"V{A * S.array.itemsize}").ravel().tolist(), accepts))
-        (_, s, m, a), ids = _rows(S, A, horizon, keys, length_bits)
-        succ.append(s.take(ids, axis=1).reshape(A, -1))
-        masks.append(m.take(ids, axis=0).reshape(-1, length_bits.size))
-        allowed.append(a.take(ids, axis=0))
+    base, dtype, length_bits, runs, spans = _layout(sizes, instance.table_index.tobytes(), A, horizon)
     step_dtype = dtype if runs is None else np.min_scalar_type(max(sizes))  # holds every size, for Horner's rule
-    if len(tables) == 1:
-        (step,), (rows,), (allowed,) = succ, masks, allowed
-    else:
-        step, rows = np.concatenate(succ, axis=1, dtype=step_dtype), np.concatenate(masks)
-        allowed = np.concatenate(allowed)
-    if order is not None:
-        step, rows = step.take(order, axis=1), rows.take(order, axis=0)
-    allowed_after = np.bitwise_or.reduce(allowed)
-    masks, first = rows, instance.images.T  # (A, constraints): each letter's images
+    succ, rows, allowed = [], [], []
+    for j, lo, end in spans:
+        S, part = tables[j], images[lo:end]
+        keys = list(zip(part.astype(S.array.dtype).view(f"V{A * S.array.itemsize}").ravel().tolist(),
+                        accepts[lo:end]))
+        blocks = _gather(S, A, horizon, keys, length_bits)
+        succ.append(S.array.T.take(part.T, axis=0).reshape(A, -1))  # letter-major: x times a's image
+        rows.append(blocks[:, :S.size].reshape(-1, length_bits.size))
+        allowed.append(np.bitwise_or.reduce(blocks[:, S.size:]))
+    if len(spans) > 1:
+        succ, rows = [np.concatenate(succ, axis=1, dtype=step_dtype)], [np.concatenate(rows)]
+    (step,), (rows,), allowed_after = succ, rows, reduce(np.bitwise_or, allowed)
+    masks, first = rows, images.T  # (A, constraints): each letter's images
     if runs is not None:
         step, masks, first = _merge_cells(step.astype(step_dtype, copy=False), masks, first, runs)
         step = step.astype(dtype)
@@ -540,43 +529,42 @@ def _tables(instance: Instance, horizon: int):
     return rows, masks, allowed_after, table, base, np.ascontiguousarray(first, dtype=dtype), length_bits
 
 
-def _rows(S: Semigroup, A: int, horizon: int, keys: list, length_bits: np.ndarray):
-    """S's block store for (A, horizon) and the row in it of each of ``keys``,
-    (letter images as bytes in S's dtype, accept set), building the misses;
-    if the memo is emptied between the lookup and the store, every block of
-    the instance is built again."""
+def _gather(S: Semigroup, A: int, horizon: int, keys: list, length_bits: np.ndarray) -> np.ndarray:
+    """The blocks of ``keys`` (letter images as bytes in S's dtype, accept
+    set), gathered from S's block store for (A, horizon), into which the
+    misses are built first; if the memo is emptied while they are built,
+    every block of the instance is built again."""
     store = _memo(S).get((A, horizon), ({},))
     try:
-        return store, np.fromiter(map(store[0].get, keys), np.intp, len(keys))
+        ids = np.fromiter(map(store[0].get, keys), np.intp, len(keys))
     except TypeError:  # a key the store lacks gave None
-        pass
-    wanted = list(dict.fromkeys(keys))
-    missing = [key for key in wanted if key not in store[0]]
-    store = _grow(S, (A, horizon), missing, _blocks(S, missing, horizon, length_bits))
-    if any(key not in store[0] for key in wanted):  # the memo was emptied meanwhile
-        store = _grow(S, (A, horizon), wanted, _blocks(S, wanted, horizon, length_bits))
-    return store, np.fromiter(map(store[0].get, keys), np.intp, len(keys))
+        wanted = list(dict.fromkeys(keys))
+        missing = [key for key in wanted if key not in store[0]]
+        store = _grow(S, (A, horizon), missing, _blocks(S, missing, horizon, length_bits))
+        if any(key not in store[0] for key in wanted):  # the memo was emptied meanwhile
+            store = _grow(S, (A, horizon), wanted, _blocks(S, wanted, horizon, length_bits))
+        ids = np.fromiter(map(store[0].get, keys), np.intp, len(keys))
+    return store[1].take(ids, axis=0)
 
 
-def _blocks(S: Semigroup, keys: list, horizon: int, length_bits: np.ndarray):
+def _blocks(S: Semigroup, keys: list, horizon: int, length_bits: np.ndarray) -> np.ndarray:
     """The blocks of constraints over S for ``keys`` (letter images as bytes
-    in S's dtype, accept set), stacked as a store holds them, (succ, masks,
-    allowed), the words shaped like ``length_bits``: ``succ[a, i, x]`` is x
-    times a's image under key i; row x of ``masks[i]`` has bit a if that is
-    live, then x's flags from ``_length_profile``; row l of ``allowed[i]``
-    has bit b if b >= l or h(l)h(b) != h(b)h(l), and bit A.  They are built
-    in chunks whose bits, one bool each, fit the memo's cap.
+    in S's dtype, accept set), stacked as a store holds them: (keys, n + A)
+    words shaped like ``length_bits``.  Row x < n of block i has bit a if x
+    times a's image under key i is live, then x's flags from
+    ``_length_profile``; row n + l has bit b if b >= l or h(l)h(b) !=
+    h(b)h(l), and bit A.  They are built in chunks whose bits, one bool
+    each, fit the memo's cap.
     """
     images = np.frombuffer(b"".join(row for row, _ in keys), dtype=S.array.dtype).reshape(len(keys), -1)
     (g, A), n, width = images.shape, S.size, 8 * length_bits.nbytes
-    succ, words = np.empty((A, g, n), dtype=S.array.dtype), np.empty((g, n + A, length_bits.size), length_bits.dtype)
+    words = np.empty((g, n + A, length_bits.size), length_bits.dtype)
     chunk = max(1, MEMO_CELLS // ((n + A) * width))
     for lo in range(0, g, chunk):
         part = images[lo:lo + chunk]
         flags = np.array([_length_profile(S, frozenset(row), accept, horizon)
                           for row, (_, accept) in zip(part.tolist(), keys[lo:lo + chunk])])  # (c, n, horizon + 3)
         step = S.array.take(part, axis=1)  # (n, c, A)
-        succ[:, lo:lo + chunk] = step.transpose(2, 1, 0)
         bits = np.zeros((len(part), n + A, width), dtype=bool)
         bits[:, :n, A:A + horizon + 3] = flags
         bits[:, :n, :A] = np.take_along_axis(flags[:, :, -1:], step.transpose(1, 0, 2), axis=1)
@@ -584,7 +572,7 @@ def _blocks(S: Semigroup, keys: list, horizon: int, length_bits: np.ndarray):
         bits[:, n:, :A] = (products != products.transpose(0, 2, 1)) | (np.arange(A) >= np.arange(A)[:, None])
         bits[:, n:, A] = True
         words[lo:lo + chunk] = np.packbits(bits, axis=2, bitorder="little").view(length_bits.dtype)
-    return succ, words[:, :n], words[:, n:]
+    return words
 
 
 def _memo(S: Semigroup) -> dict:
@@ -605,51 +593,44 @@ def _store(S: Semigroup, key, value, cells: int) -> None:
             memo[None] += cells
 
 
-def _grow(S: Semigroup, slot: tuple[int, int], keys: list, blocks: tuple) -> tuple:
+def _grow(S: Semigroup, slot: tuple[int, int], keys: list, blocks: np.ndarray) -> tuple:
     """S's store for ``slot`` (A, horizon), with ``blocks``, the stacked
     blocks of ``keys``, added where it lacks them.
 
-    A store is (ids, succ, masks, allowed): ids maps each key it holds to its
-    row, and the read-only arrays stack the blocks of ``_blocks``, ``succ``
-    letter-major as (A, rows, n), ``masks`` as (rows, n, W) and ``allowed``
-    as (rows, A, W).  They double their capacity as they fill, and the memo
-    counts that capacity.  New rows are written past those in use before
-    their keys go in, and a store with new arrays is swapped in whole, so a
-    store read without the lock is always whole.  A store that would take
-    the memo past ``MEMO_CELLS`` empties it first, and blocks larger than
-    ``MEMO_CELLS`` come back as a store that is not kept.
+    A store is (ids, words): ids maps each key it holds to its row, and the
+    read-only ``words`` stacks the (n + A, W) blocks of ``_blocks``, with
+    no successor rows, which ``_tables`` reads from the table.  ``words``
+    doubles its capacity as it fills, and the memo counts that capacity.
+    New rows are written past those in use before their keys go in, and a
+    store with a new array is swapped in whole, so a store read without the
+    lock is always whole.  A store that would take the memo past
+    ``MEMO_CELLS`` empties it first, and blocks larger than ``MEMO_CELLS``
+    come back as a store that is not kept.
     """
-    succ, masks, allowed = blocks
-    (A, _, n), W = succ.shape, masks.shape[2]
-    per_block = A * n + n * W + A * W
+    per_block = blocks[0].size
     with _STORE_LOCK:
         memo = _memo(S)
-        ids, *arrays = memo.get(slot, ({}, None, None, None))
+        ids, words = memo.get(slot, ({}, blocks[:0]))
         new = [i for i, key in enumerate(keys) if key not in ids]
-        used, capacity = len(ids), 0 if arrays[1] is None else len(arrays[1])
+        used, capacity = len(ids), len(words)
         if used + len(new) > capacity:
             room = capacity + (MEMO_CELLS - memo[None]) // per_block  # doubling stops at the bound
             grown = max(used + len(new), min(2 * capacity, room))
             if grown > room:
                 if len(keys) * per_block > MEMO_CELLS:
-                    return dict(zip(keys, range(len(keys)))), succ, masks, allowed
+                    return dict(zip(keys, range(len(keys)))), blocks
                 memo = vars(S)["_bfs_memo"] = {None: 0}
                 ids, new, used, capacity, grown = {}, list(range(len(keys))), 0, 0, len(keys)
-            bases = [np.empty((A, grown, n), succ.dtype), np.empty((grown, n, W), masks.dtype),
-                     np.empty((grown, A, W), masks.dtype)]
-            if used:
-                bases[0][:, :used] = arrays[0][:, :used]
-                bases[1][:used], bases[2][:used] = arrays[1][:used], arrays[2][:used]
-            arrays = [a.view() for a in bases]  # read-only views; only this function writes, through .base
-            for a in arrays:
-                a.flags.writeable = False
+            full = np.empty((grown, *blocks.shape[1:]), blocks.dtype)
+            full[:used] = words[:used]
+            words = full.view()  # read-only; only this function writes, through .base
+            words.flags.writeable = False
             ids = dict(ids)
             memo[None] += (grown - capacity) * per_block
         end = used + len(new)
-        arrays[0].base[:, used:end], arrays[1].base[used:end], arrays[2].base[used:end] = (
-            succ[:, new], masks[new], allowed[new])
+        words.base[used:end] = blocks[new]
         ids.update(zip([keys[i] for i in new], range(used, end)))
-        memo[slot] = store = (ids, *arrays)
+        memo[slot] = store = (ids, words)
     return store
 
 

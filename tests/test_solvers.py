@@ -326,13 +326,16 @@ class TestBatchedSetup:
 
 
 class TestBlockMemo:
-    """``_tables`` keeps each constraint's block in a store on the table
-    object, one per alphabet size and horizon, keyed by the letter images in
-    letter order and the accept set, and each length profile in the same
-    memo, keyed by the set of images, the accept set and the horizon; the
-    stores' capacity and the profiles are held to ``MEMO_CELLS`` array
-    cells.  A search that reads the memo must equal one over an equal table
-    with an empty memo."""
+    """``_tables`` keeps each constraint's block, its mask and "allowed
+    after" words, in a store on the table object, one per alphabet size and
+    horizon, keyed by the letter images in letter order and the accept set,
+    and each length profile in the same memo, keyed by the set of images,
+    the accept set and the horizon; a store is (ids, one array), and the
+    successor rows come from the table.  The stores' capacity and the
+    profiles are held to ``MEMO_CELLS`` array cells.  Set-up goes span by
+    span, a span being a run of consecutive constraints over one table.  A
+    search that reads the memo must equal one over an equal table with an
+    empty memo."""
 
     @staticmethod
     def _fresh(I):
@@ -394,10 +397,11 @@ class TestBlockMemo:
         I = self._fresh(reduce_nilpotent(CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3})))))
         li_solve(I)
         memo = vars(I.tables[0])["_bfs_memo"]
-        arrays = [a for k, v in memo.items() if k is not None for a in (v[1:] if isinstance(v, tuple) else (v,))]
-        assert len(arrays) > 3
+        stores = [v for v in memo.values() if isinstance(v, tuple)]
+        profiles = [v for k, v in memo.items() if k is not None and not isinstance(v, tuple)]
+        assert [len(store) for store in stores] == [2] and profiles  # one store, of (ids, one array)
         _, _, _, _, base, _, length_bits = solve._tables(I, 0)
-        for a in arrays + [base, length_bits]:
+        for a in profiles + [stores[0][1], base, length_bits]:
             with pytest.raises(ValueError):
                 a.flat[0] = 0
 
@@ -417,10 +421,27 @@ class TestBlockMemo:
             if not memos or vars(S)["_bfs_memo"] is not memos[-1]:
                 memos.append(vars(S)["_bfs_memo"])
         assert len(memos) > 2  # emptied at least twice
-        wide = _single(S, [rng.randrange(6) for _ in range(120)], {5})  # 6 x 120 successors alone
+        wide = _single(S, [rng.randrange(6) for _ in range(200)], {5})  # 6 + 200 rows of 4 words: 824 cells
         _agree_with_reference(wide)
-        assert (120, 0) not in vars(S)["_bfs_memo"]
+        assert (200, 0) not in vars(S)["_bfs_memo"]
         assert self._memo_cells(S) <= 600
+
+    def test_memo_emptied_while_building(self, monkeypatch):
+        # a cap of 30 cells, where a Z_5 profile takes 15 and a two-letter
+        # block 7: the second instance finds its first block in the store,
+        # but storing the other block's profile inside _blocks empties the
+        # memo, so the store grown with the miss lacks the first block, and
+        # both are built again
+        monkeypatch.setattr(solve, "MEMO_CELLS", 30)
+        S = Semigroup(cyclic(5).array)
+        known = Constraint(Morphism((1, 2), S), frozenset({4}))
+        _agree_with_reference(Instance(("a", "b"), (known,)))
+        memo = vars(S)["_bfs_memo"]
+        assert memo[None] == 22 and len(memo[2, 0][0]) == 1
+        I = Instance(("a", "b"), (known, Constraint(Morphism((2, 3), S), frozenset({4}))))
+        self._same_as_fresh(I, 0)
+        assert vars(S)["_bfs_memo"] is not memo and len(vars(S)["_bfs_memo"][2, 0][0]) == 2
+        _agree_with_reference(I)
 
     def test_threads_share_one_memo(self, monkeypatch):
         # four threads fill and empty one table's memo under a small cap; a
@@ -450,10 +471,10 @@ class TestBlockMemo:
             sys.setswitchinterval(interval)
 
     def test_interleaved_tables(self):
-        # constraints over three tables in the order S, T, S, U, T, S: each
-        # table's blocks are gathered together and the rows put back in
-        # constraint order, in one-constraint cells (sizes 17, 18 and 16
-        # pack no pair) and in packed ones (sizes 3, 2 and 4)
+        # constraints over three tables in the order S, T, S, U, T, S, six
+        # spans of one constraint each, gathered span by span in constraint
+        # order, in one-constraint cells (sizes 17, 18 and 16 pack no pair)
+        # and in packed ones (sizes 3, 2 and 4)
         rng = random.Random(3131)
         for S, T, U in ((mincap(17), leftzero(18), cyclic(16)), (mincap(3), cyclic(2), rightzero(4))):
             S, T, U = (Semigroup(X.array) for X in (S, T, U))
@@ -461,8 +482,10 @@ class TestBlockMemo:
             for _ in range(6):
                 I = random_instance(rng, [S, T, S, U, T, S], rng.randint(2, 4))
                 assert I.table_index.tolist() == [0, 1, 0, 2, 1, 0]
-                assert (solve._layout(tuple(X.size for X in I.tables), I.table_index.tobytes(),
-                                      I.alphabet_size, 0)[3] is not None) == packed
+                *_, runs, spans = solve._layout(tuple(X.size for X in I.tables), I.table_index.tobytes(),
+                                                I.alphabet_size, 0)
+                assert (runs is not None) == packed
+                assert spans == ((0, 0, 1), (1, 1, 2), (0, 2, 3), (2, 3, 4), (1, 4, 5), (0, 5, 6))
                 for _ in range(2):  # building the blocks, then reading them back
                     self._same_as_fresh(I, 0)
                     _agree_with_reference(I)
@@ -470,14 +493,19 @@ class TestBlockMemo:
                 self._same_as_fresh(I, horizon)
 
     def test_real_cap_on_one_wide_table(self):
-        # 220 letters into Z_300: a block holds about 69,000 cells, so a few
-        # dozen distinct constraints pass the cap
+        # 600 letters into Z_1000: a block holds 1,600 rows of 10 words and a
+        # length profile 3,000 cells, so a few dozen distinct constraints
+        # pass the cap
         rng = random.Random(2828)
-        S = Semigroup(cyclic(300).array)
-        for _ in range(24):
-            I = _single(S, [rng.randrange(300) for _ in range(220)], {rng.randrange(300)})
+        S = Semigroup(cyclic(1000).array)
+        memos = []
+        for _ in range(40):
+            I = _single(S, [rng.randrange(1000) for _ in range(600)], {rng.randrange(1000)})
             solve._tables(I, 0)
             assert self._memo_cells(S) <= solve.MEMO_CELLS
+            if not memos or vars(S)["_bfs_memo"] is not memos[-1]:
+                memos.append(vars(S)["_bfs_memo"])
+        assert len(memos) > 1  # emptied at least once
         self._same_as_fresh(I, 0)
 
 
