@@ -27,12 +27,17 @@ not start with ``X`` (``Instance`` checks all of these), so each name reads
 back as one token of the NAMES line and as one letter in a word and in an
 SLP file.
 
+A document without ``#`` has its raw lines from the first CONSTRAINT line
+to the end read as whole columns if they are all blocks as
+``serialize_instance`` writes them, NAME in every block or in none: the
+IMAGES lines are split once into one array, range-checked at once, and
+each distinct ACCEPT line is read once, equal lines sharing one set.  The
+line reader reads any other text, and a section with any fault in it,
+line by line, building a ``Morphism`` or ``Constraint`` per line to report
+the first fault in the document at its line.
+
 Range errors take their messages from the value types (``Semigroup`` for
-table entries, ``Morphism`` for images, ``Constraint`` for accept sets),
-which the parser builds only to report them, at their line.  It checks
-block structure, and each IMAGES and ACCEPT line's range with one ``min``
-and one ``max``, as it reads, so the first fault in the document is the
-one reported; the constraints become ``Instance`` columns.
+table entries, ``Morphism`` for images, ``Constraint`` for accept sets).
 A TABLE block ends at its END line, so a block short of rows is reported at
 its TABLE line, as ``parse_table_text`` reports a short table.  A table's
 rows become one integer array in one pass, which ``Semigroup`` checks with one
@@ -52,7 +57,8 @@ block that fails is read again token by token, so every error is raised
 at its line.  The process-wide cache is a ``functools.lru_cache`` of
 ``INTERN_TABLES`` tables of at most 64 elements (2**16 cells in all), so
 threads may share it; ``parse_table_text`` does not use it.
-``serialize_instance`` memoises each table's row block on its object.
+``serialize_instance`` memoises each table's row block on its object and
+writes a CONSTRAINT block as one string.
 
 SLP grammar: a header line ``SLP 1``, a line ``START <var>``, then one line
 ``<var> = <sym> <sym> ...`` per variable.  Tokens starting with ``X`` are
@@ -212,10 +218,9 @@ def parse_instance(text: str) -> Instance:
     if m < 1:
         raise FormatError("alphabet must be non-empty", lineno)
 
-    names_line = None
+    names_line = columns = None
     tables: dict[str, Semigroup] = {}
     constraints: list[tuple] = []  # (table, images, accept set, name) of each
-    accept_sets: dict[str, frozenset[int]] = {}  # equal ACCEPT lines share one set
     for lineno, tokens in it:
         if tokens[0] == "TABLE":
             if len(tokens) != 3:
@@ -245,13 +250,16 @@ def parse_instance(text: str) -> Instance:
             if etokens != ["END"]:
                 raise FormatError("expected 'END' closing the TABLE block", elineno)
         elif tokens[0] == "CONSTRAINT":
+            if not constraints and split is str.split:  # no comments: try the section as whole columns
+                columns = _constraint_columns(raw[lineno - 1:], tables, m)
+                if columns is not None:
+                    break
             if len(tokens) != 2:
                 raise FormatError("expected 'CONSTRAINT <tablename>'", lineno)
             tname = tokens[1]
             if tname not in tables:
                 raise FormatError(f"constraint references undeclared table {tname!r}", lineno)
             S = tables[tname]
-            size = S.size
             cname = images = accept = None
             for blineno, btokens in it:
                 head = btokens[0]
@@ -259,13 +267,10 @@ def parse_instance(text: str) -> Instance:
                     images = _ints(btokens[1:], "image index", blineno)
                     if len(images) != m:
                         raise FormatError(f"IMAGES needs {m} indices, got {len(images)}", blineno)
-                    if min(images) < 0 or max(images) >= size:
-                        _at_line(blineno, Morphism, images, S)  # raises the range error
+                    _at_line(blineno, Morphism, images, S)  # raises a range error at its line
                 elif head == "ACCEPT" and accept is None:
-                    accept = frozenset(_ints(btokens[1:], "accept index", blineno))
-                    if accept and (min(accept) < 0 or max(accept) >= size):
-                        _at_line(blineno, Constraint, Morphism([0] * m, S), accept)  # raises the range error
-                    accept = accept_sets.setdefault(" ".join(btokens), accept)
+                    accept = _at_line(blineno, Constraint, Morphism((0,), S),
+                                      _ints(btokens[1:], "accept index", blineno)).accept
                 elif btokens == ["END"]:
                     break
                 elif head == "NAME" and cname is None:
@@ -291,13 +296,53 @@ def parse_instance(text: str) -> Instance:
         else:
             raise FormatError(f"unexpected token {tokens[0]!r}", lineno)
 
-    if not constraints:
-        raise FormatError("instance declares no constraints")
+    if columns is None:
+        if not constraints:
+            raise FormatError("instance declares no constraints")
+        columns = zip(*constraints)  # the images as lists, which Instance converts
     if names_line is None:  # built only now: each IMAGES line held m tokens, so the text bounds m
         names = default_letter_names(m)
-    targets, rows, accepts, cnames = zip(*constraints)
-    images = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * m).reshape(-1, m)
-    return _at_line(names_line, Instance.from_columns, names, targets, images, accepts, cnames)
+    return _at_line(names_line, Instance.from_columns, names, *columns)
+
+
+def _joined(lines: list[str], head: str) -> str:
+    """The raw lines joined by newlines if each starts with ``head``, else ''."""
+    text = "\n".join(lines)
+    return text if text.startswith(head) and text.count("\n" + head) == len(lines) - 1 else ""
+
+
+def _constraint_columns(lines: list[str], tables: dict[str, Semigroup], m: int):
+    """The columns (tables, images, accept sets, names) of the CONSTRAINT
+    blocks in ``lines``, the raw lines from the first CONSTRAINT line to the
+    end, read as whole columns; None unless every line is in a block as
+    ``serialize_instance`` writes them, with NAME in every block or in none,
+    and every value is in range.  Equal ACCEPT lines share one set.
+    """
+    stride = 5 if len(lines) > 1 and lines[1].startswith("NAME ") else 4
+    k, extra = divmod(len(lines), stride)
+    images = _joined(lines[stride - 3::stride], "IMAGES ").split()
+    names = _joined(lines[1::5], "NAME ")[5:].split("\nNAME ") if stride == 5 else (None,) * k
+    if extra or lines[stride - 1::stride].count("END") != k or len(images) != k * (m + 1) or (
+            stride == 5 and " ".join(names).split() != names):
+        return None
+    heads = {f"CONSTRAINT {name}": (S, S.size) for name, S in tables.items()}
+    sets = {}  # each distinct ACCEPT line's set and largest element
+    try:
+        targets, sizes = zip(*map(heads.__getitem__, lines[::stride]))
+        for line in set(accept_lines := lines[stride - 2::stride]):
+            head, *values = line.split() or ("",)
+            accept = frozenset(map(_int, values))
+            if head != "ACCEPT" or min(accept, default=0) < 0:
+                return None
+            sets[line] = accept, max(accept, default=-1)
+        accepts, tops = zip(*map(sets.__getitem__, accept_lines))
+        del images[::m + 1]  # an IMAGES token left, where a line is not m + 1 tokens, fails int()
+        images = np.fromiter(map(_int, images), np.intp, k * m).reshape(k, m)
+    except (KeyError, ValueError, OverflowError):  # an unknown table, or a token that int() or intp cannot hold
+        return None
+    if images.min() < 0 or (np.maximum(images.max(axis=1), tops) >= sizes).any():
+        return None
+    return targets, images, accepts, names
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -307,8 +352,7 @@ def serialize_instance(instance: Instance) -> str:
     row block is memoised on its object and is its dedup key: equal texts
     are equal tables, and a ``str`` caches its hash.
     """
-    lines = ["SGI 1", f"ALPHABET {instance.alphabet_size}",
-             "NAMES " + " ".join(instance.letter_names)]
+    out = [f"SGI 1\nALPHABET {instance.alphabet_size}\nNAMES {' '.join(instance.letter_names)}\n"]
     by_rows: dict[str, str] = {}  # equal tables share a name
     heads = []  # the CONSTRAINT line of each of instance.tables
     for S in instance.tables:
@@ -316,18 +360,17 @@ def serialize_instance(instance: Instance) -> str:
         fresh = f"T{len(by_rows)}"
         name = by_rows.setdefault(rows, fresh)
         if name == fresh:
-            lines.append(f"TABLE {fresh} {S.size}\n{rows}END")
-        heads.append(f"CONSTRAINT {name}")
+            out.append(f"TABLE {fresh} {S.size}\n{rows}END\n")
+        heads.append(f"CONSTRAINT {name}\n")
     token = [str(v) for v in range(max(S.size for S in instance.tables))].__getitem__
+    tails: dict[frozenset[int], str] = {}  # each distinct accept set's ACCEPT and END lines
     for j, name, images, accept in zip(instance.table_index.tolist(), instance.names,
                                        instance.images.tolist(), instance.accepts):
-        lines.append(heads[j])
-        if name is not None:
-            lines.append(f"NAME {name}")
-        lines.append("IMAGES " + " ".join(map(token, images)))
-        lines.append("ACCEPT" + "".join(" " + token(x) for x in sorted(accept)))
-        lines.append("END")
-    return "".join(line + "\n" for line in lines)
+        if (tail := tails.get(accept)) is None:
+            tail = tails[accept] = "".join([" " + token(x) for x in sorted(accept)] + ["\nEND\n"])
+        head = heads[j] if name is None else f"{heads[j]}NAME {name}\n"
+        out.append(f"{head}IMAGES {' '.join(map(token, images))}\nACCEPT{tail}")
+    return "".join(out)
 
 
 # -- SLPs ------------------------------------------------------------------------

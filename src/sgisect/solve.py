@@ -603,9 +603,11 @@ def _grow(S: Semigroup, slot: tuple[int, int], keys: list, blocks: np.ndarray) -
     doubles its capacity as it fills, and the memo counts that capacity.
     New rows are written past those in use before their keys go in, and a
     store with a new array is swapped in whole, so a store read without the
-    lock is always whole.  A store that would take the memo past
-    ``MEMO_CELLS`` empties it first, and blocks larger than ``MEMO_CELLS``
-    come back as a store that is not kept.
+    lock is always whole.  Growth leaves room in the memo for a length
+    profile per empty slot, so the profiles of the blocks that fill the
+    store fit.  A store that would take the memo past ``MEMO_CELLS`` empties
+    it first, and blocks larger than ``MEMO_CELLS`` come back as a store
+    that is not kept.
     """
     per_block = blocks[0].size
     with _STORE_LOCK:
@@ -614,7 +616,10 @@ def _grow(S: Semigroup, slot: tuple[int, int], keys: list, blocks: np.ndarray) -
         new = [i for i, key in enumerate(keys) if key not in ids]
         used, capacity = len(ids), len(words)
         if used + len(new) > capacity:
-            room = capacity + (MEMO_CELLS - memo[None]) // per_block  # doubling stops at the bound
+            profile = S.size * (slot[1] + 3)  # the length profile each block to come may bring
+            # doubling stops at the bound, less a profile for each slot left empty
+            room = (MEMO_CELLS - memo[None] + capacity * per_block + (used + len(new)) * profile) // (
+                per_block + profile)
             grown = max(used + len(new), min(2 * capacity, room))
             if grown > room:
                 if len(keys) * per_block > MEMO_CELLS:

@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sgisect import formats
 from sgisect.core import Morphism
@@ -295,6 +297,186 @@ class TestConstraintErrorOrder:
         text = (_HEAD + _GOOD_ROWS + _TAIL).replace("ACCEPT 2\n", "ACCEPT 5\nIMAGES 0 1\n")
         with pytest.raises(FormatError, match=r"^line 10: accepting element 5 out of range 0\.\.2$"):
             parse_instance(text)
+
+
+def _outcome(text: str):
+    """The instance ``parse_instance`` returns for text, or its error's message and line."""
+    try:
+        return parse_instance(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+@pytest.fixture
+def column_reads(monkeypatch):
+    """What ``_constraint_columns`` returned during the test, in order: None
+    for a CONSTRAINT section it handed to the line reader."""
+    read, results = formats._constraint_columns, []
+    monkeypatch.setattr(formats, "_constraint_columns", lambda *args: results.append(read(*args)) or results[-1])
+    return results
+
+
+def _line_reader_agrees(text: str, column_reads) -> Instance:
+    """Parse a canonical document, which is read as columns, and the same text
+    with a comment line, which only the line reader reads; both must give
+    equal columns and the same table objects."""
+    fast = parse_instance(text)
+    assert column_reads[-1] is not None  # read as columns
+    reads = len(column_reads)
+    slow = parse_instance(text + "# x\n")
+    assert len(column_reads) == reads  # a comment leaves the section to the line reader
+    assert fast == slow and _columns(fast) == _columns(slow)
+    assert all(a is b for a, b in zip(fast.tables, slow.tables) if formats._internable(a.size))
+    assert len({id(a) for a in fast.accepts}) == len(set(fast.accepts))  # equal ACCEPT lines share one set
+    assert serialize_instance(fast) == text
+    return fast
+
+
+class TestColumnReadParity:
+    """A canonical CONSTRAINT section is read as whole columns, and the line
+    reader reads everything else; both give the same instance."""
+
+    @pytest.mark.parametrize("reduce", [reduce_nilpotent, reduce_unbounded])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_reductions(self, reduce, k, column_reads):
+        I = reduce(_seeded_formula(k))
+        assert _line_reader_agrees(serialize_instance(I), column_reads) == I
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_instances(self, family_pool, column_reads, data):
+        A = data.draw(st.integers(1, 4), label="letters")
+        named = data.draw(st.booleans(), label="named")
+        constraints = []
+        for i in range(data.draw(st.integers(1, 6), label="constraints")):
+            S = data.draw(st.sampled_from(family_pool))  # tables interleave as they are drawn
+            elements = st.integers(0, S.size - 1)
+            images = data.draw(st.lists(elements, min_size=A, max_size=A))
+            accept = data.draw(st.frozensets(elements))  # may be empty: a bare ACCEPT
+            constraints.append(Constraint(Morphism(images, S), accept, f"c{i}" if named else None))
+        I = Instance(tuple(f"a{i}" for i in range(A)), tuple(constraints))
+        assert _line_reader_agrees(serialize_instance(I), column_reads) == I
+
+    @pytest.mark.parametrize("names", [("a", "b", "c", "d"), (None,) * 4], ids=["named", "unnamed"])
+    def test_interleaved_tables(self, names, column_reads):
+        A, B = mincap(4), cyclic(3)
+        I = Instance(("x",), tuple(Constraint(Morphism((i % S.size,), S), accept, name) for i, (S, accept, name) in
+                                  enumerate(zip((A, B, A, B), ({3}, set(), {3}, {0, 2}), names))))
+        parsed = _line_reader_agrees(serialize_instance(I), column_reads)
+        assert parsed == I and parsed.table_index.tolist() == [0, 1, 0, 1]
+        assert parsed.accepts[0] is parsed.accepts[2]
+
+    def test_values_past_the_decimal_lookup(self, monkeypatch, column_reads):
+        # 1,024 and above are read by int(); the table's O(n^3) associativity
+        # check is taken as done, as it is not what this test is about
+        S = cyclic(1100)
+        monkeypatch.setattr(formats, "check_associative", lambda table: S)
+        I = Instance(("a", "b"), (Constraint(Morphism((1050, 3), S), {1099, 1024}, "big"),
+                                  Constraint(Morphism((5, 1030), S), set(), "empty")))
+        assert _line_reader_agrees(serialize_instance(I), column_reads) == I
+
+
+_BLOCKS = [f"CONSTRAINT T0\nNAME c{i}\nIMAGES {(i + 2) % 3} {i % 3}\nACCEPT {(i + 2) % 3}\nEND\n" for i in range(30)]
+
+
+def _thirty(block20: str = _BLOCKS[19], tail: str = "") -> str:
+    """A canonical document of 30 named blocks over one table, block 20
+    (IMAGES 0 1, ACCEPT 0) replaced, then ``tail``."""
+    return (_HEAD.replace("ALPHABET 2\n", "ALPHABET 2\nNAMES a0 a1\n") + _GOOD_ROWS + "END\n"
+            + "".join(_BLOCKS[:19] + [block20] + _BLOCKS[20:]) + tail)
+
+
+class TestColumnReadFaults:
+    """A fault anywhere in a canonical section hands it to the line reader,
+    which reports the first fault in the document at its line; a section
+    written otherwise but valid reads as the same instance."""
+
+    def test_thirty_blocks_read_as_columns(self, column_reads):
+        _line_reader_agrees(_thirty(), column_reads)
+
+    @pytest.mark.parametrize("old, new, error", [
+        # TestGoldenErrors.test_constraint_errors
+        ("IMAGES 0 1", "IMAGES 0", "IMAGES needs 2 indices, got 1"),
+        ("IMAGES 0 1", "IMAGES 0 1 2", "IMAGES needs 2 indices, got 3"),
+        ("IMAGES 0 1", "IMAGES 0 3", "image 3 of letter 1 out of range 0..2"),
+        ("IMAGES 0 1", "IMAGES -1 5", "image -1 of letter 0 out of range 0..2"),
+        ("ACCEPT 0", "ACCEPT 1 3", "accepting element 3 out of range 0..2"),
+        ("ACCEPT 0", "ACCEPT -1", "accepting element -1 out of range 0..2"),
+        # TestConstraintErrorOrder
+        ("IMAGES 0 1", "IMAGES 0 7", "image 7 of letter 1 out of range 0..2"),
+        ("ACCEPT 0", "ACCEPT 2 3", "accepting element 3 out of range 0..2"),
+        ("ACCEPT 0\n", "ACCEPT 5\nIMAGES 0 1\n", "accepting element 5 out of range 0..2"),
+        ("ACCEPT 0\n", "ACCEPT 0\nBOGUS\n", "unexpected token 'BOGUS' in CONSTRAINT block"),
+        # the column reader's own checks
+        ("CONSTRAINT T0", "CONSTRAINT T9", "constraint references undeclared table 'T9'"),
+        ("NAME c19", "NAME a b", "expected 'NAME <token>'"),
+        ("END\n", "", "unexpected token 'CONSTRAINT' in CONSTRAINT block"),
+        ("IMAGES 0 1", "IMAGES 0 x", "non-integer image index in ['0', 'x']"),
+        ("IMAGES 0 1", f"IMAGES 0 {10**30}", f"image {10**30} of letter 1 out of range 0..2"),
+        ("ACCEPT 0", f"ACCEPT {10**30}", f"accepting element {10**30} out of range 0..2"),
+        ("ACCEPT 0", "ACCEPT 0.0", "non-integer accept index in ['0.0']"),
+        ("IMAGES 0 1\n", "IMAGES 0 1\nIMAGES 0 1\n", "repeated IMAGES in CONSTRAINT block"),
+        ("NAME c19\n", "NAME c19\nNAME d\n", "repeated NAME in CONSTRAINT block"),
+        ("IMAGES 0 1", "IMAGES -1 1", "image -1 of letter 0 out of range 0..2"),
+        ("ACCEPT 0", "REJECT 0", "unexpected token 'REJECT' in CONSTRAINT block"),
+        ("CONSTRAINT T0", "CONSTRAINT T0 T0", "expected 'CONSTRAINT <tablename>'"),
+        ("END", "END END", "unexpected token 'END' in CONSTRAINT block"),
+        ("NAME c19", "NAMES c19", "unexpected token 'NAMES' in CONSTRAINT block"),
+    ])
+    def test_fault_in_block_20(self, old, new, error, column_reads):
+        assert old in _BLOCKS[19]
+        text = _thirty(_BLOCKS[19].replace(old, new))
+        line = 1 + next(i for i, (a, b) in enumerate(zip(_thirty().splitlines(), text.splitlines())) if a != b)
+        assert _outcome(text) == (f"line {line}: {error}", line) == _outcome(text + "# x\n")
+        assert column_reads == [None]  # handed to the line reader
+
+    @pytest.mark.parametrize("old20, new20, old21, new21, error", [
+        ("IMAGES 0 1", "IMAGES 0 1 IMAGES", "IMAGES 1 2", "1 2", "non-integer image index in ['0', '1', 'IMAGES']"),
+        ("IMAGES 0 1", "IMAGES 0 1 IMAGES 1", "IMAGES 1 2", "", "non-integer image index in ['0', '1', 'IMAGES', '1']"),
+        ("NAME c19", "NAME", "NAME c20", "NAME c19 c20", "expected 'NAME <token>'"),
+        ("NAME c19", "NAME c19 NAME", "NAME c20", "c20", "expected 'NAME <token>'"),
+    ], ids=["images-run-on", "images-blank", "name-bare", "name-run-on"])
+    def test_fault_spread_over_two_lines(self, old20, new20, old21, new21, error, column_reads):
+        # the tokens of the two lines together are as many as two good lines hold
+        text = _thirty(_BLOCKS[19].replace(old20, new20)).replace(_BLOCKS[20], _BLOCKS[20].replace(old21, new21))
+        line = 1 + text.splitlines().index(new20)
+        assert _outcome(text) == (f"line {line}: {error}", line) == _outcome(text + "# x\n")
+        assert column_reads == [None]
+
+    def test_missing_end_at_the_end(self, column_reads):
+        text = _thirty()[:-len("END\n")]
+        assert _outcome(text) == ("unexpected end of file", None) == _outcome(text + "# x\n")
+        assert column_reads == [None]
+
+    @pytest.mark.parametrize("block20, tail", [
+        (_BLOCKS[19].replace("NAME c19\n", ""), ""),  # one block without NAME among named ones
+        (_BLOCKS[19], "TABLE T1 1\n0\nEND\n"),  # a trailing TABLE block
+        (_BLOCKS[19], "TABLE T1 1\n0\nEND\nCONSTRAINT T1\nIMAGES 0 0\nACCEPT 0\nEND\n"),
+        (_BLOCKS[19].replace("IMAGES 0 1\nACCEPT 0", "ACCEPT 0\nIMAGES 0 1"), ""),  # another order
+        (_BLOCKS[19].replace("IMAGES 0 1", "IMAGES  0\t1"), ""),  # other whitespace
+        (_BLOCKS[19].replace("END", "\nEND"), ""),  # a blank line
+        (_BLOCKS[19], "\n"),
+    ], ids=["unnamed-block", "trailing-table", "trailing-table-used", "accept-first", "whitespace",
+            "blank-line", "trailing-blank"])
+    def test_valid_sections_written_otherwise(self, block20, tail):
+        text = _thirty(block20, tail)
+        assert _outcome(text) == _outcome(text + "# x\n") == parse_instance(text.replace("END\n", "END\n# x\n"))
+
+    @pytest.mark.parametrize("tail, error", [
+        ("TABLE T0 1\n0\nEND\n", "duplicate table 'T0'"),
+        ("TABLE T1 2\n0 0\nEND\n", "expected 2 rows of 2 entries, got 1 rows"),
+    ], ids=["duplicate", "short"])
+    def test_faulty_trailing_table(self, tail, error, column_reads):
+        text = _thirty(tail=tail)
+        line = len(_thirty().splitlines()) + 1
+        assert _outcome(text) == (f"line {line}: {error}", line) == _outcome(text + "# x\n")
+        assert column_reads == [None]
+
+    def test_accept_range_before_images_with_a_huge_alphabet(self):
+        # the range error needs no morphism of the alphabet's size
+        text = (_HEAD + _GOOD_ROWS + _TAIL).replace("ALPHABET 2", "ALPHABET 1000000000000").replace(
+            "IMAGES 0 1\nACCEPT 2", "ACCEPT 3\nIMAGES 0 1")
+        assert _outcome(text) == ("line 9: accepting element 3 out of range 0..2", 9)
 
 
 class TestSlpFormat:

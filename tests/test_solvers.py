@@ -492,14 +492,29 @@ class TestBlockMemo:
                 horizon = 2 * max(li_degree(X) or 0 for X in I.tables)
                 self._same_as_fresh(I, horizon)
 
+    def test_store_fills_before_the_memo_is_emptied(self):
+        # each new constraint brings one block to the store and one 3,000-cell
+        # length profile to the memo, so growth must leave room for the
+        # profiles of the slots it adds: the memo is emptied only when a
+        # block finds the store full
+        rng = random.Random(2828)
+        S = Semigroup(cyclic(1000).array)
+        for i in range(40):
+            memo = vars(S).get("_bfs_memo", {})
+            solve._tables(_single(S, [rng.randrange(1000) for _ in range(600)], {rng.randrange(1000)}), 0)
+            if vars(S)["_bfs_memo"] is not memo and (600, 0) in memo:
+                ids, words = memo[(600, 0)]
+                assert len(ids) == len(words), f"emptied at instance {i + 1} with {len(ids)} of {len(words)} blocks"
+        assert len(vars(S)["_bfs_memo"][(600, 0)][0]) == 40
+
     def test_real_cap_on_one_wide_table(self):
         # 600 letters into Z_1000: a block holds 1,600 rows of 10 words and a
-        # length profile 3,000 cells, so a few dozen distinct constraints
-        # pass the cap
+        # length profile 3,000 cells, so the 56th distinct constraint passes
+        # the cap
         rng = random.Random(2828)
         S = Semigroup(cyclic(1000).array)
         memos = []
-        for _ in range(40):
+        for _ in range(60):
             I = _single(S, [rng.randrange(1000) for _ in range(600)], {rng.randrange(1000)})
             solve._tables(I, 0)
             assert self._memo_cells(S) <= solve.MEMO_CELLS
