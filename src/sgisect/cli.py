@@ -24,7 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .circuits import slp_to_circuit
-from .core import AssociativityError
+from .core import AssociativityError, Morphism
 from .families import FAMILY_BUILDERS, build_family, build_product
 from .formats import (parse_instance, parse_slp_text, parse_table_text, serialize_circuit_text,
                       serialize_instance, serialize_slp_text, serialize_table_text)
@@ -171,7 +171,8 @@ def _cmd_shorten(args) -> int:
     instance = _load(args.instance, parse_instance)
     word = _parse_word(instance, args.word)
     try:
-        short = li_witness_shorten([c.morphism for c in instance.constraints], word, args.degree)
+        short = li_witness_shorten([Morphism(row, instance.tables[j]) for row, j in zip(
+            instance.images.tolist(), instance.table_index.tolist())], word, args.degree)
     except PreconditionError as exc:
         raise ValueError(f"constraint {instance.constraint_name(exc.constraint)} "
                          f"violates {exc.predicate}") from exc
@@ -190,9 +191,10 @@ def _cmd_power_slp(args) -> int:
 def _cmd_emit_circuit(args) -> int:
     instance = _load(args.instance, parse_instance)
     G, _ = _load(args.slp, parse_slp_text, instance.letter_names)
-    if not 0 <= args.constraint < len(instance.names):
-        raise ValueError(f"constraint index {args.constraint} out of range")
-    circuit = slp_to_circuit(G, instance.constraints[args.constraint].morphism)
+    i = args.constraint
+    if not 0 <= i < len(instance.names):
+        raise ValueError(f"constraint index {i} out of range")
+    circuit = slp_to_circuit(G, Morphism(instance.images[i].tolist(), instance.tables[instance.table_index[i]]))
     _write_out(serialize_circuit_text(circuit), args.output)
     return 0
 

@@ -1,18 +1,18 @@
 """Finite semigroups given by multiplication tables, plus morphisms from free semigroups.
 
-Elements are 0-based indices into an n x n table: ``array[x, y]`` is the
-product x*y.  Everything is immutable after construction and every function is
-pure, so values can be shared freely across threads.
+Elements are 0-based indices, with no names, into an n x n table:
+``array[x, y]`` is the product x*y.  Everything is immutable and every
+function is pure, so values can be shared freely across threads.
 
 A ``Semigroup`` holds its table once, as ``array``: a read-only numpy array in
 the smallest unsigned dtype holding n-1 (arithmetic on it wraps, so callers
 widen before adding).  That dtype depends on n alone, so the array's bytes are
 canonical and define ``==`` and ``hash``.  Whole-table code (the associativity
-check, ``varieties``, the BFS engine, ``formats``) reads the array, and
-``monogenic_orders`` one column of it at a time.  Loops over one word at a
-time read ``table``, a tuple of tuples of ints built from the array on first
-use and kept on the instance, since indexing Python tuples beats indexing
-numpy one element at a time.
+check, ``varieties``, the BFS engine, ``formats``) reads the array,
+``monogenic_orders`` one column and ``verify_witness`` a few entries at a
+time.  Loops over one word at a time read ``table``, a tuple of tuples of
+ints built from the array on first use and kept on the instance, since
+indexing Python tuples beats indexing numpy one element at a time.
 Functions of a table alone (``li_degree`` and ``classify`` in ``varieties``,
 the serialized rows in ``formats``) are memoised on the instance the same way,
 through ``memo_on_object``.  Threads racing on a first access may compute a
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, wraps
 
 import numpy as np
@@ -53,7 +53,6 @@ class Semigroup:
     """
 
     array: np.ndarray
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.array)
@@ -76,11 +75,6 @@ class Semigroup:
         a = np.array(a, dtype=np.min_scalar_type(n - 1))
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for {n} elements")
-            object.__setattr__(self, "labels", labels)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Semigroup) and self.array.tobytes() == other.array.tobytes()
@@ -96,12 +90,6 @@ class Semigroup:
     def table(self) -> tuple[tuple[int, ...], ...]:
         """The table as a tuple of tuples of ints, built on first use and kept on the instance."""
         return tuple(map(tuple, self.array.tolist()))
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
 
 def memo_on_object(compute):
@@ -151,7 +139,7 @@ class DistinguishedElements:
     neutral: int | None
 
 
-def check_associative(table, labels=None) -> Semigroup:
+def check_associative(table) -> Semigroup:
     """Validate a raw table and return the Semigroup.
 
     Shape and range problems raise ValueError naming the position; an
@@ -164,7 +152,7 @@ def check_associative(table, labels=None) -> Semigroup:
     ``argmax`` finds in the first block that has one is the lexicographically
     first violating triple.
     """
-    sg = Semigroup(table, labels)
+    sg = Semigroup(table)
     T = sg.array
     index = T.astype(np.intp)  # take widens its indices to intp on every call; widen once
     n = sg.size
@@ -235,7 +223,7 @@ def sub_semigroup(S: Semigroup, elements) -> tuple[Semigroup, tuple[int, ...]]:
     """Reindex a product-closed subset of S as a semigroup of its own.
 
     Returns (T, elems) with elems the sorted subset and elems[i] the element
-    of S behind index i of T; labels carry over.
+    of S behind index i of T.
     """
     elems = sorted(set(elements))
     if not elems:
@@ -249,8 +237,7 @@ def sub_semigroup(S: Semigroup, elements) -> tuple[Semigroup, tuple[int, ...]]:
     if escapes.any():
         i, j = np.unravel_index(int(escapes.argmax()), escapes.shape)
         raise ValueError(f"set is not closed: {elems[i]}*{elems[j]} = {block[i, j]} escapes")
-    labels = tuple(S.labels[x] for x in elems) if S.labels is not None else None
-    return Semigroup(index, labels), tuple(elems)
+    return Semigroup(index), tuple(elems)
 
 
 def local_monoid(S: Semigroup, e: int) -> tuple[Semigroup, tuple[int, ...]]:
@@ -311,12 +298,7 @@ def direct_product(factors, cap: int = DEFAULT_PRODUCT_CAP) -> tuple[Semigroup, 
     check_table_cells(n, cap)
     comps = np.unravel_index(np.arange(n), sizes)
     table = np.ravel_multi_index([f.array[c[:, None], c] for f, c in zip(factors, comps)], sizes)
-    projections = [tuple(c.tolist()) for c in comps]
-    labels = None
-    if all(f.labels is not None for f in factors):
-        columns = [[f.labels[x] for x in p] for f, p in zip(factors, projections)]
-        labels = tuple("(" + ",".join(parts) + ")" for parts in zip(*columns))
-    return Semigroup(table, labels), projections
+    return Semigroup(table), [tuple(c.tolist()) for c in comps]
 
 
 def apply_morphism(h: Morphism, word) -> int:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Semigroup, check_table_cells, direct_product, sub_semigroup  # noqa: F401 (re-exported)
+from .core import Semigroup, check_table_cells, direct_product
 
 
 def mincap(k: int) -> Semigroup:
@@ -26,7 +26,7 @@ def mincap(k: int) -> Semigroup:
         raise ValueError("k must be >= 1")
     check_table_cells(k)
     i = np.arange(k, dtype=np.min_scalar_type(2 * k))
-    return Semigroup(np.minimum(i[:, None] + i + 1, k - 1), tuple(str(v + 1) for v in range(k)))
+    return Semigroup(np.minimum(i[:, None] + i + 1, k - 1))
 
 
 def trivial() -> Semigroup:
@@ -53,7 +53,7 @@ def cyclic(n: int) -> Semigroup:
         raise ValueError("n must be >= 1")
     check_table_cells(n)
     i = np.arange(n, dtype=np.min_scalar_type(2 * n))
-    return Semigroup((i[:, None] + i) % n, tuple(str(v) for v in range(n)))
+    return Semigroup((i[:, None] + i) % n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -73,8 +73,7 @@ def nilinterval(k: int) -> Semigroup:
     index[first, last] = np.arange(1, n)
     table = np.zeros((n, n), index.dtype)
     table[1:, 1:] = np.where(first == last[:, None] + 1, index[first[:, None], last], 0)
-    labels = ("0",) + tuple(f"({i + 1},{j + 1})" for i, j in zip(first.tolist(), last.tolist()))
-    return Semigroup(table, labels)
+    return Semigroup(table)
 
 
 def _is_associative(rows, n) -> bool:

@@ -49,12 +49,11 @@ A batch of reduced instances repeats a few tables many times, so
 before returns the same validated ``Semigroup`` object, memos and all.
 ``parse_instance`` reads logical lines lazily, and when the n raw lines
 after a TABLE line are followed by END, it looks those lines up as they
-stand, before splitting them into tokens; a block with a blank or comment
-line among its rows is looked up by its tokens joined row by row, which
-are its raw lines when it is written canonically.  The cache keeps a
-block only once its text has n rows of n tokens and a valid table, and a
-block that fails is read again token by token, so every error is raised
-at its line.  The process-wide cache is a ``functools.lru_cache`` of
+stand, before splitting them into tokens.  Any other block (one with a
+blank or comment line among its rows, or one that fails the lookup) is
+read token by token and parsed afresh, so every error is raised at its
+line.  The cache keeps a block only once its text has n rows of n tokens
+and a valid table.  The process-wide cache is a ``functools.lru_cache`` of
 ``INTERN_TABLES`` tables of at most 64 elements (2**16 cells in all), so
 threads may share it; ``parse_table_text`` does not use it.
 ``serialize_instance`` memoises each table's row block on its object and
@@ -147,30 +146,21 @@ def _interned(rows: str, n: int) -> Semigroup:
     return check_associative(np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n))
 
 
-def _read_table(rows, n: int, lineno: int, intern: bool = False) -> Semigroup:
+def _read_table(rows, n: int, lineno: int) -> Semigroup:
     """The semigroup whose table is ``rows``, (lineno, tokens) pairs; a bad row is reported at its line.
 
     The block's tokens become an (n, n) array in one pass.  Only a ragged row
     or a token that is no int64 sends the rows through one by one, to report
     the first bad row, or to leave a huge int to Semigroup's range check.
-    With ``intern``, a block of n rows of n tokens goes through ``_interned``,
-    its tokens joined row by row, if ``_internable(n)``; a block that fails
-    there is read again below, to raise its error at its line.
     """
     if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries, got {len(rows)} rows", lineno)
     tokens = [t for _, t in rows]
-    ragged = set(map(len, tokens)) != {n}
-    if intern and not ragged and _internable(n):  # the tokens fix the table
-        try:
-            return _interned("\n".join(map(" ".join, tokens)), n)
-        except (ValueError, OverflowError):
-            pass
     try:
         table = np.fromiter(map(_int, chain.from_iterable(tokens)), np.int64, n * n).reshape(n, n)
     except (ValueError, OverflowError):  # no int, beyond int64, or too few tokens
         table = None
-    if table is None or ragged:
+    if table is None or set(map(len, tokens)) != {n}:
         table = []
         for rlineno, row_tokens in rows:
             row = _ints(row_tokens, "table entry", rlineno)
@@ -242,7 +232,7 @@ def parse_instance(text: str) -> Instance:
             if S is None:
                 rows = list(islice(takewhile(lambda line: line[1] != ["END"], it), n))  # stops at END
                 try:
-                    S = _read_table(rows, n, lineno, intern=True)
+                    S = _read_table(rows, n, lineno)
                 except AssociativityError as exc:
                     raise FormatError(f"table {name!r} is not associative: {exc}", lineno) from exc
             tables[name] = S

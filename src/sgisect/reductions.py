@@ -199,12 +199,11 @@ def assignment_to_word(assignment: Assignment) -> tuple[int, ...]:
     return tuple(i if assignment.bits[i] else k + i for i in range(k))
 
 
-def word_to_assignment(word, k: int, strict: bool = True) -> Assignment:
+def word_to_assignment(word, k: int) -> Assignment:
     """The assignment reading letter occurrences as truth values.
 
     Raises AssignmentUndefinedError when both polarities of a variable occur,
-    or (in strict mode) when a variable occurs in neither.  Lenient mode
-    defaults absent variables to 0.
+    or when a variable occurs in neither.
     """
     pos = set()
     neg = set()
@@ -216,9 +215,8 @@ def word_to_assignment(word, k: int, strict: bool = True) -> Assignment:
     if conflict:
         i = min(conflict) + 1
         raise AssignmentUndefinedError(f"both x{i} and nx{i} occur")
-    if strict:
-        missing = set(range(k)) - pos - neg
-        if missing:
-            i = min(missing) + 1
-            raise AssignmentUndefinedError(f"variable x{i} occurs in neither polarity")
+    missing = set(range(k)) - pos - neg
+    if missing:
+        i = min(missing) + 1
+        raise AssignmentUndefinedError(f"variable x{i} occurs in neither polarity")
     return Assignment(tuple(1 if i in pos else 0 for i in range(k)))

@@ -116,7 +116,7 @@ class Instance:
     run one check, the ranges in bulk against the smallest table; only a value
     past it is checked constraint by constraint, to name the first bad one.
     ``constraints`` holds ``Constraint`` views, built on first read without
-    their own checks; ``==`` and ``hash`` compare those.
+    their own checks; ``==`` compares the columns, each constraint's table by value.
     """
 
     letter_names: tuple[str, ...]
@@ -177,12 +177,15 @@ class Instance:
                           accepts=accepts, names=names)
         return self
 
+    def _key(self) -> tuple:
+        return (self.letter_names, self.images.tobytes(), self.accepts, self.names,
+                tuple(map(self.tables.__getitem__, self.table_index.tolist())))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Instance) and (self.letter_names, self.constraints) == (
-            other.letter_names, other.constraints)
+        return isinstance(other, Instance) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.letter_names, self.constraints))
+        return hash(self._key()[:4])  # equal instances have equal tables, which need not be hashed
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -824,9 +827,8 @@ class VerifyResult:
 def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
     """Check a witness against every constraint; polynomial even for SLPs.
 
-    A word is read as the one production of an SLP.  Each constraint folds
-    the productions on its own, over its row of ``images`` and its table's
-    tuples.
+    A word is read as the one production of an SLP.  The constraints over one
+    table fold the productions together, one gather from its array per symbol.
     """
     A, G = instance.alphabet_size, witness.slp
     if G is None:
@@ -838,15 +840,16 @@ def verify_witness(instance: Instance, witness: Witness) -> VerifyResult:
         raise ValueError(f"alphabet mismatch: SLP has {G.alphabet_size} letters, instance {A}")
     else:
         order, rhs, start = _topo_reachable(G), G.rhs, G.start
-    tables, images = [S.table for S in instance.tables], []
-    for letters, j in zip(instance.images.tolist(), instance.table_index.tolist()):
-        t, values = tables[j], {}
+    images = np.empty(len(instance.accepts), dtype=np.intp)
+    for j, S in enumerate(instance.tables):
+        rows = np.flatnonzero(instance.table_index == j)
+        letters, values = instance.images[rows].T, {}  # each letter's images in those constraints
         for v in order:
             acc = None
             for sym in rhs[v]:
                 val = values[ref_target(sym)] if is_var_ref(sym) else letters[sym]
-                acc = val if acc is None else t[acc][val]
+                acc = val if acc is None else S.array[acc, val]
             values[v] = acc
-        images.append(values[start])
-    failing = tuple(i for i, (x, accept) in enumerate(zip(images, instance.accepts)) if x not in accept)
-    return VerifyResult(not failing, tuple(images), failing)
+        images[rows] = values[start]
+    failing = tuple(i for i, (x, accept) in enumerate(zip(images.tolist(), instance.accepts)) if x not in accept)
+    return VerifyResult(not failing, tuple(images.tolist()), failing)

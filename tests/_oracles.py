@@ -10,10 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sgisect.core import Morphism, Semigroup, subsemigroup_closure
-from sgisect.families import (cyclic, leftzero, mincap, nilinterval, rightzero,
-                              sub_semigroup)
-from sgisect.core import direct_product
+from sgisect.core import Morphism, Semigroup, direct_product, sub_semigroup, subsemigroup_closure
+from sgisect.families import cyclic, leftzero, mincap, nilinterval, rightzero
 from sgisect.solve import EMPTY, SATISFIABLE, Constraint, Instance
 
 
@@ -51,10 +49,7 @@ def direct_product_definitional(factors) -> tuple[Semigroup, list[tuple[int, ...
         comps.append(tuple(tup))
     rows = tuple(tuple(sum(strides[i] * factors[i].table[xc[i]][yc[i]] for i in range(k)) for yc in comps)
                  for xc in comps)
-    labels = None
-    if all(f.labels is not None for f in factors):
-        labels = tuple("(" + ",".join(factors[i].labels[c[i]] for i in range(k)) + ")" for c in comps)
-    return Semigroup(rows, labels), [tuple(c[i] for c in comps) for i in range(k)]
+    return Semigroup(rows), [tuple(c[i] for c in comps) for i in range(k)]
 
 
 def words_in_order(alphabet_size: int, max_len: int):
@@ -449,7 +444,7 @@ def li_degree_definitional(S: Semigroup, full_tuples: bool = False):
 
 def mincap_reference(k: int) -> Semigroup:
     table = tuple(tuple(min(i + j + 2, k) - 1 for j in range(k)) for i in range(k))
-    return Semigroup(table, tuple(str(v + 1) for v in range(k)))
+    return Semigroup(table)
 
 
 def leftzero_reference(n: int) -> Semigroup:
@@ -461,8 +456,12 @@ def rightzero_reference(n: int) -> Semigroup:
 
 
 def cyclic_reference(n: int) -> Semigroup:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return Semigroup(table, tuple(str(i) for i in range(n)))
+    return Semigroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def interval_labels(k: int) -> tuple[str, ...]:
+    """The elements of ``nilinterval_reference(k)`` by name: "0", then each "(i,j)" in order of i, then j."""
+    return ("0",) + tuple(f"({i},{j})" for i in range(1, k + 1) for j in range(i, k + 1))
 
 
 def nilinterval_reference(k: int) -> Semigroup:
@@ -479,9 +478,7 @@ def nilinterval_reference(k: int) -> Semigroup:
             return index[(i, j2)]
         return 0
 
-    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-    labels = ("0",) + tuple(f"({i},{j})" for i, j in pairs)
-    return Semigroup(table, labels)
+    return Semigroup(tuple(tuple(mul(a, b) for b in range(n)) for a in range(n)))
 
 
 FAMILY_REFERENCES = {"mincap": mincap_reference, "leftzero": leftzero_reference,

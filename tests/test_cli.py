@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sgisect
@@ -484,3 +485,25 @@ class TestUsage:
         assert {"solve", "reduce", "verify"} <= subs
         for sub in sorted(subs):
             assert run_command([sub, "--help"]) == 0, sub
+
+    def test_readme_library_example(self):
+        # the README's python block runs, and every expression gives what its comment says
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n")[1].split("```")[0]
+        namespace, checked = {}, []
+        for line in block.splitlines():
+            code, _, comment = line.partition("  # ")
+            try:
+                value = eval(code, namespace)
+            except SyntaxError:  # an assignment or import
+                exec(code, namespace)
+                continue
+            if isinstance(value, np.ndarray):
+                assert f"read-only {value.dtype} numpy array" in comment and not value.flags.writeable
+                checked.append(str(value.dtype))
+            elif comment.startswith("("):
+                assert repr(value) == comment.partition(":")[0], line
+                checked.append(repr(value))
+            else:
+                assert comment.startswith(type(value).__name__ + "("), line
+        assert checked == ["uint8", "(0, 0, 0)", "(0, 1, 1, 1)"]

@@ -266,6 +266,21 @@ class TestColumnarInstance:
         assert parsed == I and hash(parsed) == hash(I)
         assert serialize_instance(parsed) == serialize_instance(I)
 
+    def test_equality_compares_columns(self):
+        # every column decides ==, each constraint's table by value, and no view is built
+        I = _mixed_instance()
+        columns = {"letter_names": I.letter_names, "tables": [I.tables[j] for j in I.table_index.tolist()],
+                   "images": I.images, "accepts": I.accepts, "names": I.names}
+        images = I.images.copy()
+        images[3, 0] = 1
+        changes = {"letter_names": ("a", "c"), "tables": [mincap(4), mincap(3), mincap(4), cyclic(3)],
+                   "images": images, "accepts": I.accepts[:3] + (frozenset({1}),), "names": ("x",) + I.names[1:]}
+        same = Instance.from_columns(**columns)
+        assert same == I and hash(same) == hash(I)
+        for key, value in changes.items():
+            assert Instance.from_columns(**{**columns, key: value}) != I, key
+        assert "constraints" not in vars(I)
+
 
 _FOUR = "".join(f"CONSTRAINT T0\nNAME c{i}\nIMAGES 0 1\nACCEPT 2\nEND\n" for i in range(1, 5))
 
@@ -691,16 +706,18 @@ class TestTableIntern:
     def test_rows_written_otherwise_give_the_same_table(self, fresh_table_intern, rows):
         # a block whose raw lines are not just its rows is read from its tokens
         canonical = parse_instance(_HEAD + _GOOD_ROWS + _TAIL)
-        for _ in range(2):  # the second time from the cache
+        for _ in range(2):  # the second time from the cache, if its raw lines are its rows
             parsed = parse_instance(_HEAD + rows + _TAIL)
             assert parsed == canonical and self._table(parsed).table == self._table(canonical).table
         assert parse_instance((_HEAD + _GOOD_ROWS + _TAIL).replace("\n", "\r\n")) == canonical
 
-    def test_rows_and_tokens_share_one_entry(self, fresh_table_intern):
-        # canonical rows are their own tokens joined row by row, so the raw
-        # lines and a commented copy of the block find one cached table
+    def test_commented_rows_are_parsed_afresh(self, fresh_table_intern):
+        # only a block's raw lines are looked up: a commented copy of a cached
+        # block gives an equal table in a new object, and is not kept
         S = self._table(parse_instance(_HEAD + _GOOD_ROWS + _TAIL))
-        assert self._table(parse_instance(_HEAD + _GOOD_ROWS.replace("\n", " # c\n") + _TAIL)) is S
+        commented = _HEAD + _GOOD_ROWS.replace("\n", " # c\n") + _TAIL
+        first, second = (self._table(parse_instance(commented)) for _ in range(2))
+        assert first == second == S and first is not S and second is not first
         assert fresh_table_intern.cache_info().currsize == 1
 
     def test_equal_blocks_in_one_document_share_an_object(self, fresh_table_intern):

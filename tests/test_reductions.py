@@ -10,7 +10,7 @@ from sgisect.reductions import (Assignment, AssignmentUndefinedError, CnfFormula
 from sgisect.solve import Witness, brute_force_solve, verify_witness
 from sgisect.varieties import is_a2n, is_commutative, is_nilpotent
 
-from _oracles import random_formula
+from _oracles import interval_labels, random_formula
 
 
 class TestParseDimacs:
@@ -124,7 +124,7 @@ class TestNilpotentGadget:
         g, h1 = I.constraints
         S = g.semigroup
         assert S.size == 2 * 3 // 2 + 1  # intervals over {1,2} plus zero
-        labels = S.labels
+        labels = interval_labels(2)
         assert g.accept == {labels.index("(1,2)")}
         assert h1.accept == {0}
         # the table walk from the construction: g(x1 x2) = (1,2), h1(x1 x2) = 0
@@ -172,9 +172,6 @@ class TestAssignmentWords:
     def test_strict_missing_variable(self):
         with pytest.raises(AssignmentUndefinedError, match="neither"):
             word_to_assignment((0,), 2)
-
-    def test_lenient_defaults_missing_to_false(self):
-        assert word_to_assignment((0,), 2, strict=False).bits == (1, 0)
 
     def test_letter_out_of_alphabet(self):
         with pytest.raises(ValueError):

@@ -1140,6 +1140,17 @@ class TestVerify:
             assert verify_witness(I, cubed).images == tuple(apply_morphism(c.morphism, word * 3)
                                                             for c in I.constraints)
 
+    def test_large_table_builds_no_tuples(self):
+        # the fold gathers the entries it needs from the array, not from the n**2 tuple view
+        S = mincap(2048)  # element v - 1 is value v, and values add up to at most 2048
+        I = Instance.from_columns(("a", "b"), [S, S], [[0, 5], [7, 2046]], [frozenset({6}), frozenset({2047})],
+                                  [None, None])
+        word = verify_witness(I, Witness.from_word((0, 1)))
+        cubed = verify_witness(I, Witness.from_slp(power_slp(canonical_slp((0, 1), 2), 3)))
+        assert word.ok and word.images == (6, 2047)
+        assert not cubed.ok and cubed.images == (20, 2047) and cubed.failing == (0,)
+        assert "table" not in vars(S)
+
     def test_letter_out_of_range(self):
         with pytest.raises(IndexError, match=r"^letter 2 out of range 0\.\.1$"):
             verify_witness(GADGET_SAT, Witness.from_word((0, 2)))
